@@ -14,7 +14,6 @@ any parallelism.
 
 from __future__ import annotations
 
-import logging
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -45,8 +44,6 @@ __all__ = [
     "attainability_matrix",
     "degeneracy_check",
 ]
-
-logger = logging.getLogger(__name__)
 
 P2_CHUNK = 2048
 EULER_CHUNK = 256
@@ -153,7 +150,7 @@ def _p2_init(spec, grid, a_values, refine, seed, n):
 
 
 def _p2_sups(sampler, j0, j1):
-    _, H, _ = sampler.sample_block(_WORK["seed"], range(j0, j1))
+    _, H, _ = sampler.sample_block(_WORK["seed"], range(j0, j1), fields=("h",))
     return (H / _WORK["r0"]).max(axis=1)
 
 
@@ -333,19 +330,10 @@ def estimate_linf(
 # Euler characteristics of super-level sets
 
 
-def _chi_block(values: np.ndarray, u: float, e0, e1, f0, f1, f2) -> np.ndarray:
-    """Euler characteristics #V - #E + #F of {values >= u} for a block of
-    samples (B, n_vertices) on a fixed closed triangulation."""
-    mask = values >= u
-    nv = mask.sum(axis=1)
-    ne = (mask[:, e0] & mask[:, e1]).sum(axis=1)
-    nf = (mask[:, f0] & mask[:, f1] & mask[:, f2]).sum(axis=1)
-    return nv - ne + nf
-
-
 def _closed_triangulation(grid):
     """Faces and edges of the grid, after checking every edge lies in exactly
-    two faces (closed manifold); raises otherwise."""
+    two faces (closed manifold); raises otherwise.  Edges are the sorted
+    unique (lo, hi) vertex pairs, found through the 1-D key lo * n + hi."""
     faces = getattr(grid, "faces", None)
     if faces is None:
         raise ValueError("Euler counting needs a triangulated grid with faces")
@@ -353,34 +341,69 @@ def _closed_triangulation(grid):
         np.concatenate([faces[:, [0, 1]], faces[:, [1, 2]], faces[:, [2, 0]]], axis=0),
         axis=1,
     )
-    edges, counts = np.unique(fe, axis=0, return_counts=True)
+    n = int(fe.max()) + 1
+    keys, counts = np.unique(fe[:, 0].astype(np.int64) * n + fe[:, 1], return_counts=True)
     if np.any(counts != 2):
         raise ValueError("triangulation is not a closed manifold: an edge is not shared by exactly 2 faces")
-    return faces, edges
+    return faces, np.stack(np.divmod(keys, n), axis=1)
+
+
+def _euler_counts(values: np.ndarray, thresholds: np.ndarray, faces, edges) -> np.ndarray:
+    """Euler characteristics chi[b, k] = #V - #E + #F of {values[b] >= thresholds[k]}
+    for a block of vertex values (B, n_vertices) on a closed triangulation.
+
+    A cell lies in {h >= u} iff its lowest vertex value is >= u, so
+    chi(u) = sum over vertices v with h(v) >= u of
+    c(v) = 1 - #edges whose lowest vertex is v + #faces whose lowest vertex is v
+    (Banchoff's critical-point form for PL functions).  Of tied lowest
+    vertices one takes the cell; inclusion depends only on the shared value,
+    so no count changes.  c(v) is built once per sample, and only the few
+    vertices with c(v) != 0 (the PL critical points) meet the thresholds.
+    Values and thresholds must be finite: a NaN would be mis-attributed.
+    """
+    B, n_vertices = values.shape
+    e0, e1 = np.ascontiguousarray(edges.T)
+    f0, f1, f2 = np.ascontiguousarray(faces.T)
+    rows, levels, weights = [], [], []
+    for b, h in enumerate(values):
+        edge_low = np.where(h[e0] <= h[e1], e0, e1)
+        a0, a1, a2 = h[f0], h[f1], h[f2]
+        face_low = np.where(np.minimum(a0, a1) <= a2, np.where(a0 <= a1, f0, f1), f2)
+        # c(v) - 1
+        c = np.bincount(face_low, minlength=n_vertices) - np.bincount(edge_low, minlength=n_vertices)
+        crit = np.flatnonzero(c != -1)
+        rows.append(np.full(crit.size, b))
+        levels.append(h[crit])
+        weights.append(c[crit] + 1)
+    # a critical vertex at level h counts toward every threshold <= h: bin it
+    # by the number of sorted thresholds <= h, then sum the bins from the top
+    order = np.argsort(thresholds, kind="stable")
+    T = thresholds.size
+    above = np.searchsorted(thresholds[order], np.concatenate(levels), side="right")
+    bins = np.zeros((B, T + 1), dtype=np.int64)
+    np.add.at(bins, (np.concatenate(rows), above), np.concatenate(weights))
+    chi = np.empty((B, T), dtype=np.int64)
+    chi[:, order] = np.cumsum(bins[:, :0:-1], axis=1)[:, ::-1]
+    return chi
 
 
 def empirical_euler(grid, values, u: float) -> int:
     """Euler characteristic of the super-level set {values >= u} on the grid's
-    triangulation, counting vertices, edges and faces entirely above u."""
+    triangulation: the vertices, edges and faces whose every vertex value is
+    >= u (a vertex exactly at u is included).  Non-finite values or a
+    non-finite u are rejected."""
     faces, edges = _closed_triangulation(grid)
     vals = np.asarray(values, dtype=float).ravel()
     if vals.size != _grid_size(grid):
         raise ValueError("values must cover every grid vertex")
-    if np.any(vals == u):
-        # nudge the threshold off the colliding vertex value
-        u = u - 1e-12
-        logger.info("threshold collides with a vertex value; perturbed by -1e-12")
-    chi = _chi_block(
-        vals[None, :], u, edges[:, 0], edges[:, 1], faces[:, 0], faces[:, 1], faces[:, 2]
-    )
-    return int(chi[0])
+    if not (np.all(np.isfinite(vals)) and math.isfinite(u)):
+        raise ValueError("vertex values and the threshold must be finite")
+    return int(_euler_counts(vals[None, :], np.array([u], dtype=float), faces, edges)[0, 0])
 
 
 def _euler_init(spec, grid, thresholds, seed, n):
-    faces, edges = _closed_triangulation(grid)
     _WORK["sampler"] = make_sampler(spec, grid)
-    _WORK["e0"], _WORK["e1"] = edges[:, 0], edges[:, 1]
-    _WORK["f0"], _WORK["f1"], _WORK["f2"] = faces[:, 0], faces[:, 1], faces[:, 2]
+    _WORK["faces"], _WORK["edges"] = _closed_triangulation(grid)
     _WORK["thresholds"] = np.asarray(thresholds, dtype=float)
     _WORK["seed"] = int(seed)
     _WORK["n"] = int(n)
@@ -389,17 +412,9 @@ def _euler_init(spec, grid, thresholds, seed, n):
 def _euler_task(chunk_index: int):
     j0 = chunk_index * EULER_CHUNK
     j1 = min(j0 + EULER_CHUNK, _WORK["n"])
-    _, H, _ = _WORK["sampler"].sample_block(_WORK["seed"], range(j0, j1))
-    ts = _WORK["thresholds"]
-    chi_sum = np.empty(ts.size, dtype=np.int64)
-    chi2_sum = np.empty(ts.size, dtype=np.int64)
-    for k, u in enumerate(ts):
-        chi = _chi_block(
-            H, u, _WORK["e0"], _WORK["e1"], _WORK["f0"], _WORK["f1"], _WORK["f2"]
-        )
-        chi_sum[k] = chi.sum()
-        chi2_sum[k] = (chi * chi).sum()
-    return chi_sum, chi2_sum
+    _, H, _ = _WORK["sampler"].sample_block(_WORK["seed"], range(j0, j1), fields=("h",))
+    chi = _euler_counts(H, _WORK["thresholds"], _WORK["faces"], _WORK["edges"])
+    return chi.sum(axis=0), (chi * chi).sum(axis=0)
 
 
 def euler_curve(
@@ -410,14 +425,18 @@ def euler_curve(
     grid=None,
     workers: int = 1,
 ) -> EulerCurve:
-    """Empirical mean Euler characteristic of {h >= u} per threshold, with the
-    closed-form prediction 2 Psi(u) + L2 rho2(u) alongside."""
+    """Empirical mean Euler characteristic of {h >= u} per threshold (a vertex
+    exactly at u is included), with the closed-form prediction
+    2 Psi(u) + L2 rho2(u) alongside.  Thresholds must be finite; their order
+    and repeats are kept."""
     if grid is None:
         grid = icosphere(5)
     ts = np.asarray(thresholds, dtype=float)
     n = int(n_samples)
     if ts.size == 0 or n < 1:
         raise ValueError("need thresholds and at least one sample")
+    if not np.all(np.isfinite(ts)):
+        raise ValueError("thresholds must be finite")
     n_chunks = -(-n // EULER_CHUNK)
     results = _run_chunks(
         workers, _euler_init, (spec, grid, ts, seed, n), _euler_task, n_chunks

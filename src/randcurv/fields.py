@@ -234,6 +234,17 @@ def gaussian_draw_block(seed: int, draw_indices, n: int) -> np.ndarray:
 # samplers
 
 
+def _linear_fields(A, wf, wh, design, fields):
+    """(F, H) = ((A wf) design^T, (A wh) design^T) for the draws A (B, n);
+    a field not named in `fields` is None and costs no GEMM."""
+    unknown = set(fields) - {"f", "h"}
+    if unknown:
+        raise ValueError(f"unknown fields {sorted(unknown)}; choose from 'f', 'h'")
+    F = (A * wf) @ design.T if "f" in fields else None
+    H = (A * wh) @ design.T if "h" in fields else None
+    return F, H
+
+
 class SphereSampler:
     """Evaluates f and h (and optionally |grad f|^2) on a sphere point set."""
 
@@ -277,12 +288,14 @@ class SphereSampler:
             ) ** 2
         return out
 
-    def sample_block(self, seed: int, draw_indices) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-        """Batched evaluation: returns (F, H, G) arrays of shape (B, n_points)."""
-        idx = np.asarray(draw_indices)
-        A = gaussian_draw_block(seed, idx, self.n_gaussians)
-        F = (A * self.wf) @ self.basis.Y.T
-        H = (A * self.wh) @ self.basis.Y.T
+    def sample_block(self, seed: int, draw_indices, fields=("f", "h")):
+        """Batched evaluation: returns (F, H, G) arrays of shape (B, n_points).
+
+        Only the fields named in `fields` ("f", "h") are evaluated; the slot
+        of one not asked for is None.  G is evaluated iff want_gradient.
+        """
+        A = gaussian_draw_block(seed, np.asarray(draw_indices), self.n_gaussians)
+        F, H = _linear_fields(A, self.wf, self.wh, self.basis.Y, fields)
         G = None
         if self.want_gradient:
             CF = A * self.wf
@@ -341,10 +354,10 @@ class TorusSampler:
             values_h=self.design @ (self.wh * a),
         )
 
-    def sample_block(self, seed: int, draw_indices) -> tuple[np.ndarray, np.ndarray, None]:
-        idx = np.asarray(draw_indices)
-        A = gaussian_draw_block(seed, idx, self.n_gaussians)
-        return (A * self.wf) @ self.design.T, (A * self.wh) @ self.design.T, None
+    def sample_block(self, seed: int, draw_indices, fields=("f", "h")):
+        """(F, H, None) of shape (B, n_points); see SphereSampler.sample_block."""
+        A = gaussian_draw_block(seed, np.asarray(draw_indices), self.n_gaussians)
+        return (*_linear_fields(A, self.wf, self.wh, self.design, fields), None)
 
 
 class UserSampler:
@@ -391,10 +404,10 @@ class UserSampler:
             values_h=self.design @ (self.wh * a),
         )
 
-    def sample_block(self, seed: int, draw_indices):
-        idx = np.asarray(draw_indices)
-        A = gaussian_draw_block(seed, idx, self.n_gaussians)
-        return (A * self.wf) @ self.design.T, (A * self.wh) @ self.design.T, None
+    def sample_block(self, seed: int, draw_indices, fields=("f", "h")):
+        """(F, H, None) of shape (B, n_points); see SphereSampler.sample_block."""
+        A = gaussian_draw_block(seed, np.asarray(draw_indices), self.n_gaussians)
+        return (*_linear_fields(A, self.wf, self.wh, self.design, fields), None)
 
 
 def make_sampler(spec: RandomFieldSpec, grid=None, want_gradient: bool = False):

@@ -3,12 +3,13 @@ triangulations, closed-form predictions against independent quadrature and
 chi-square identities, and Monte Carlo drivers against single-point Gaussian
 tails, hand-recomputed event vectors, and worker-count invariance."""
 
-import logging
 import math
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import chi2
 
 from randcurv import excursion as ex
@@ -85,15 +86,45 @@ class TestEmpiricalEuler:
         assert ex.empirical_euler(grid, vals, vals.min() - 1.0) == 2
         assert ex.empirical_euler(grid, vals, vals.max() + 1.0) == 0
 
-    def test_collision_is_nudged_and_logged(self, caplog):
+    def test_threshold_on_a_vertex_value_includes_it(self):
+        # {h >= u}: a vertex exactly at u is in the set, one just below is not
         g = octahedron()
         vals = np.array([1.0, 0.0, 0.0, 0.0, 0.0, 0.0])
-        with caplog.at_level(logging.INFO, logger="randcurv.excursion"):
-            got = ex.empirical_euler(g, vals, 1.0)
-        assert got == 1
-        assert any("collides" in r.message for r in caplog.records)
-        # nudging down pulls all six vertices in at u = 0
+        assert ex.empirical_euler(g, vals, 1.0) == 1
         assert ex.empirical_euler(g, np.zeros(6), 0.0) == 2
+        below = np.array([1.0, 1.0 - 1e-13, 0.0, 0.0, 0.0, 0.0])
+        assert ex.empirical_euler(g, below, 1.0) == 1
+        assert ex.empirical_euler(g, below, 1.0 - 1e-13) == 2
+
+    def test_non_finite_input_rejected(self):
+        g = octahedron()
+        for vals, u in [(np.array([np.nan, 1, 1, 1, 1, 1.0]), 0.5), (np.ones(6), np.nan),
+                        (np.array([np.inf, 0, 0, 0, 0, 0.0]), 0.5)]:
+            with pytest.raises(ValueError, match="finite"):
+                ex.empirical_euler(g, vals, u)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        g=st.sampled_from([octahedron(), icosphere(2)]),
+        seed=st.integers(0, 2**32 - 1),
+        thresholds=st.lists(st.sampled_from([-3.0, -1.0, -0.5, 0.0, 1.0, 1.5, 2.0, 4.0]), min_size=1, max_size=8),
+    )
+    def test_critical_vertex_counts_match_brute_force(self, g, seed, thresholds):
+        # small integer values force ties between vertices and with thresholds;
+        # thresholds come unsorted, repeated and equal to vertex values
+        faces, edges = ex._closed_triangulation(g)
+        values = np.random.default_rng(seed).integers(-2, 3, size=(3, g.n_points)).astype(float)
+        ts = np.array(thresholds)
+        got = ex._euler_counts(values, ts, faces, edges)
+        for b, h in enumerate(values):
+            expect = [brute_chi(g.faces, h >= u) for u in ts]
+            assert got[b].tolist() == expect
+            assert [ex.empirical_euler(g, h, u) for u in ts] == expect
+
+    def test_closed_triangulation_edges_are_sorted_unique_pairs(self):
+        g = icosphere(3)
+        _, edges = ex._closed_triangulation(g)
+        assert np.array_equal(edges, g.edges)
 
     def test_open_triangulation_rejected(self):
         g = octahedron()
@@ -423,3 +454,12 @@ class TestEulerCurve:
             ex.euler_curve(spec, [], 16, 0, grid=icosphere(2))
         with pytest.raises(ValueError):
             ex.euler_curve(spec, [1.0], 0, 0, grid=icosphere(2))
+        with pytest.raises(ValueError, match="finite"):
+            ex.euler_curve(spec, [1.0, np.inf], 16, 0, grid=icosphere(2))
+
+    def test_pinned_chi_sums(self):
+        # seed 12345, 64 draws on icosphere:5: the exact chi sums per threshold
+        spec = RandomFieldSpec(SPHERE, SCHEME, FieldKind.H)
+        ec = ex.euler_curve(spec, np.linspace(1.0, 3.5, 20), 64, 12345, grid=icosphere(5))
+        chi_sums = np.rint(ec.empirical_mean * ec.n_samples).astype(int).tolist()
+        assert chi_sums == [55, 51, 51, 48, 40, 38, 32, 29, 22, 13, 9, 5, 5, 3, 1, 1, 1, 1, 1, 1]

@@ -345,3 +345,35 @@ def test_gaussian_draw_block_bit_identical_to_single_draws():
         assert np.array_equal(B[r], fl.gaussian_draws(321, j, 7))
     with pytest.raises(ValueError):
         fl.gaussian_draw_block(321, [3, -1], 7)
+
+
+def test_sample_block_evaluates_only_requested_fields(h_spec):
+    user = sp.SpectrumModel(
+        geometry=Geometry.USER_SUPPLIED,
+        dimension=2,
+        volume=1.0,
+        eigenvalues=np.array([1.0, 3.0]),
+        multiplicities=np.array([1, 1]),
+        points=np.array([[0.0], [1.0]]),
+        eigenfunctions=np.array([[1.0, 0.5], [0.2, 1.5]]),
+    )
+    torus = sp.torus2_spectrum(3)
+    samplers = [
+        fl.SphereSampler(h_spec, fibonacci_sphere(32), want_gradient=True),
+        fl.TorusSampler(
+            RandomFieldSpec(torus, sp.make_explicit([0.5, 0.3, 0.2]), FieldKind.H), torus_grid(6)
+        ),
+        fl.UserSampler(
+            RandomFieldSpec(user, sp.make_explicit([1.0, 0.5], indexing=Indexing.PER_EIGENFUNCTION), FieldKind.H)
+        ),
+    ]
+    for smp in samplers:
+        F, H, G = smp.sample_block(8, [0, 3, 4])
+        F1, H1, G1 = smp.sample_block(8, [0, 3, 4], fields=("h",))
+        assert F1 is None and np.array_equal(H1, H)
+        F2, H2, _ = smp.sample_block(8, [0, 3, 4], fields=("f",))
+        assert H2 is None and np.array_equal(F2, F)
+        # the gradient slot follows want_gradient, not the field selection
+        assert (G1 is None) == (G is None)
+        with pytest.raises(ValueError, match="unknown fields"):
+            smp.sample_block(8, [0], fields=("H",))
