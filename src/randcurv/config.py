@@ -78,6 +78,13 @@ def _parse_floats(text: str) -> tuple[float, ...]:
     return tuple(float(p) for p in parts)
 
 
+def _parse_seed(text) -> int:
+    seed = int(text)
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
+    return seed
+
+
 def _parse_pair(text: str) -> tuple[float, float]:
     vals = _parse_floats(text)
     if len(vals) != 2:
@@ -99,7 +106,7 @@ _CONVERTERS = {
     "thresholds": _parse_floats,
     "grid": str.strip,
     "n_samples": int,
-    "seed": int,
+    "seed": _parse_seed,
     "workers": int,
     "out": str.strip,
     "refine": _parse_bool,
@@ -230,14 +237,17 @@ def load_config(
                     except ValueError as err:
                         raise ValueError(f"bad value for {key!r}: {err}") from err
     if seed is not None:
-        merged["seed"] = int(seed)
+        merged["seed"] = _parse_seed(seed)
     if workers is not None:
         merged["workers"] = int(workers)
     if out is not None:
         merged["out"] = out
     env_seed = os.environ.get(SEED_ENV)
     if env_seed is not None:
-        merged["seed"] = int(env_seed)
+        try:
+            merged["seed"] = _parse_seed(env_seed)
+        except ValueError as err:
+            raise ValueError(f"bad value for {SEED_ENV}: {err}") from err
     cfg = ExperimentConfig(command=command, **merged)
     _validate(cfg)
     return cfg

@@ -168,19 +168,25 @@ class DeviationField:
     mode: DeviationMode
 
 
+def exponent_factor(n: int, mode: DeviationMode) -> float:
+    """k in the deviation's prefactor e^{-k a f}: 1 on surfaces, n in the
+    fourth-order mode (which needs even n)."""
+    if mode is DeviationMode.SCALAR_2D:
+        if n != 2:
+            raise ValueError("the surface deviation needs n = 2")
+        return 1.0
+    if n % 2 or n < 2:
+        raise ValueError("the fourth-order deviation needs even n")
+    return float(n)
+
+
 def deviation_field(
     sample: FieldSample, reference, a: float, n: int, mode: DeviationMode
 ) -> DeviationField:
     f = _require(sample, "values_f")
     h = _require(sample, "values_h")
-    if mode is DeviationMode.SCALAR_2D:
-        if n != 2:
-            raise ValueError("the surface deviation needs n = 2")
-        rate, coef = a, 1.0
-    else:
-        if n % 2 or n < 2:
-            raise ValueError("the fourth-order deviation needs even n")
-        rate, coef = n * a, float(n)
+    coef = exponent_factor(n, mode)
+    rate = coef * a
     pref = np.exp(-rate * f)
     exact = reference * np.expm1(-rate * f) - a * h * pref
     linear = -a * (h + coef * reference * f)

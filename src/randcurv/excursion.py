@@ -14,16 +14,18 @@ any parallelism.
 
 from __future__ import annotations
 
+import logging
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import fields
 from .bounds import gaussian_tail
-from .curvature import DeviationMode, deviation_field
+from .curvature import DeviationMode, deviation_field, exponent_factor
 from .fields import FieldKind, FieldSample, RandomFieldSpec, make_sampler, variance_summary
-from .grids import icosphere
+from .grids import face_edges, icosphere
 from .spectral import CoefficientScheme, Indexing
 
 __all__ = [
@@ -47,6 +49,8 @@ __all__ = [
 
 P2_CHUNK = 2048
 EULER_CHUNK = 256
+
+logger = logging.getLogger(__name__)
 
 SPHERE2_VOLUME = 4.0 * math.pi
 
@@ -130,6 +134,14 @@ def _refined(grid):
     return refine()
 
 
+def _check_refine(spec, refine: bool) -> None:
+    if refine and np.ndim(spec.reference_curvature) != 0:
+        raise ValueError(
+            "refine=True needs a constant reference curvature: a gridded one "
+            "is given on the coarse grid only"
+        )
+
+
 def _run_chunks(workers: int, init, initargs, task, n_chunks: int) -> list:
     if workers <= 1:
         init(*initargs)
@@ -186,6 +198,7 @@ def p2_curve(
     r = np.asarray(spec.reference_curvature, dtype=float)
     if not (np.all(r > 0.0) or np.all(r < 0.0)):
         raise ValueError("reference curvature must have one strict sign on the grid")
+    _check_refine(spec, refine)
     a_arr = np.asarray(a_values, dtype=float)
     if a_arr.size == 0 or np.any(a_arr <= 0.0):
         raise ValueError("amplitudes must be positive and nonempty")
@@ -245,12 +258,30 @@ def estimate_p2(
 
 
 _EMPTY = np.zeros(0)
+# relative margin of the screen bound over the computed fields; it covers
+# the rounding of the GEMMs and of exp/expm1 (a few ulp)
+_SCREEN_MARGIN = 1e-12
+
+
+def _linf_screen(sampler):
+    """Columns (|wf| c, |wh| c) with c_k = max_x |design[x, k]| the grid
+    sup-norm of each design column, so |A| @ screen bounds (max |f|, max |h|)
+    of every draw row A.  They are raised by the margin; as expm1 is convex
+    through 0, that raises the deviation bound by at least the same ratio,
+    and the exponent by enough where e^{r max|f|} is large."""
+    c = np.abs(sampler.design).max(axis=0)
+    screen = np.stack([np.abs(sampler.wf) * c, np.abs(sampler.wh) * c], axis=1)
+    return screen * (1.0 + _SCREEN_MARGIN)
 
 
 def _linf_init(spec, grid, a, u, mode, refine, seed, n):
-    _WORK["sampler"] = make_sampler(spec, grid)
-    _WORK["ref_sampler"] = make_sampler(spec, _refined(grid)) if refine else None
+    samplers = [make_sampler(spec, grid)]
+    if refine:
+        samplers.append(make_sampler(spec, _refined(grid)))
+    _WORK["samplers"] = [(s, _linf_screen(s)) for s in samplers]
     _WORK["reference"] = spec.reference_curvature
+    _WORK["rho"] = float(np.abs(np.asarray(spec.reference_curvature, dtype=float)).max())
+    _WORK["rate"] = exponent_factor(spec.spectrum.dimension, mode) * float(a)
     _WORK["dim"] = spec.spectrum.dimension
     _WORK["a"] = float(a)
     _WORK["u"] = float(u)
@@ -259,24 +290,38 @@ def _linf_init(spec, grid, a, u, mode, refine, seed, n):
     _WORK["n"] = int(n)
 
 
-def _linf_count(sampler, j0, j1) -> int:
-    F, H, _ = sampler.sample_block(_WORK["seed"], range(j0, j1))
+def _linf_count(sampler, screen, A, j0) -> tuple[int, int]:
+    """(events, screen survivors) among the draws j0, j0 + 1, ... with rows A.
+
+    Since |f| <= Mf and |h| <= Mh on the grid (Mf, Mh = |A| @ screen),
+    |R0 expm1(-r f) - a h e^{-r f}| <= rho expm1(r Mf) + a Mh e^{r Mf}
+    (rho = max |R0|); a draw whose bound is <= u cannot be an event.  The
+    survivors are drawn again by index, bit-identically, and decided on the
+    exact deviation field as before, so the count does not change.
+    """
+    a, u, rate = _WORK["a"], _WORK["u"], _WORK["rate"]
+    M = np.abs(A) @ screen
+    growth = rate * M[:, 0]
+    bound = _WORK["rho"] * np.expm1(growth) + a * M[:, 1] * np.exp(growth)
+    hit = np.flatnonzero(bound > u)
+    F, H, _ = sampler.sample_block(_WORK["seed"], j0 + hit)
     block = FieldSample(
         seed=_WORK["seed"], draw_index=j0, gaussians=_EMPTY, grid=None,
         values_f=F, values_h=H,
     )
-    dev = deviation_field(block, _WORK["reference"], _WORK["a"], _WORK["dim"], _WORK["mode"])
-    return int((np.abs(dev.exact).max(axis=1) > _WORK["u"]).sum())
+    dev = deviation_field(block, _WORK["reference"], a, _WORK["dim"], _WORK["mode"])
+    return int((np.abs(dev.exact).max(axis=1) > u).sum()), int(hit.size)
 
 
 def _linf_task(chunk_index: int):
+    """Per sampler (coarse, then refined if asked) the chunk's (events,
+    screen survivors); both share the chunk's draws."""
     j0 = chunk_index * P2_CHUNK
     j1 = min(j0 + P2_CHUNK, _WORK["n"])
-    c = _linf_count(_WORK["sampler"], j0, j1)
-    rc = None
-    if _WORK["ref_sampler"] is not None:
-        rc = _linf_count(_WORK["ref_sampler"], j0, j1)
-    return c, rc
+    n_gaussians = _WORK["samplers"][0][0].n_gaussians
+    # looked up through the module, where profilers wrap the draw layer
+    A = fields.gaussian_draw_block(_WORK["seed"], range(j0, j1), n_gaussians)
+    return [_linf_count(s, screen, A, j0) for s, screen in _WORK["samplers"]]
 
 
 def estimate_linf(
@@ -296,6 +341,9 @@ def estimate_linf(
         raise ValueError("a and u must be positive")
     if spec.reference_curvature is None:
         raise ValueError("deviation estimation needs the spec's reference curvature")
+    _check_refine(spec, refine)
+    # checked here: a draw the screen drops never reaches deviation_field
+    exponent_factor(spec.spectrum.dimension, mode)
     n = int(n_samples)
     if n < 1:
         raise ValueError("need at least one sample")
@@ -306,11 +354,11 @@ def estimate_linf(
     results = _run_chunks(
         workers, _linf_init, (spec, grid, a, u, mode, refine, seed, n), _linf_task, n_chunks
     )
-    count = sum(c for c, _ in results)
-    p, se = _se(count, n)
-    delta = None
-    if refine:
-        delta = sum(rc for _, rc in results) / n - p
+    counts, passed = np.array(results, dtype=np.int64).sum(axis=0).T
+    for label, k in zip(("grid", "refined grid"), passed):
+        logger.info("linf screen (%s): %d of %d draws passed", label, k, n)
+    p, se = _se(int(counts[0]), n)
+    delta = int(counts[1]) / n - p if refine else None
     return ExcursionReport(
         estimate=p,
         standard_error=se,
@@ -333,19 +381,14 @@ def estimate_linf(
 def _closed_triangulation(grid):
     """Faces and edges of the grid, after checking every edge lies in exactly
     two faces (closed manifold); raises otherwise.  Edges are the sorted
-    unique (lo, hi) vertex pairs, found through the 1-D key lo * n + hi."""
+    unique (lo, hi) vertex pairs of grids.face_edges."""
     faces = getattr(grid, "faces", None)
     if faces is None:
         raise ValueError("Euler counting needs a triangulated grid with faces")
-    fe = np.sort(
-        np.concatenate([faces[:, [0, 1]], faces[:, [1, 2]], faces[:, [2, 0]]], axis=0),
-        axis=1,
-    )
-    n = int(fe.max()) + 1
-    keys, counts = np.unique(fe[:, 0].astype(np.int64) * n + fe[:, 1], return_counts=True)
+    edges, counts = face_edges(faces)
     if np.any(counts != 2):
         raise ValueError("triangulation is not a closed manifold: an edge is not shared by exactly 2 faces")
-    return faces, np.stack(np.divmod(keys, n), axis=1)
+    return faces, edges
 
 
 def _euler_counts(values: np.ndarray, thresholds: np.ndarray, faces, edges) -> np.ndarray:

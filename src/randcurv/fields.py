@@ -192,41 +192,54 @@ class FieldSample:
 _U64 = 2**64 - 1
 
 
+def _check_stream(seed: int, draw_indices) -> None:
+    """Reject a seed outside [0, 2^64) or a draw index outside [0, 2^128).
+
+    Philox keys and counter words are unsigned: an out-of-range seed would
+    wrap onto another seed's stream and an out-of-range index would fail
+    inside numpy, differently for single and block draws.
+    """
+    if not 0 <= seed <= _U64:
+        raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
+    if draw_indices and not (min(draw_indices) >= 0 and max(draw_indices) < 2**128):
+        raise ValueError("draw_index must lie in [0, 2**128)")
+
+
 def gaussian_draws(seed: int, draw_index: int, n: int) -> np.ndarray:
     """The canonical i.i.d. N(0,1) vector of a (seed, draw_index) pair.
 
-    Streams are spaced 2^128 Philox states apart (the counter's third word),
-    vastly more than one vector ever consumes, so distinct draw indices can
-    never overlap.
+    Streams are spaced 2^128 Philox states apart (the counter's upper two
+    words), vastly more than one vector ever consumes, so distinct draw
+    indices can never overlap.  The seed must lie in [0, 2^64) and the draw
+    index in [0, 2^128).
     """
-    if draw_index < 0:
-        raise ValueError("draw_index must be >= 0")
-    bitgen = np.random.Philox(key=int(seed) & _U64, counter=int(draw_index) << 128)
+    seed, draw_index = int(seed), int(draw_index)
+    _check_stream(seed, [draw_index])
+    bitgen = np.random.Philox(key=seed, counter=draw_index << 128)
     return np.random.Generator(bitgen).standard_normal(n)
 
 
 def gaussian_draw_block(seed: int, draw_indices, n: int) -> np.ndarray:
     """Rows gaussian_draws(seed, j, n) for j in draw_indices, bit-identical.
 
-    Reuses one Philox bit generator by resetting its counter per row instead
-    of constructing a generator per draw, which is several times faster for
-    the short vectors the samplers consume.
+    One Philox bit generator, one Generator and one state dict serve the
+    whole block: per row only the counter words change, and the row is
+    filled in place, which is several times faster than constructing a
+    generator per draw for the short vectors the samplers consume.
     """
+    seed = int(seed)
     idx = [int(j) for j in draw_indices]
-    bg = np.random.Philox(key=int(seed) & _U64)
-    base = bg.state
-    key = base["state"]["key"]
+    _check_stream(seed, idx)
+    bg = np.random.Philox(key=seed)
+    gen = np.random.Generator(bg)
+    state = bg.state  # a fresh state: zero counter, empty buffer
+    counter = state["state"]["counter"]
     out = np.empty((len(idx), n))
     for r, j in enumerate(idx):
-        if j < 0:
-            raise ValueError("draw_index must be >= 0")
-        st = dict(base)
-        st["state"] = {
-            "counter": np.array([0, 0, j & _U64, j >> 64], dtype=np.uint64),
-            "key": key,
-        }
-        bg.state = st
-        out[r] = np.random.Generator(bg).standard_normal(n)
+        counter[2] = j & _U64
+        counter[3] = j >> 64
+        bg.state = state
+        gen.standard_normal(out=out[r])
     return out
 
 
@@ -257,6 +270,7 @@ class SphereSampler:
             raise ValueError("empty coefficient scheme")
         self.spec = spec
         self.basis = SphereHarmonicBasis(M, theta, phi, want_gradient=want_gradient)
+        self.design = self.basis.Y
         lw = level_weights(spec)
         counts = spec.spectrum.multiplicities[:M]
         self.wf = np.repeat(lw.alpha, counts)
@@ -295,7 +309,7 @@ class SphereSampler:
         of one not asked for is None.  G is evaluated iff want_gradient.
         """
         A = gaussian_draw_block(seed, np.asarray(draw_indices), self.n_gaussians)
-        F, H = _linear_fields(A, self.wf, self.wh, self.basis.Y, fields)
+        F, H = _linear_fields(A, self.wf, self.wh, self.design, fields)
         G = None
         if self.want_gradient:
             CF = A * self.wf

@@ -128,10 +128,7 @@ def icosphere(depth: int) -> SphereGrid:
 
     xyz = np.array(verts)
     farr = np.array(faces, dtype=np.int64)
-    e = np.sort(
-        np.concatenate([farr[:, [0, 1]], farr[:, [1, 2]], farr[:, [2, 0]]], axis=0), axis=1
-    )
-    edges = np.unique(e, axis=0)
+    edges, _ = face_edges(farr)
 
     # spherical triangle areas by l'Huilier, shared to the three corners
     A, B, C = xyz[farr[:, 0]], xyz[farr[:, 1]], xyz[farr[:, 2]]
@@ -152,6 +149,19 @@ def icosphere(depth: int) -> SphereGrid:
 
     theta, phi = _angles(xyz)
     return SphereGrid("icosphere", xyz, theta, phi, weights, faces=farr, edges=edges, depth=depth)
+
+
+def face_edges(faces: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted unique (lo, hi) vertex pairs of the triangles' edges, and
+    how many faces share each.  Pairs are found through the 1-D key
+    lo * n + hi, several times faster than a row-wise unique."""
+    fe = np.sort(
+        np.concatenate([faces[:, [0, 1]], faces[:, [1, 2]], faces[:, [2, 0]]], axis=0),
+        axis=1,
+    )
+    n = int(fe.max()) + 1
+    keys, counts = np.unique(fe[:, 0].astype(np.int64) * n + fe[:, 1], return_counts=True)
+    return np.stack(np.divmod(keys, n), axis=1), counts
 
 
 def torus_grid(n_per_axis: int) -> TorusGrid:

@@ -273,3 +273,8 @@ class TestSeedPrecedence:
         (path, *_unused) = csvs(out)
         meta, _, _ = read_csv(path)
         assert meta["seed"] == "99"
+
+    def test_out_of_range_seed_exits_2(self, tmp_path, capsys):
+        ini, _ = write_ini(tmp_path)
+        assert main(["bounds", "--config", ini, "--seed", "-1"]) == 2
+        assert "seed must lie in [0, 2**64)" in capsys.readouterr().err

@@ -69,6 +69,26 @@ class TestLoading:
             load_config("bounds", path)
 
 
+class TestSeedRange:
+    @pytest.mark.parametrize("bad", [-1, 2**64])
+    def test_out_of_range_seed_rejected_from_every_source(self, tmp_path, monkeypatch, bad):
+        path = write(tmp_path, f"[common]\nseed = {bad}\n")
+        with pytest.raises(ValueError, match="'seed'.*2\\*\\*64"):
+            load_config("bounds", path)
+        with pytest.raises(ValueError, match="seed must lie"):
+            load_config("bounds", None, seed=bad)
+        monkeypatch.setenv(SEED_ENV, str(bad))
+        with pytest.raises(ValueError, match=SEED_ENV):
+            load_config("bounds", None)
+
+    def test_range_ends_accepted(self, tmp_path, monkeypatch):
+        path = write(tmp_path, "[common]\nseed = 0\n")
+        assert load_config("bounds", path).seed == 0
+        assert load_config("bounds", path, seed=2**64 - 1).seed == 2**64 - 1
+        monkeypatch.setenv(SEED_ENV, str(2**64 - 1))
+        assert load_config("bounds", path).seed == 2**64 - 1
+
+
 class TestValidation:
     def test_p2_needs_amplitudes(self):
         with pytest.raises(ValueError, match="amplitudes"):

@@ -3,7 +3,9 @@ triangulations, closed-form predictions against independent quadrature and
 chi-square identities, and Monte Carlo drivers against single-point Gaussian
 tails, hand-recomputed event vectors, and worker-count invariance."""
 
+import logging
 import math
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -12,18 +14,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import chi2
 
+from randcurv import curvature
 from randcurv import excursion as ex
 from randcurv.bounds import gaussian_tail
 from randcurv.curvature import DeviationMode
 from randcurv.fields import (
     FieldKind,
+    FieldSample,
     RandomFieldSpec,
     covariance_h_sphere,
+    gaussian_draw_block,
     make_sampler,
 )
 from randcurv.grids import fibonacci_sphere, icosphere, torus_grid
 from randcurv.spectral import (
+    Geometry,
     Indexing,
+    SpectrumModel,
     make_explicit,
     make_power_law,
     make_sphere_normalized,
@@ -352,6 +359,13 @@ class TestEstimateP2:
         with pytest.raises(ValueError, match="one strict sign"):
             ex.estimate_p2(mixed, 0.3, fibonacci_sphere(8), 16, 0)
 
+    def test_refine_with_gridded_reference_rejected_up_front(self):
+        r0 = np.linspace(0.5, 1.5, 64)
+        spec = RandomFieldSpec(SPHERE, SCHEME, FieldKind.V, reference_curvature=r0)
+        with pytest.raises(ValueError, match="refine=True needs a constant reference"):
+            ex.p2_curve(spec, [0.3], fibonacci_sphere(64), 16, 0, refine=True)
+        assert ex.p2_curve(spec, [0.3], fibonacci_sphere(64), 16, 0).reports[0].n_samples == 16
+
     def test_rejects_bad_amplitudes_and_counts(self):
         g = fibonacci_sphere(8)
         with pytest.raises(ValueError):
@@ -376,6 +390,12 @@ TORUS_SPEC = RandomFieldSpec(
     torus2_spectrum(11), make_explicit(TORUS_VALUES), FieldKind.H,
     reference_curvature=0.0,
 )
+
+
+LINF_GEOMETRIES = [
+    (TORUS_SPEC, torus_grid(8)),
+    (RandomFieldSpec(SPHERE, SCHEME, FieldKind.H), fibonacci_sphere(64)),
+]
 
 
 class TestEstimateLinf:
@@ -427,6 +447,92 @@ class TestEstimateLinf:
             mode=DeviationMode.SCALAR_2D,
         )
         assert 0.0 <= r.estimate <= 1.0
+
+    def test_refine_with_gridded_reference_rejected_up_front(self):
+        grid = torus_grid(8)
+        spec = RandomFieldSpec(
+            torus2_spectrum(11), make_explicit(TORUS_VALUES), FieldKind.H,
+            reference_curvature=np.full(grid.n_points, 0.3),
+        )
+        with pytest.raises(ValueError, match="refine=True needs a constant reference"):
+            ex.estimate_linf(spec, 0.02, 0.05, grid, 16, 0, refine=True)
+        # without refinement the gridded reference is fine
+        assert 0.0 <= ex.estimate_linf(spec, 0.02, 0.05, grid, 16, 0).estimate <= 1.0
+
+    def test_mode_dimension_mismatch_rejected_even_when_nothing_passes(self):
+        # a dimension-3 model has no surface deviation; the threshold is far
+        # out of reach, so the check cannot wait for a screen survivor
+        user = SpectrumModel(
+            geometry=Geometry.USER_SUPPLIED, dimension=3, volume=1.0,
+            eigenvalues=np.array([1.0]), multiplicities=np.array([1]),
+            points=np.array([[0.0], [1.0]]), eigenfunctions=np.array([[1.0, 0.5]]),
+        )
+        spec = RandomFieldSpec(user, make_explicit([1e-6]), FieldKind.H, reference_curvature=0.0)
+        with pytest.raises(ValueError, match="n = 2"):
+            ex.estimate_linf(spec, 0.01, 1e3, None, 16, 0, mode=DeviationMode.SCALAR_2D)
+
+    def test_screen_bound_dominates_every_draw(self):
+        # the bound per draw is >= the computed max |exact| over the grid, in
+        # both modes, for flat, signed and gridded references
+        a = 0.3
+        for spec0, grid in LINF_GEOMETRIES:
+            smp = make_sampler(spec0, grid)
+            A = gaussian_draw_block(11, range(256), smp.n_gaussians)
+            M = np.abs(A) @ ex._linf_screen(smp)
+            F, H, _ = smp.sample_block(11, range(256))
+            sample = FieldSample(11, 0, A, grid, values_f=F, values_h=H)
+            for mode in DeviationMode:
+                growth = curvature.exponent_factor(2, mode) * a * M[:, 0]
+                for r0 in (0.0, -0.4, np.linspace(-0.5, 0.3, grid.n_points)):
+                    bound = np.abs(r0).max() * np.expm1(growth) + a * M[:, 1] * np.exp(growth)
+                    exact = curvature.deviation_field(sample, r0, a, 2, mode).exact
+                    assert np.all(np.abs(exact).max(axis=1) <= bound)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        geometry=st.sampled_from(range(len(LINF_GEOMETRIES))),
+        reference=st.sampled_from(["zero", "positive", "negative", "gridded"]),
+        mode=st.sampled_from(list(DeviationMode)),
+        a=st.floats(0.01, 0.5),
+        u_over_a=st.floats(1.0, 5.0),
+        refine=st.booleans(),
+        seed=st.integers(0, 2**64 - 1),
+        n=st.integers(1, 2500),
+    )
+    def test_screened_count_equals_brute_count(
+        self, geometry, reference, mode, a, u_over_a, refine, seed, n
+    ):
+        spec0, grid = LINF_GEOMETRIES[geometry]
+        r0 = {
+            "zero": 0.0, "positive": 0.4, "negative": -0.3,
+            "gridded": np.random.default_rng(seed).uniform(-0.4, 0.4, grid.n_points),
+        }[reference]
+        refine = refine and reference != "gridded"
+        spec = RandomFieldSpec(spec0.spectrum, spec0.coefficients, FieldKind.H, reference_curvature=r0)
+        u = a * u_over_a
+
+        def brute(g):
+            F, H, _ = make_sampler(spec, g).sample_block(seed, range(n))
+            sample = FieldSample(seed, 0, np.zeros(0), g, values_f=F, values_h=H)
+            exact = curvature.deviation_field(sample, r0, a, 2, mode).exact
+            return int((np.abs(exact).max(axis=1) > u).sum())
+
+        r = ex.estimate_linf(spec, a, u, grid, n, seed, mode=mode, refine=refine)
+        count = brute(grid)
+        assert r.estimate == count / n
+        if refine:
+            assert r.refinement_delta == brute(grid.refine()) / n - count / n
+
+    def test_screen_hit_rate_is_logged(self, caplog):
+        grid = torus_grid(16)
+        with caplog.at_level(logging.INFO, logger="randcurv.excursion"):
+            r = ex.estimate_linf(TORUS_SPEC, 0.1 / 3.0, 0.1, grid, 4096, 2026, refine=True)
+        pattern = r"linf screen \((grid|refined grid)\): (\d+) of 4096 draws passed"
+        found = [re.fullmatch(pattern, rec.getMessage()) for rec in caplog.records]
+        passed = {m.group(1): int(m.group(2)) for m in found if m}
+        assert set(passed) == {"grid", "refined grid"}
+        # every event passes the screen, and at u/a = 3 almost nothing else does
+        assert round(r.estimate * 4096) <= passed["grid"] < 4096 // 10
 
 
 class TestEulerCurve:

@@ -338,13 +338,31 @@ def test_degeneracy_antipodal_covariance(sphere12):
 
 
 def test_gaussian_draw_block_bit_identical_to_single_draws():
-    idx = [0, 1, 5, 17, 2**40, 2**70]
+    # unsorted, repeated, and at both ends of the index range
+    idx = [17, 0, 1, 5, 2**40, 2**70, 5, 2**128 - 1, 0]
     B = fl.gaussian_draw_block(321, idx, 7)
-    assert B.shape == (6, 7)
+    assert B.shape == (9, 7)
     for r, j in enumerate(idx):
         assert np.array_equal(B[r], fl.gaussian_draws(321, j, 7))
+    assert np.array_equal(B[3], B[6]) and np.array_equal(B[1], B[8])
+    assert fl.gaussian_draw_block(321, [], 7).shape == (0, 7)
+    assert np.array_equal(
+        fl.gaussian_draw_block(2**64 - 1, [3], 7)[0], fl.gaussian_draws(2**64 - 1, 3, 7)
+    )
     with pytest.raises(ValueError):
         fl.gaussian_draw_block(321, [3, -1], 7)
+
+
+@pytest.mark.parametrize(
+    "seed, index, message",
+    [(-1, 0, "seed"), (2**64, 0, "seed"), (0, -1, "draw_index"), (0, 2**128, "draw_index")],
+)
+def test_out_of_range_seed_or_index_rejected_alike(seed, index, message):
+    # a masked seed would silently alias: -1 would draw seed 2**64 - 1's stream
+    with pytest.raises(ValueError, match=message):
+        fl.gaussian_draws(seed, index, 4)
+    with pytest.raises(ValueError, match=message):
+        fl.gaussian_draw_block(seed, [0, index], 4)
 
 
 def test_sample_block_evaluates_only_requested_fields(h_spec):

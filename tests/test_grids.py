@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from randcurv.grids import fibonacci_sphere, icosphere, sphere_distance, torus_grid
+from randcurv.grids import face_edges, fibonacci_sphere, icosphere, sphere_distance, torus_grid
 
 
 def test_fibonacci_basics():
@@ -54,6 +54,15 @@ def test_icosphere_faces_reference_valid_vertices():
         axis=1,
     )
     _, counts = np.unique(e, axis=0, return_counts=True)
+    assert np.all(counts == 2)
+
+
+def test_face_edges_match_row_wise_unique():
+    g = icosphere(3)
+    pairs = np.sort(np.concatenate([g.faces[:, [0, 1]], g.faces[:, [1, 2]], g.faces[:, [2, 0]]]), axis=1)
+    edges, counts = face_edges(g.faces)
+    assert np.array_equal(edges, np.unique(pairs, axis=0))
+    assert np.array_equal(g.edges, edges)
     assert np.all(counts == 2)
 
 
