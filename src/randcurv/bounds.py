@@ -1,15 +1,13 @@
 """Closed-form bounds, asymptotics, and comparison predicates.
 
 Every operation is a pure function of recorded constants (amplitudes,
-thresholds, variances, spectral data).  BoundReport packages values together
-with regime notes so the CLI can serialize theory rows next to Monte Carlo
-rows.  Nothing here samples.
+thresholds, variances, spectral data); the CLI writes the values as theory
+rows next to Monte Carlo rows.  Nothing here samples.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -162,101 +160,3 @@ def q_sign_bounds(a: float, sigma_v: float) -> tuple[float, float]:
     Q-field sigma_v.  The constants are not pinned by the statement, so both
     are taken as 1; the a^2-log limit -1/(2 sigma_v^2) is constant-free."""
     return p2_two_sided(a, sigma_v, 1.0, 1.0)
-
-
-# ---------------------------------------------------------------------------
-# report layer
-
-
-class BoundKind(str, Enum):
-    GAUSSIAN_TAIL = "gaussian_tail"
-    BORELL_TIS = "borell_tis"
-    P2_TWO_SIDED = "p2_two_sided"
-    HEAT_SMALL_T = "heat_small_T"
-    HEAT_LARGE_T = "heat_large_T"
-    COMPARE_SMALL_T = "compare_small_T"
-    COMPARE_LARGE_T = "compare_large_T"
-    LINF_LOG = "linf_log"
-    ND_NEGATIVE = "nd_negative"
-    ND_POSITIVE = "nd_positive"
-    Q_SIGN = "q_sign"
-
-
-@dataclass(frozen=True)
-class BoundReport:
-    """One evaluated bound: inputs, values, and hypothesis notes."""
-
-    kind: BoundKind
-    inputs: dict
-    values: dict
-    flags: tuple[str, ...] = ()
-
-
-def report_p2(a: float, sigma_v: float, C1_low: float, C2_up: float) -> BoundReport:
-    lower, upper = p2_two_sided(a, sigma_v, C1_low, C2_up)
-    a2l, a2u, limit = p2_log_diagnostics(a, sigma_v, C1_low, C2_up)
-    return BoundReport(
-        BoundKind.P2_TWO_SIDED,
-        {"a": a, "sigma_v": sigma_v, "C1_low": C1_low, "C2_up": C2_up},
-        {"lower": lower, "upper": upper, "a2_log_lower": a2l, "a2_log_upper": a2u,
-         "a2_log_limit": limit},
-    )
-
-
-def report_q_sign(a: float, sigma_v: float) -> BoundReport:
-    lower, upper = q_sign_bounds(a, sigma_v)
-    a2l, a2u, limit = p2_log_diagnostics(a, sigma_v, 1.0, 1.0)
-    return BoundReport(
-        BoundKind.Q_SIGN,
-        {"a": a, "sigma_v": sigma_v},
-        {"lower": lower, "upper": upper, "a2_log_lower": a2l, "a2_log_upper": a2u,
-         "a2_log_limit": limit},
-    )
-
-
-def report_heat_small_T(T: float, n: int, inf_R0_sq: float) -> BoundReport:
-    flags = () if n == 2 else ("dimension n != 2: outside the surface derivation",)
-    return BoundReport(
-        BoundKind.HEAT_SMALL_T,
-        {"T": T, "n": n, "inf_R0_sq": inf_R0_sq},
-        {"sigma_v_sq": heat_sigma_small_T(T, n, inf_R0_sq)},
-        flags,
-    )
-
-
-def report_heat_large_T(spectrum: SpectrumModel, R0_grid, T: float) -> BoundReport:
-    F, asym = heat_sigma_large_T(spectrum, R0_grid, T)
-    return BoundReport(
-        BoundKind.HEAT_LARGE_T,
-        {"T": T, "lambda1": float(spectrum.eigenvalues[0])},
-        {"F": F, "asymptote": asym},
-    )
-
-
-def report_linf_log(u: float, a: float, sigma_w: float) -> BoundReport:
-    flags = ()
-    if not linf_regime_ok(u, a):
-        flags = ("asymptotic regime needs u < 0.5 and u/a > 3",)
-    return BoundReport(
-        BoundKind.LINF_LOG,
-        {"u": u, "a": a, "sigma_w": sigma_w},
-        {"log_asymptote": linf_log_asymptote(u, a, sigma_w)},
-        flags,
-    )
-
-
-def report_nd_positive(n: int, sigma_v: float, sigma_2: float) -> BoundReport:
-    kappa, delta0, B = nd_positive_constants(n, sigma_v, sigma_2)
-    return BoundReport(
-        BoundKind.ND_POSITIVE,
-        {"n": n, "sigma_v": sigma_v, "sigma_2": sigma_2},
-        {"kappa": kappa, "delta0": delta0, "B": B},
-    )
-
-
-def report_nd_negative(a: float, n: int, sigma_v: float, alpha: float) -> BoundReport:
-    return BoundReport(
-        BoundKind.ND_NEGATIVE,
-        {"a": a, "n": n, "sigma_v": sigma_v, "alpha": alpha},
-        {"bound": nd_negative_bound(a, n, sigma_v, alpha)},
-    )

@@ -47,6 +47,7 @@ from .fields import (
 from .grids import fibonacci_sphere, icosphere, torus_grid
 from .reports import RunRecord, write_csv, write_run_json
 from .spectral import (
+    SPHERE2_VOLUME,
     Indexing,
     make_explicit,
     make_heat_kernel,
@@ -56,9 +57,6 @@ from .spectral import (
     sphere2_spectrum,
     torus2_spectrum,
 )
-
-SPHERE2_VOLUME = 4.0 * math.pi
-
 
 def _build_spectrum(cfg: ExperimentConfig):
     if cfg.geometry == "sphere":
@@ -115,6 +113,11 @@ def _base_metadata(cfg: ExperimentConfig) -> dict:
 
 def _artifact(cfg: ExperimentConfig, stem: str) -> Path:
     return Path(cfg.out) / f"{stem}_{config_hash(cfg)}.csv"
+
+
+def _rows(header, table) -> list[dict]:
+    """Run-JSON rows of a CSV table: one {column: value} dict per row."""
+    return [dict(zip(header, row)) for row in table]
 
 
 def _finish(cfg: ExperimentConfig, rows, artifacts) -> RunRecord:
@@ -216,7 +219,6 @@ def cmd_p2(cfg: ExperimentConfig) -> RunRecord:
         "lower", "upper", "refinement_delta", "warnings",
     ]
     table = []
-    rows = []
     for i, report in enumerate(study.reports):
         a = report.amplitude
         lower = bounds.gaussian_tail(report.threshold / sigma_v)
@@ -227,21 +229,8 @@ def cmd_p2(cfg: ExperimentConfig) -> RunRecord:
             [a, report.threshold, report.estimate, report.standard_error,
              prediction, lower, upper, report.refinement_delta, warnings]
         )
-        rows.append(
-            {
-                "a": a,
-                "threshold": report.threshold,
-                "estimate": report.estimate,
-                "standard_error": report.standard_error,
-                "prediction": prediction,
-                "lower": lower,
-                "upper": upper,
-                "refinement_delta": report.refinement_delta,
-                "warnings": warnings,
-            }
-        )
     path = write_csv(_artifact(cfg, "p2"), meta, header, table)
-    return _finish(cfg, rows, [path])
+    return _finish(cfg, _rows(header, table), [path])
 
 
 def cmd_euler(cfg: ExperimentConfig) -> RunRecord:
@@ -262,22 +251,14 @@ def cmd_euler(cfg: ExperimentConfig) -> RunRecord:
     meta["at_constant"] = at_metric_constant(scheme)
     meta["lk_l0"], meta["lk_l1"], meta["lk_l2"] = curve.lipschitz_killing
     header = ["u", "empirical_mean", "standard_error", "predicted"]
-    table = []
-    rows = []
-    for u, mean, se, predicted in zip(
-        curve.thresholds, curve.empirical_mean, curve.empirical_se, curve.predicted
-    ):
-        table.append([float(u), float(mean), float(se), float(predicted)])
-        rows.append(
-            {
-                "u": float(u),
-                "empirical_mean": float(mean),
-                "standard_error": float(se),
-                "predicted": float(predicted),
-            }
+    table = [
+        [float(u), float(mean), float(se), float(predicted)]
+        for u, mean, se, predicted in zip(
+            curve.thresholds, curve.empirical_mean, curve.empirical_se, curve.predicted
         )
+    ]
     path = write_csv(_artifact(cfg, "euler"), meta, header, table)
-    return _finish(cfg, rows, [path])
+    return _finish(cfg, _rows(header, table), [path])
 
 
 def cmd_linf(cfg: ExperimentConfig) -> RunRecord:
@@ -301,7 +282,6 @@ def cmd_linf(cfg: ExperimentConfig) -> RunRecord:
         "refinement_delta",
     ]
     table = []
-    rows = []
     for a, u in zip(cfg.amplitudes, cfg.thresholds):
         report = estimate_linf(
             spec, a, u, grid, cfg.n_samples, cfg.seed,
@@ -315,22 +295,8 @@ def cmd_linf(cfg: ExperimentConfig) -> RunRecord:
             [u, a, u / a, report.estimate, report.standard_error,
              log_estimate, asymptote, ratio, regime, report.refinement_delta]
         )
-        rows.append(
-            {
-                "u": u,
-                "a": a,
-                "u_over_a": u / a,
-                "estimate": report.estimate,
-                "standard_error": report.standard_error,
-                "log_estimate": log_estimate,
-                "log_asymptote": asymptote,
-                "ratio": ratio,
-                "regime_ok": regime,
-                "refinement_delta": report.refinement_delta,
-            }
-        )
     path = write_csv(_artifact(cfg, "linf"), meta, header, table)
-    return _finish(cfg, rows, [path])
+    return _finish(cfg, _rows(header, table), [path])
 
 
 def cmd_heat(cfg: ExperimentConfig) -> RunRecord:
@@ -347,7 +313,6 @@ def cmd_heat(cfg: ExperimentConfig) -> RunRecord:
         "large_T_F", "large_T_asymptote", "large_T_ratio",
     ]
     table = []
-    rows = []
     for T in cfg.t_values:
         sigma2 = heat_variance(model, T).sup / r0_sq
         small = bounds.heat_sigma_small_T(T, model.dimension, r0_sq)
@@ -357,19 +322,8 @@ def cmd_heat(cfg: ExperimentConfig) -> RunRecord:
         table.append(
             [T, sigma2, small, sigma2 / small, F, asymptote, sigma2 / asymptote]
         )
-        rows.append(
-            {
-                "T": T,
-                "sigma2_v": sigma2,
-                "small_T_value": small,
-                "small_T_ratio": sigma2 / small,
-                "large_T_F": F,
-                "large_T_asymptote": asymptote,
-                "large_T_ratio": sigma2 / asymptote,
-            }
-        )
     path = write_csv(_artifact(cfg, "heat"), meta, header, table)
-    return _finish(cfg, rows, [path])
+    return _finish(cfg, _rows(header, table), [path])
 
 
 def cmd_bounds(cfg: ExperimentConfig) -> RunRecord:
@@ -416,9 +370,9 @@ def cmd_bounds(cfg: ExperimentConfig) -> RunRecord:
     )
 
     rows = (
-        [dict(zip(constants_header, r)) for r in constants_rows]
-        + [dict(zip(compare_header, r)) for r in compare_rows]
-        + [dict(zip(limits_header, r)) for r in limits_rows]
+        _rows(constants_header, constants_rows)
+        + _rows(compare_header, compare_rows)
+        + _rows(limits_header, limits_rows)
     )
     return _finish(cfg, rows, [constants_path, compare_path, limits_path])
 
@@ -443,23 +397,12 @@ def cmd_qsign(cfg: ExperimentConfig) -> RunRecord:
     meta["sigma_v"] = sigma_v
     header = ["a", "lower", "upper", "a2_log_lower", "a2_log_upper", "limit"]
     table = []
-    rows = []
     for a in cfg.amplitudes:
         lower, upper = bounds.q_sign_bounds(a, sigma_v)
         lo_diag, up_diag, limit = bounds.p2_log_diagnostics(a, sigma_v, 1.0, 1.0)
         table.append([a, lower, upper, lo_diag, up_diag, limit])
-        rows.append(
-            {
-                "a": a,
-                "lower": lower,
-                "upper": upper,
-                "a2_log_lower": lo_diag,
-                "a2_log_upper": up_diag,
-                "limit": limit,
-            }
-        )
     path = write_csv(_artifact(cfg, "qsign"), meta, header, table)
-    return _finish(cfg, rows, [path])
+    return _finish(cfg, _rows(header, table), [path])
 
 
 _DISPATCH = {

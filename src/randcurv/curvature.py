@@ -23,8 +23,6 @@ import numpy as np
 from .fields import FieldKind, FieldSample, RandomFieldSpec, diagonal_variance
 
 __all__ = [
-    "Convention",
-    "PerturbationParams",
     "CurvatureField",
     "DeviationMode",
     "DeviationField",
@@ -35,24 +33,6 @@ __all__ = [
     "expected_volume",
     "deviation_field",
 ]
-
-
-class Convention(str, Enum):
-    SCALAR_EXP_AF = "scalar_exp_af"    # g1 = e^{af} g0
-    Q_EXP_2AF = "q_exp_2af"            # g1 = e^{2af} g0, even n >= 4
-
-
-@dataclass(frozen=True)
-class PerturbationParams:
-    a: float
-    n: int
-    convention: Convention = Convention.SCALAR_EXP_AF
-
-    def __post_init__(self):
-        if self.a <= 0:
-            raise ValueError("amplitude must be positive")
-        if self.convention is Convention.Q_EXP_2AF and (self.n < 4 or self.n % 2):
-            raise ValueError("the fourth-order convention needs even n >= 4")
 
 
 @dataclass
@@ -162,7 +142,6 @@ class DeviationField:
     equals +a w for the sign convention w = -(h + n Q0 f).
     """
 
-    grid: object
     exact: np.ndarray
     linear: np.ndarray
     mode: DeviationMode
@@ -180,14 +159,11 @@ def exponent_factor(n: int, mode: DeviationMode) -> float:
     return float(n)
 
 
-def deviation_field(
-    sample: FieldSample, reference, a: float, n: int, mode: DeviationMode
-) -> DeviationField:
-    f = _require(sample, "values_f")
-    h = _require(sample, "values_h")
+def deviation_field(f, h, reference, a: float, n: int, mode: DeviationMode) -> DeviationField:
+    """The deviation for field values f and h; f, h and reference broadcast."""
     coef = exponent_factor(n, mode)
     rate = coef * a
     pref = np.exp(-rate * f)
     exact = reference * np.expm1(-rate * f) - a * h * pref
     linear = -a * (h + coef * reference * f)
-    return DeviationField(grid=sample.grid, exact=exact, linear=linear, mode=mode)
+    return DeviationField(exact=exact, linear=linear, mode=mode)

@@ -7,9 +7,11 @@ and the two-sided max |deviation| for the sup-norm curvature deviation.
 Empirical Euler characteristics of super-level sets on closed triangulations
 are joined with the closed-form expected value 2 Psi(u) + L2 rho2(u).
 
-Sampling is chunked at fixed block sizes independent of the worker count, and
-chunk results reduce by integer addition, so estimates are byte-identical for
-any parallelism.
+All three estimators run on one driver, map_chunks: each builds its context
+(samplers and parameters) once and maps a kernel (ctx, j0, j1) over the fixed
+chunks [j0, j1) of range(n).  Draw j of seed s is fixed, the chunks do not
+depend on the worker count, and chunk results reduce by integer (or fsum)
+addition, so estimates are byte-identical for any parallelism.
 """
 
 from __future__ import annotations
@@ -18,15 +20,17 @@ import logging
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from itertools import repeat
+from types import SimpleNamespace
 
 import numpy as np
 
 from . import fields
 from .bounds import gaussian_tail
 from .curvature import DeviationMode, deviation_field, exponent_factor
-from .fields import FieldKind, FieldSample, RandomFieldSpec, make_sampler, variance_summary
+from .fields import FieldKind, RandomFieldSpec, make_sampler, variance_summary
 from .grids import face_edges, icosphere
-from .spectral import CoefficientScheme, Indexing
+from .spectral import SPHERE2_VOLUME, CoefficientScheme, Indexing
 
 __all__ = [
     "P2_CHUNK",
@@ -35,6 +39,7 @@ __all__ = [
     "P2Study",
     "EulerCurve",
     "P2Prediction",
+    "map_chunks",
     "estimate_p2",
     "p2_curve",
     "estimate_linf",
@@ -51,8 +56,6 @@ P2_CHUNK = 2048
 EULER_CHUNK = 256
 
 logger = logging.getLogger(__name__)
-
-SPHERE2_VOLUME = 4.0 * math.pi
 
 
 @dataclass(frozen=True)
@@ -109,13 +112,34 @@ def _se(count: int, n: int) -> tuple[float, float]:
 
 
 # ---------------------------------------------------------------------------
-# chunked Monte Carlo drivers
-#
-# Worker processes receive (spec, grid, params) through the pool initializer,
-# build their sampler once, and then map over chunk indices.  workers = 1 runs
-# the identical chunk functions in-process.
+# the chunked Monte Carlo driver
 
-_WORK: dict = {}
+# a worker process's context, handed over once by the pool initializer
+_worker_ctx = None
+
+
+def _set_worker_ctx(ctx) -> None:
+    global _worker_ctx
+    _worker_ctx = ctx
+
+
+def _run_in_worker(kernel, j0: int, j1: int):
+    return kernel(_worker_ctx, j0, j1)
+
+
+def map_chunks(kernel, ctx, n: int, chunk: int, workers: int = 1) -> list:
+    """[kernel(ctx, j0, j1) for the chunks [j0, j1) of range(n)], in chunk
+    order.  The chunks depend on n and chunk only, so results reduced by
+    integer or fsum addition do not depend on the worker count.  With
+    workers > 1 the kernel must be a module-level function."""
+    starts = range(0, n, chunk)
+    ends = [min(j0 + chunk, n) for j0 in starts]
+    if workers <= 1:
+        return [kernel(ctx, j0, j1) for j0, j1 in zip(starts, ends)]
+    with ProcessPoolExecutor(
+        max_workers=workers, initializer=_set_worker_ctx, initargs=(ctx,)
+    ) as pool:
+        return list(pool.map(_run_in_worker, repeat(kernel), starts, ends))
 
 
 def _grid_size(grid) -> int:
@@ -127,59 +151,34 @@ def _grid_size(grid) -> int:
     return len(np.atleast_2d(np.asarray(grid, dtype=float)))
 
 
-def _refined(grid):
-    refine = getattr(grid, "refine", None)
-    if refine is None:
-        raise ValueError("refinement needs a structured grid with a refine() method")
-    return refine()
+def _samplers(spec, grid, refine: bool) -> list:
+    """The grid's sampler, then, if refine, the refined grid's one."""
+    grids_ = [grid]
+    if refine:
+        if np.ndim(spec.reference_curvature) != 0:
+            raise ValueError(
+                "refine=True needs a constant reference curvature: a gridded one "
+                "is given on the coarse grid only"
+            )
+        if getattr(grid, "refine", None) is None:
+            raise ValueError("refinement needs a structured grid with a refine() method")
+        grids_.append(grid.refine())
+    return [make_sampler(spec, g) for g in grids_]
 
 
-def _check_refine(spec, refine: bool) -> None:
-    if refine and np.ndim(spec.reference_curvature) != 0:
-        raise ValueError(
-            "refine=True needs a constant reference curvature: a gridded one "
-            "is given on the coarse grid only"
-        )
-
-
-def _run_chunks(workers: int, init, initargs, task, n_chunks: int) -> list:
-    if workers <= 1:
-        init(*initargs)
-        return [task(i) for i in range(n_chunks)]
-    with ProcessPoolExecutor(
-        max_workers=workers, initializer=init, initargs=initargs
-    ) as ex:
-        return list(ex.map(task, range(n_chunks)))
-
-
-def _p2_init(spec, grid, a_values, refine, seed, n):
-    _WORK["sampler"] = make_sampler(spec, grid)
-    _WORK["ref_sampler"] = make_sampler(spec, _refined(grid)) if refine else None
-    _WORK["r0"] = np.asarray(spec.reference_curvature, dtype=float)
-    _WORK["a"] = np.asarray(a_values, dtype=float)
-    _WORK["seed"] = int(seed)
-    _WORK["n"] = int(n)
-
-
-def _p2_sups(sampler, j0, j1):
-    _, H, _ = sampler.sample_block(_WORK["seed"], range(j0, j1), fields=("h",))
-    return (H / _WORK["r0"]).max(axis=1)
-
-
-def _p2_task(chunk_index: int):
-    j0 = chunk_index * P2_CHUNK
-    j1 = min(j0 + P2_CHUNK, _WORK["n"])
-    a = _WORK["a"]
-    sups = _p2_sups(_WORK["sampler"], j0, j1)
-    counts = (sups[None, :] > (1.0 / a)[:, None]).sum(axis=1)
+def _p2_chunk(ctx, j0: int, j1: int):
+    """Exceedance counts per sampler and amplitude, the dual counts and the
+    sum of the per-draw suprema of v on the coarse grid."""
+    sups = [
+        (smp.sample_block(ctx.seed, range(j0, j1), fields=("h",))[1] / ctx.r0).max(axis=1)
+        for smp in ctx.samplers
+    ]
+    a = ctx.a
+    counts = np.array([(sup[None, :] > (1.0 / a)[:, None]).sum(axis=1) for sup in sups])
     # the same event, computed the way the sign-change set is defined:
     # min over the grid of (1 - a v) = 1 - a sup v goes negative
-    dual = ((1.0 - a[:, None] * sups[None, :]) < 0.0).sum(axis=1)
-    ref_counts = None
-    if _WORK["ref_sampler"] is not None:
-        rsups = _p2_sups(_WORK["ref_sampler"], j0, j1)
-        ref_counts = (rsups[None, :] > (1.0 / a)[:, None]).sum(axis=1)
-    return counts.astype(np.int64), dual.astype(np.int64), float(sups.sum()), ref_counts
+    dual = ((1.0 - a[:, None] * sups[0][None, :]) < 0.0).sum(axis=1)
+    return counts, dual, float(sups[0].sum())
 
 
 def p2_curve(
@@ -198,30 +197,19 @@ def p2_curve(
     r = np.asarray(spec.reference_curvature, dtype=float)
     if not (np.all(r > 0.0) or np.all(r < 0.0)):
         raise ValueError("reference curvature must have one strict sign on the grid")
-    _check_refine(spec, refine)
     a_arr = np.asarray(a_values, dtype=float)
     if a_arr.size == 0 or np.any(a_arr <= 0.0):
         raise ValueError("amplitudes must be positive and nonempty")
     n = int(n_samples)
     if n < 1:
         raise ValueError("need at least one sample")
-    n_chunks = -(-n // P2_CHUNK)
-    results = _run_chunks(
-        workers, _p2_init, (spec, grid, a_arr, refine, seed, n), _p2_task, n_chunks
-    )
-    counts = np.zeros(a_arr.size, dtype=np.int64)
-    dual = np.zeros(a_arr.size, dtype=np.int64)
-    ref_counts = np.zeros(a_arr.size, dtype=np.int64) if refine else None
-    sup_parts = []
-    for c, d, s, rc in results:
-        counts += c
-        dual += d
-        sup_parts.append(s)
-        if refine:
-            ref_counts += rc
+    ctx = SimpleNamespace(samplers=_samplers(spec, grid, refine), r0=r, a=a_arr, seed=int(seed))
+    results = map_chunks(_p2_chunk, ctx, n, P2_CHUNK, workers)
+    counts = sum(c for c, _, _ in results)
+    dual = sum(d for _, d, _ in results)
     reports = []
     for i, a in enumerate(a_arr):
-        p, se = _se(int(counts[i]), n)
+        p, se = _se(int(counts[0, i]), n)
         reports.append(
             ExcursionReport(
                 estimate=p,
@@ -234,12 +222,12 @@ def p2_curve(
                 first_draw_index=0,
                 last_draw_index=n - 1,
                 dual_estimate=int(dual[i]) / n,
-                refinement_delta=None if not refine else int(ref_counts[i]) / n - p,
+                refinement_delta=int(counts[1, i]) / n - p if refine else None,
             )
         )
     return P2Study(
         reports=tuple(reports),
-        e_sup=math.fsum(sup_parts) / n,
+        e_sup=math.fsum(t for _, _, t in results) / n,
         sigma_v=math.sqrt(variance_summary(spec, grid).sigma2_sup),
     )
 
@@ -257,7 +245,6 @@ def estimate_p2(
     return p2_curve(spec, [a], grid, n_samples, seed, workers, refine).reports[0]
 
 
-_EMPTY = np.zeros(0)
 # relative margin of the screen bound over the computed fields; it covers
 # the rounding of the GEMMs and of exp/expm1 (a few ulp)
 _SCREEN_MARGIN = 1e-12
@@ -274,23 +261,7 @@ def _linf_screen(sampler):
     return screen * (1.0 + _SCREEN_MARGIN)
 
 
-def _linf_init(spec, grid, a, u, mode, refine, seed, n):
-    samplers = [make_sampler(spec, grid)]
-    if refine:
-        samplers.append(make_sampler(spec, _refined(grid)))
-    _WORK["samplers"] = [(s, _linf_screen(s)) for s in samplers]
-    _WORK["reference"] = spec.reference_curvature
-    _WORK["rho"] = float(np.abs(np.asarray(spec.reference_curvature, dtype=float)).max())
-    _WORK["rate"] = exponent_factor(spec.spectrum.dimension, mode) * float(a)
-    _WORK["dim"] = spec.spectrum.dimension
-    _WORK["a"] = float(a)
-    _WORK["u"] = float(u)
-    _WORK["mode"] = mode
-    _WORK["seed"] = int(seed)
-    _WORK["n"] = int(n)
-
-
-def _linf_count(sampler, screen, A, j0) -> tuple[int, int]:
+def _linf_count(ctx, sampler, screen, A, j0: int) -> tuple[int, int]:
     """(events, screen survivors) among the draws j0, j0 + 1, ... with rows A.
 
     Since |f| <= Mf and |h| <= Mh on the grid (Mf, Mh = |A| @ screen),
@@ -299,29 +270,22 @@ def _linf_count(sampler, screen, A, j0) -> tuple[int, int]:
     survivors are drawn again by index, bit-identically, and decided on the
     exact deviation field as before, so the count does not change.
     """
-    a, u, rate = _WORK["a"], _WORK["u"], _WORK["rate"]
     M = np.abs(A) @ screen
-    growth = rate * M[:, 0]
-    bound = _WORK["rho"] * np.expm1(growth) + a * M[:, 1] * np.exp(growth)
-    hit = np.flatnonzero(bound > u)
-    F, H, _ = sampler.sample_block(_WORK["seed"], j0 + hit)
-    block = FieldSample(
-        seed=_WORK["seed"], draw_index=j0, gaussians=_EMPTY, grid=None,
-        values_f=F, values_h=H,
-    )
-    dev = deviation_field(block, _WORK["reference"], a, _WORK["dim"], _WORK["mode"])
-    return int((np.abs(dev.exact).max(axis=1) > u).sum()), int(hit.size)
+    growth = ctx.rate * M[:, 0]
+    bound = ctx.rho * np.expm1(growth) + ctx.a * M[:, 1] * np.exp(growth)
+    hit = np.flatnonzero(bound > ctx.u)
+    F, H, _ = sampler.sample_block(ctx.seed, j0 + hit)
+    dev = deviation_field(F, H, ctx.reference, ctx.a, ctx.dim, ctx.mode)
+    return int((np.abs(dev.exact).max(axis=1) > ctx.u).sum()), int(hit.size)
 
 
-def _linf_task(chunk_index: int):
+def _linf_chunk(ctx, j0: int, j1: int):
     """Per sampler (coarse, then refined if asked) the chunk's (events,
     screen survivors); both share the chunk's draws."""
-    j0 = chunk_index * P2_CHUNK
-    j1 = min(j0 + P2_CHUNK, _WORK["n"])
-    n_gaussians = _WORK["samplers"][0][0].n_gaussians
+    n_gaussians = ctx.screened[0][0].n_gaussians
     # looked up through the module, where profilers wrap the draw layer
-    A = fields.gaussian_draw_block(_WORK["seed"], range(j0, j1), n_gaussians)
-    return [_linf_count(s, screen, A, j0) for s, screen in _WORK["samplers"]]
+    A = fields.gaussian_draw_block(ctx.seed, range(j0, j1), n_gaussians)
+    return [_linf_count(ctx, smp, screen, A, j0) for smp, screen in ctx.screened]
 
 
 def estimate_linf(
@@ -341,19 +305,22 @@ def estimate_linf(
         raise ValueError("a and u must be positive")
     if spec.reference_curvature is None:
         raise ValueError("deviation estimation needs the spec's reference curvature")
-    _check_refine(spec, refine)
     # checked here: a draw the screen drops never reaches deviation_field
-    exponent_factor(spec.spectrum.dimension, mode)
+    rate = exponent_factor(spec.spectrum.dimension, mode) * float(a)
     n = int(n_samples)
     if n < 1:
         raise ValueError("need at least one sample")
     warning = None
     if u / a < 3.0:
         warning = "u/a < 3: the log-asymptote is not meaningful in this regime"
-    n_chunks = -(-n // P2_CHUNK)
-    results = _run_chunks(
-        workers, _linf_init, (spec, grid, a, u, mode, refine, seed, n), _linf_task, n_chunks
+    ctx = SimpleNamespace(
+        screened=[(smp, _linf_screen(smp)) for smp in _samplers(spec, grid, refine)],
+        reference=spec.reference_curvature,
+        rho=float(np.abs(np.asarray(spec.reference_curvature, dtype=float)).max()),
+        rate=rate, dim=spec.spectrum.dimension, a=float(a), u=float(u), mode=mode,
+        seed=int(seed),
     )
+    results = map_chunks(_linf_chunk, ctx, n, P2_CHUNK, workers)
     counts, passed = np.array(results, dtype=np.int64).sum(axis=0).T
     for label, k in zip(("grid", "refined grid"), passed):
         logger.info("linf screen (%s): %d of %d draws passed", label, k, n)
@@ -444,19 +411,10 @@ def empirical_euler(grid, values, u: float) -> int:
     return int(_euler_counts(vals[None, :], np.array([u], dtype=float), faces, edges)[0, 0])
 
 
-def _euler_init(spec, grid, thresholds, seed, n):
-    _WORK["sampler"] = make_sampler(spec, grid)
-    _WORK["faces"], _WORK["edges"] = _closed_triangulation(grid)
-    _WORK["thresholds"] = np.asarray(thresholds, dtype=float)
-    _WORK["seed"] = int(seed)
-    _WORK["n"] = int(n)
-
-
-def _euler_task(chunk_index: int):
-    j0 = chunk_index * EULER_CHUNK
-    j1 = min(j0 + EULER_CHUNK, _WORK["n"])
-    _, H, _ = _WORK["sampler"].sample_block(_WORK["seed"], range(j0, j1), fields=("h",))
-    chi = _euler_counts(H, _WORK["thresholds"], _WORK["faces"], _WORK["edges"])
+def _euler_chunk(ctx, j0: int, j1: int):
+    """Per threshold, the chunk's sums of chi and chi^2."""
+    _, H, _ = ctx.sampler.sample_block(ctx.seed, range(j0, j1), fields=("h",))
+    chi = _euler_counts(H, ctx.thresholds, *ctx.triangulation)
     return chi.sum(axis=0), (chi * chi).sum(axis=0)
 
 
@@ -480,15 +438,13 @@ def euler_curve(
         raise ValueError("need thresholds and at least one sample")
     if not np.all(np.isfinite(ts)):
         raise ValueError("thresholds must be finite")
-    n_chunks = -(-n // EULER_CHUNK)
-    results = _run_chunks(
-        workers, _euler_init, (spec, grid, ts, seed, n), _euler_task, n_chunks
+    ctx = SimpleNamespace(
+        sampler=make_sampler(spec, grid), triangulation=_closed_triangulation(grid),
+        thresholds=ts, seed=int(seed),
     )
-    chi_sum = np.zeros(ts.size, dtype=np.int64)
-    chi2_sum = np.zeros(ts.size, dtype=np.int64)
-    for cs, c2 in results:
-        chi_sum += cs
-        chi2_sum += c2
+    results = map_chunks(_euler_chunk, ctx, n, EULER_CHUNK, workers)
+    chi_sum = sum(c for c, _ in results)
+    chi2_sum = sum(c2 for _, c2 in results)
     mean = chi_sum / n
     var = (chi2_sum - n * mean * mean) / (n - 1) if n > 1 else np.zeros(ts.size)
     se = np.sqrt(np.maximum(var, 0.0) / n)

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import logging
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 
@@ -47,8 +48,6 @@ __all__ = [
     "TorusSampler",
     "UserSampler",
     "make_sampler",
-    "sample_sphere",
-    "sample_torus",
     "sample_cholesky",
     "VarianceSummary",
     "variance_summary",
@@ -211,9 +210,10 @@ def gaussian_draws(seed: int, draw_index: int, n: int) -> np.ndarray:
     Streams are spaced 2^128 Philox states apart (the counter's upper two
     words), vastly more than one vector ever consumes, so distinct draw
     indices can never overlap.  The seed must lie in [0, 2^64) and the draw
-    index in [0, 2^128).
+    index in [0, 2^128); both must be integers (Python or numpy), so a
+    fractional value raises TypeError instead of aliasing another draw.
     """
-    seed, draw_index = int(seed), int(draw_index)
+    seed, draw_index = operator.index(seed), operator.index(draw_index)
     _check_stream(seed, [draw_index])
     bitgen = np.random.Philox(key=seed, counter=draw_index << 128)
     return np.random.Generator(bitgen).standard_normal(n)
@@ -227,8 +227,8 @@ def gaussian_draw_block(seed: int, draw_indices, n: int) -> np.ndarray:
     filled in place, which is several times faster than constructing a
     generator per draw for the short vectors the samplers consume.
     """
-    seed = int(seed)
-    idx = [int(j) for j in draw_indices]
+    seed = operator.index(seed)
+    idx = [operator.index(j) for j in draw_indices]
     _check_stream(seed, idx)
     bg = np.random.Philox(key=seed)
     gen = np.random.Generator(bg)
@@ -437,14 +437,6 @@ def make_sampler(spec: RandomFieldSpec, grid=None, want_gradient: bool = False):
             raise ValueError("gradient evaluation is only provided on the sphere")
         return UserSampler(spec)
     raise ValueError(f"no sampler for geometry {g}")
-
-
-def sample_sphere(spec, grid, seed, draw_index, want_gradient: bool = False) -> FieldSample:
-    return SphereSampler(spec, grid, want_gradient=want_gradient).sample(seed, draw_index)
-
-
-def sample_torus(spec, grid, seed, draw_index) -> FieldSample:
-    return TorusSampler(spec, grid).sample(seed, draw_index)
 
 
 def _sphere_angles_of(grid):
@@ -772,7 +764,7 @@ class HeatVariance:
 def heat_variance(spectrum: SpectrumModel, T: float) -> HeatVariance:
     """sum_j e^{-lambda_j T} phi_j(x)^2, extended adaptively past any
     truncation for the built-in geometries."""
-    if T <= 0:
+    if not T > 0:
         raise ValueError("diffusion time must be positive")
     g = spectrum.geometry
     if g is Geometry.SPHERE2:
@@ -786,20 +778,18 @@ def heat_variance(spectrum: SpectrumModel, T: float) -> HeatVariance:
             m += 1
         return HeatVariance(sup=total / spectrum.volume, is_constant=True)
     if g is Geometry.FLAT_TORUS2:
-        r = 1
-        total = 0.0
+        # sum over k in Z^2 \ {0} of e^{-|k|^2 T} = theta^2 - 1 = 4 s (1 + s)
+        # with theta = 1 + 2 s, s = sum_{k >= 1} e^{-k^2 T}: O(1/sqrt(T))
+        # terms and no cancellation at large T
+        s = 0.0
+        k = 1
         while True:
-            k = np.arange(-r, r + 1)
-            K1, K2 = np.meshgrid(k, k, indexing="ij")
-            n2 = (K1**2 + K2**2).astype(float)
-            sel = n2 > 0
-            new_total = float(np.sum(np.exp(-n2[sel] * T)))
-            if r > 4 and new_total - total < 1e-17 * max(new_total, 1e-300):
-                total = new_total
+            term = math.exp(-k * k * T)
+            s += term
+            if term < 1e-17 * max(s, 1e-300):
                 break
-            total = new_total
-            r *= 2
-        return HeatVariance(sup=total / spectrum.volume, is_constant=True)
+            k += 1
+        return HeatVariance(sup=4.0 * s * (1.0 + s) / spectrum.volume, is_constant=True)
     if g is Geometry.ROUND_SPHERE4_PANEITZ:
         from .spectral import paneitz_level_s4
 

@@ -7,7 +7,7 @@ from scipy.integrate import quad
 from randcurv import bounds as bd
 from randcurv import fields as fl
 from randcurv import spectral as sp
-from randcurv.bounds import BoundKind, Ordering
+from randcurv.bounds import Ordering
 from randcurv.fields import FieldKind, RandomFieldSpec
 from randcurv.grids import fibonacci_sphere, torus_grid
 from randcurv.spectral import Geometry, Indexing, SpectrumModel
@@ -114,15 +114,15 @@ def test_heat_sigma_small_T():
     assert bd.heat_sigma_small_T(0.01, 2, 1.0) == pytest.approx(direct, rel=0.05)
     with pytest.raises(ValueError):
         bd.heat_sigma_small_T(0.0, 2, 1.0)
-    rep = bd.report_heat_small_T(0.01, 4, 1.0)
-    assert rep.kind is BoundKind.HEAT_SMALL_T and rep.flags
-    assert not bd.report_heat_small_T(0.01, 2, 1.0).flags
 
 
 def test_heat_sigma_large_T_sphere():
     model = sp.sphere2_spectrum(6)
     F, asym = bd.heat_sigma_large_T(model, 1.0, 6.0)
     assert F * 4 * math.pi == pytest.approx(3.0, rel=1e-14)
+    # the first level alone sets F, whatever the truncation
+    F3, _ = bd.heat_sigma_large_T(sp.sphere2_spectrum(3), 1.0, 6.0)
+    assert F3 == pytest.approx(3.0 / (4 * math.pi), rel=1e-14)
     assert asym == pytest.approx(F * math.exp(-12.0), rel=1e-14)
     # pointwise reference: the smallest R0^2 wins
     F2, _ = bd.heat_sigma_large_T(model, np.array([1.0, 2.0, 3.0]), 6.0)
@@ -195,8 +195,7 @@ def test_linf_log_asymptote():
     assert bd.linf_regime_ok(0.1, 0.025)
     assert not bd.linf_regime_ok(0.5, 0.025)
     assert not bd.linf_regime_ok(0.1, 0.05)
-    assert bd.report_linf_log(0.5, 0.1, 1.0).flags
-    assert not bd.report_linf_log(0.1, 0.025, 1.0).flags
+    assert not bd.linf_regime_ok(0.5, 0.1)
     with pytest.raises(ValueError):
         bd.linf_log_asymptote(0.0, 0.1, 1.0)
 
@@ -259,8 +258,9 @@ def test_q_sign_bounds():
     assert bd.q_sign_bounds(a, sig) == bd.p2_two_sided(a, sig, 1.0, 1.0)
     lo, up = bd.q_sign_bounds(1e-3, 1.0)
     assert lo == 0.0 and up == 0.0
-    rep = bd.report_q_sign(0.1, sig)
-    assert rep.values["a2_log_limit"] == pytest.approx(-1.0 / (2 * sig * sig), rel=1e-15)
+    # the q-sign table's limit column: constant-free, -1/(2 sigma_v^2)
+    limit = bd.p2_log_diagnostics(0.1, sig, 1.0, 1.0)[2]
+    assert limit == pytest.approx(-1.0 / (2 * sig * sig), rel=1e-15)
 
 
 def test_q_sigma_v_s4_single_level():
@@ -273,20 +273,3 @@ def test_q_sigma_v_s4_single_level():
     got = fl.variance_summary(spec, dummy).sigma2_sup
     expect = t1 * t1 * 24.0**2 * 5.0 / (sp.SPHERE4_VOLUME * Q0 * Q0)
     assert got == pytest.approx(expect, rel=1e-13)
-
-
-def test_bound_reports():
-    rep = bd.report_p2(0.05, 1.0, 2.0, 0.8)
-    assert rep.kind is BoundKind.P2_TWO_SIDED
-    assert set(rep.values) >= {"lower", "upper", "a2_log_lower", "a2_log_upper", "a2_log_limit"}
-    assert rep.values["lower"] <= rep.values["upper"]
-    assert rep.flags == ()
-    rep = bd.report_heat_large_T(sp.sphere2_spectrum(3), 1.0, 6.0)
-    assert rep.kind is BoundKind.HEAT_LARGE_T
-    assert rep.values["F"] == pytest.approx(3.0 / (4 * math.pi), rel=1e-14)
-    rep = bd.report_nd_positive(4, 1.0, 1.0)
-    assert rep.values["kappa"] == pytest.approx(1.5, rel=1e-14)
-    rep = bd.report_nd_negative(0.1, 3, 1.0, 0.0)
-    assert rep.values["bound"] == pytest.approx(math.exp(-12.5), rel=1e-14)
-    # kinds serialize as plain strings
-    assert BoundKind.P2_TWO_SIDED.value == "p2_two_sided"

@@ -11,7 +11,7 @@ import jsonschema
 import pytest
 
 from randcurv.cli import main
-from randcurv.reports import RUN_SCHEMA, payload_lines, read_csv
+from randcurv.reports import RUN_SCHEMA, format_cell, payload_lines, read_csv
 
 BASE = """
 [common]
@@ -110,6 +110,21 @@ class TestArtifacts:
     def test_missing_config_exits_2(self, tmp_path, capsys):
         assert main(["bounds", "--config", str(tmp_path / "nope.ini")]) == 2
         assert "not found" in capsys.readouterr().err
+
+
+class TestRunRows:
+    @pytest.mark.parametrize("command", ["p2", "euler", "linf", "heat", "qsign", "bounds"])
+    def test_run_json_rows_are_the_csv_rows(self, tmp_path, command):
+        # the run JSON rows, formatted as the CSV writer does, are the rows
+        # of the command's CSV tables in artifact order, cell for cell
+        ini, out = write_ini(tmp_path)
+        run_ok([command, "--config", ini])
+        (run_file,) = Path(out).glob("*_run.json")
+        doc = json.loads(run_file.read_text())
+        tables = [p for p in doc["artifacts"] if p.endswith(".csv")]
+        csv_rows = [row for p in tables for row in rows_by_header(p)]
+        json_rows = [{k: format_cell(v) for k, v in row.items()} for row in doc["rows"]]
+        assert csv_rows and json_rows == csv_rows
 
 
 class TestSample:

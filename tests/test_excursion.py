@@ -20,7 +20,6 @@ from randcurv.bounds import gaussian_tail
 from randcurv.curvature import DeviationMode
 from randcurv.fields import (
     FieldKind,
-    FieldSample,
     RandomFieldSpec,
     covariance_h_sphere,
     gaussian_draw_block,
@@ -296,6 +295,25 @@ class TestDegeneracy:
         assert rpi < r0 - 0.5
 
 
+def tagged_span(ctx, j0, j1):
+    return ctx, j0, j1
+
+
+class TestMapChunks:
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(1, 5000), chunk=st.integers(1, 3000))
+    def test_chunks_cover_the_range_once_in_order(self, n, chunk):
+        spans = ex.map_chunks(tagged_span, "ctx", n, chunk)
+        assert all(c == "ctx" and 0 < j1 - j0 <= chunk for c, j0, j1 in spans)
+        assert [j for _, j0, j1 in spans for j in range(j0, j1)] == list(range(n))
+
+    def test_workers_receive_the_context_and_keep_chunk_order(self):
+        ctx = {"seed": 3}
+        want = [(ctx, 0, 3), (ctx, 3, 6), (ctx, 6, 9), (ctx, 9, 10)]
+        assert ex.map_chunks(tagged_span, ctx, 10, 3) == want
+        assert ex.map_chunks(tagged_span, ctx, 10, 3, workers=2) == want
+
+
 SCHEME = make_sphere_normalized(8.0, 12)
 SPHERE = sphere2_spectrum(12)
 V_SPEC = RandomFieldSpec(SPHERE, SCHEME, FieldKind.V, reference_curvature=1.0)
@@ -374,6 +392,17 @@ class TestEstimateP2:
             ex.p2_curve(V_SPEC, [0.0], g, 16, 0)
         with pytest.raises(ValueError):
             ex.p2_curve(V_SPEC, [0.3], g, 0, 0)
+
+    def test_pinned_counts(self):
+        # seed 2026, 4096 draws on fib256 and its refinement: exact counts
+        n = 4096
+        study = ex.p2_curve(V_SPEC, [0.3, 0.4, 0.5], fibonacci_sphere(256), n, 2026, refine=True)
+        counts = [round(r.estimate * n) for r in study.reports]
+        assert counts == [50, 431, 1081]
+        assert [round(r.dual_estimate * n) for r in study.reports] == counts
+        refined = [round((r.estimate + r.refinement_delta) * n) for r in study.reports]
+        assert refined == [50, 435, 1084]
+        assert study.e_sup == pytest.approx(1.6005453995744088, rel=1e-13)
 
     def test_report_rejects_non_probability(self):
         with pytest.raises(ValueError):
@@ -480,12 +509,11 @@ class TestEstimateLinf:
             A = gaussian_draw_block(11, range(256), smp.n_gaussians)
             M = np.abs(A) @ ex._linf_screen(smp)
             F, H, _ = smp.sample_block(11, range(256))
-            sample = FieldSample(11, 0, A, grid, values_f=F, values_h=H)
             for mode in DeviationMode:
                 growth = curvature.exponent_factor(2, mode) * a * M[:, 0]
                 for r0 in (0.0, -0.4, np.linspace(-0.5, 0.3, grid.n_points)):
                     bound = np.abs(r0).max() * np.expm1(growth) + a * M[:, 1] * np.exp(growth)
-                    exact = curvature.deviation_field(sample, r0, a, 2, mode).exact
+                    exact = curvature.deviation_field(F, H, r0, a, 2, mode).exact
                     assert np.all(np.abs(exact).max(axis=1) <= bound)
 
     @settings(max_examples=40, deadline=None)
@@ -513,8 +541,7 @@ class TestEstimateLinf:
 
         def brute(g):
             F, H, _ = make_sampler(spec, g).sample_block(seed, range(n))
-            sample = FieldSample(seed, 0, np.zeros(0), g, values_f=F, values_h=H)
-            exact = curvature.deviation_field(sample, r0, a, 2, mode).exact
+            exact = curvature.deviation_field(F, H, r0, a, 2, mode).exact
             return int((np.abs(exact).max(axis=1) > u).sum())
 
         r = ex.estimate_linf(spec, a, u, grid, n, seed, mode=mode, refine=refine)
@@ -522,6 +549,19 @@ class TestEstimateLinf:
         assert r.estimate == count / n
         if refine:
             assert r.refinement_delta == brute(grid.refine()) / n - count / n
+
+    @pytest.mark.parametrize("mode, counts", [
+        (DeviationMode.SCALAR_2D, (219, 293)),
+        (DeviationMode.Q, (275, 350)),
+    ])
+    def test_pinned_counts(self, mode, counts):
+        # seed 2026, 4096 draws on torus:8 and its refinement, R0 = -0.3
+        n = 4096
+        spec = RandomFieldSpec(
+            TORUS_SPEC.spectrum, TORUS_SPEC.coefficients, FieldKind.H, reference_curvature=-0.3
+        )
+        r = ex.estimate_linf(spec, 0.05, 0.1, torus_grid(8), n, 2026, mode=mode, refine=True)
+        assert (round(r.estimate * n), round((r.estimate + r.refinement_delta) * n)) == counts
 
     def test_screen_hit_rate_is_logged(self, caplog):
         grid = torus_grid(16)

@@ -395,3 +395,46 @@ def test_sample_block_evaluates_only_requested_fields(h_spec):
         assert (G1 is None) == (G is None)
         with pytest.raises(ValueError, match="unknown fields"):
             smp.sample_block(8, [0], fields=("H",))
+
+
+def test_fractional_seed_or_index_rejected_alike(h_spec):
+    # int() would truncate 1.7 to seed 1 and 0.9 to draw 0, aliasing them
+    for seed, index in [(1.7, 0), (1.0, 0), (2, 0.9), (2, np.float64(3.0))]:
+        with pytest.raises(TypeError):
+            fl.gaussian_draws(seed, index, 3)
+        with pytest.raises(TypeError):
+            fl.gaussian_draw_block(seed, [0, index], 3)
+    smp = fl.SphereSampler(h_spec, fibonacci_sphere(8))
+    with pytest.raises(TypeError):
+        smp.sample_block(2, np.array([0.0, 1.0]))
+    # Python and numpy integers of any width are indices
+    want = fl.gaussian_draws(2, 5, 3)
+    assert np.array_equal(fl.gaussian_draws(np.uint64(2), np.int32(5), 3), want)
+    assert np.array_equal(fl.gaussian_draw_block(np.int64(2), np.array([5], dtype=np.uint8), 3)[0], want)
+
+
+def lattice_heat_sum(T):
+    # brute force over the square |k_i| <= r, whose omitted terms are
+    # below e^{-r^2 T} < 1e-22 of the first
+    r = math.ceil(math.sqrt(50.0 / T))
+    k = np.arange(-r, r + 1)
+    n2 = (k[:, None] ** 2 + k[None, :] ** 2).astype(float)
+    return float(np.sum(np.exp(-n2[n2 > 0] * T)))
+
+
+@pytest.mark.parametrize("T", [1.0, 0.1, 0.01, 1e-3])
+def test_heat_variance_torus_matches_lattice_sum(T):
+    model = sp.torus2_spectrum(3)
+    hv = fl.heat_variance(model, T)
+    assert hv.is_constant
+    assert hv.sup == pytest.approx(lattice_heat_sum(T) / model.volume, rel=1e-14)
+
+
+def test_heat_variance_torus_tiny_time():
+    # theta(T)^2 - 1 = pi / T - 1 + O(e^{-pi^2 / T}): O(1/sqrt(T)) work
+    model = sp.torus2_spectrum(3)
+    T = 1e-8
+    assert fl.heat_variance(model, T).sup == pytest.approx(math.pi / T / model.volume, rel=1e-6)
+    assert fl.heat_variance(model, 1e3).sup == 0.0
+    with pytest.raises(ValueError):
+        fl.heat_variance(model, math.nan)
