@@ -142,15 +142,6 @@ def map_chunks(kernel, ctx, n: int, chunk: int, workers: int = 1) -> list:
         return list(pool.map(_run_in_worker, repeat(kernel), starts, ends))
 
 
-def _grid_size(grid) -> int:
-    n = getattr(grid, "n_points", None)
-    if n is not None:
-        return int(n)
-    if isinstance(grid, tuple) and len(grid) == 2:
-        return np.atleast_1d(np.asarray(grid[0], dtype=float)).size
-    return len(np.atleast_2d(np.asarray(grid, dtype=float)))
-
-
 def _samplers(spec, grid, refine: bool) -> list:
     """The grid's sampler, then, if refine, the refined grid's one."""
     grids_ = [grid]
@@ -217,7 +208,7 @@ def p2_curve(
                 n_samples=n,
                 threshold=1.0 / a,
                 amplitude=float(a),
-                n_grid_points=_grid_size(grid),
+                n_grid_points=ctx.samplers[0].n_points,
                 seed=int(seed),
                 first_draw_index=0,
                 last_draw_index=n - 1,
@@ -274,7 +265,7 @@ def _linf_count(ctx, sampler, screen, A, j0: int) -> tuple[int, int]:
     growth = ctx.rate * M[:, 0]
     bound = ctx.rho * np.expm1(growth) + ctx.a * M[:, 1] * np.exp(growth)
     hit = np.flatnonzero(bound > ctx.u)
-    F, H, _ = sampler.sample_block(ctx.seed, j0 + hit)
+    F, H = sampler.sample_block(ctx.seed, j0 + hit)
     dev = deviation_field(F, H, ctx.reference, ctx.a, ctx.dim, ctx.mode)
     return int((np.abs(dev.exact).max(axis=1) > ctx.u).sum()), int(hit.size)
 
@@ -332,7 +323,7 @@ def estimate_linf(
         n_samples=n,
         threshold=float(u),
         amplitude=float(a),
-        n_grid_points=_grid_size(grid),
+        n_grid_points=ctx.screened[0][0].n_points,
         seed=int(seed),
         first_draw_index=0,
         last_draw_index=n - 1,
@@ -404,7 +395,7 @@ def empirical_euler(grid, values, u: float) -> int:
     non-finite u are rejected."""
     faces, edges = _closed_triangulation(grid)
     vals = np.asarray(values, dtype=float).ravel()
-    if vals.size != _grid_size(grid):
+    if vals.size != grid.n_points:
         raise ValueError("values must cover every grid vertex")
     if not (np.all(np.isfinite(vals)) and math.isfinite(u)):
         raise ValueError("vertex values and the threshold must be finite")
@@ -413,7 +404,7 @@ def empirical_euler(grid, values, u: float) -> int:
 
 def _euler_chunk(ctx, j0: int, j1: int):
     """Per threshold, the chunk's sums of chi and chi^2."""
-    _, H, _ = ctx.sampler.sample_block(ctx.seed, range(j0, j1), fields=("h",))
+    _, H = ctx.sampler.sample_block(ctx.seed, range(j0, j1), fields=("h",))
     chi = _euler_counts(H, ctx.thresholds, *ctx.triangulation)
     return chi.sum(axis=0), (chi * chi).sum(axis=0)
 

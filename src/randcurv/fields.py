@@ -17,6 +17,13 @@ the h coefficient std.
 Sampling is counter-based: the Gaussian vector of draw j from seed s is
 generated by a Philox stream keyed by s with counter j * 2^128, so samples
 are reproducible and independent of scheduling or worker count.
+
+Each sampler is a column model: field = design @ (w * A) for the draws A,
+with one design column per eigenfunction at the points and per-column stds
+wf, wh.  Every second moment follows from it, so covariance_matrix is
+(D w^2) D^T over the sampler's design D; covariance_h_sphere and
+covariance_f_sphere are the closed Legendre forms on the sphere, an
+independent route to the same numbers.
 """
 
 from __future__ import annotations
@@ -29,7 +36,7 @@ from enum import Enum
 
 import numpy as np
 
-from .grids import SphereGrid, TorusGrid, sphere_distance
+from .grids import SphereGrid, TorusGrid
 from .harmonics import SphereHarmonicBasis, legendre, legendre_all
 from .spectral import CoefficientScheme, Geometry, Indexing, SpectrumModel
 
@@ -39,7 +46,7 @@ __all__ = [
     "LevelWeights",
     "level_weights",
     "FieldSample",
-    "CovarianceKernel",
+    "covariance_matrix",
     "covariance_h_sphere",
     "covariance_f_sphere",
     "gaussian_draws",
@@ -148,32 +155,34 @@ def level_weights(spec: RandomFieldSpec) -> LevelWeights:
     return LevelWeights(alpha, beta, neg_alpha, neg_beta)
 
 
-def _field_scales(spec: RandomFieldSpec, lw: LevelWeights) -> tuple[np.ndarray, np.ndarray]:
-    """Per-harmonic std of the selected field by level (positive, negative).
+def _selected(spec: RandomFieldSpec, f, h):
+    """The selected field's coefficient std from those of f and h, per level
+    or per column alike: v = h / R0, w = h + R0 f on surfaces and
+    -(h + n Q0 f) in the Q mode.
 
     V and W need a constant reference here; gridded references are handled
     pointwise by variance_summary instead.
     """
     if spec.which is FieldKind.F:
-        return lw.alpha, lw.neg_alpha
+        return f
     if spec.which is FieldKind.H:
-        return lw.beta, lw.neg_beta
+        return h
     r0 = spec.constant_reference()
     if spec.which is FieldKind.V:
-        return lw.beta / r0, lw.neg_beta / r0
+        return h / r0
     if spec.q_mode:
-        n = spec.spectrum.dimension
-        return -(lw.beta + n * r0 * lw.alpha), -(lw.neg_beta + n * r0 * lw.neg_alpha)
-    return lw.beta + r0 * lw.alpha, lw.neg_beta + r0 * lw.neg_alpha
+        return -(h + spec.spectrum.dimension * r0 * f)
+    return h + r0 * f
 
 
 @dataclass
 class FieldSample:
     """One realization: the Gaussian draws plus evaluated fields on a grid.
 
-    Samplers fill values_f / values_h (and optionally values_gradsq); the
-    Cholesky path fills values_which for its single target field and records
-    the diagonal jitter it had to apply.
+    Samplers fill values_f / values_h; values_gradsq (|grad f|^2) is read by
+    the dimension-n curvature and filled by its callers.  The Cholesky path
+    fills values_which for its single target field and records the diagonal
+    jitter it had to apply.
     """
 
     seed: int
@@ -259,9 +268,9 @@ def _linear_fields(A, wf, wh, design, fields):
 
 
 class SphereSampler:
-    """Evaluates f and h (and optionally |grad f|^2) on a sphere point set."""
+    """Evaluates f and h on a sphere point set."""
 
-    def __init__(self, spec: RandomFieldSpec, grid, want_gradient: bool = False):
+    def __init__(self, spec: RandomFieldSpec, grid):
         if spec.spectrum.geometry is not Geometry.SPHERE2:
             raise ValueError("sphere sampler needs the Sphere2 geometry")
         theta, phi, self.grid = _sphere_angles_of(grid)
@@ -269,13 +278,12 @@ class SphereSampler:
         if M < 1:
             raise ValueError("empty coefficient scheme")
         self.spec = spec
-        self.basis = SphereHarmonicBasis(M, theta, phi, want_gradient=want_gradient)
+        self.basis = SphereHarmonicBasis(M, theta, phi)
         self.design = self.basis.Y
         lw = level_weights(spec)
         counts = spec.spectrum.multiplicities[:M]
         self.wf = np.repeat(lw.alpha, counts)
         self.wh = np.repeat(lw.beta, counts)
-        self.want_gradient = want_gradient
 
     @property
     def n_points(self) -> int:
@@ -287,7 +295,7 @@ class SphereSampler:
 
     def sample(self, seed: int, draw_index: int) -> FieldSample:
         a = gaussian_draws(seed, draw_index, self.n_gaussians)
-        out = FieldSample(
+        return FieldSample(
             seed=seed,
             draw_index=draw_index,
             gaussians=a,
@@ -295,26 +303,15 @@ class SphereSampler:
             values_f=self.basis.Y @ (self.wf * a),
             values_h=self.basis.Y @ (self.wh * a),
         )
-        if self.want_gradient:
-            cf = self.wf * a
-            out.values_gradsq = (self.basis.dtheta @ cf) ** 2 + (
-                self.basis.dphi_over_sin @ cf
-            ) ** 2
-        return out
 
     def sample_block(self, seed: int, draw_indices, fields=("f", "h")):
-        """Batched evaluation: returns (F, H, G) arrays of shape (B, n_points).
+        """Batched evaluation: returns (F, H) arrays of shape (B, n_points).
 
         Only the fields named in `fields` ("f", "h") are evaluated; the slot
-        of one not asked for is None.  G is evaluated iff want_gradient.
+        of one not asked for is None.
         """
         A = gaussian_draw_block(seed, np.asarray(draw_indices), self.n_gaussians)
-        F, H = _linear_fields(A, self.wf, self.wh, self.design, fields)
-        G = None
-        if self.want_gradient:
-            CF = A * self.wf
-            G = (CF @ self.basis.dtheta.T) ** 2 + (CF @ self.basis.dphi_over_sin.T) ** 2
-        return F, H, G
+        return _linear_fields(A, self.wf, self.wh, self.design, fields)
 
 
 class TorusSampler:
@@ -369,9 +366,9 @@ class TorusSampler:
         )
 
     def sample_block(self, seed: int, draw_indices, fields=("f", "h")):
-        """(F, H, None) of shape (B, n_points); see SphereSampler.sample_block."""
+        """(F, H) of shape (B, n_points); see SphereSampler.sample_block."""
         A = gaussian_draw_block(seed, np.asarray(draw_indices), self.n_gaussians)
-        return (*_linear_fields(A, self.wf, self.wh, self.design, fields), None)
+        return _linear_fields(A, self.wf, self.wh, self.design, fields)
 
 
 class UserSampler:
@@ -419,22 +416,20 @@ class UserSampler:
         )
 
     def sample_block(self, seed: int, draw_indices, fields=("f", "h")):
-        """(F, H, None) of shape (B, n_points); see SphereSampler.sample_block."""
+        """(F, H) of shape (B, n_points); see SphereSampler.sample_block."""
         A = gaussian_draw_block(seed, np.asarray(draw_indices), self.n_gaussians)
-        return (*_linear_fields(A, self.wf, self.wh, self.design, fields), None)
+        return _linear_fields(A, self.wf, self.wh, self.design, fields)
 
 
-def make_sampler(spec: RandomFieldSpec, grid=None, want_gradient: bool = False):
+def make_sampler(spec: RandomFieldSpec, grid=None):
+    """The spec's sampler on the grid; a user-supplied model has its own
+    stored points and ignores the grid."""
     g = spec.spectrum.geometry
     if g is Geometry.SPHERE2:
-        return SphereSampler(spec, grid, want_gradient=want_gradient)
+        return SphereSampler(spec, grid)
     if g is Geometry.FLAT_TORUS2:
-        if want_gradient:
-            raise ValueError("gradient evaluation is only provided on the sphere")
         return TorusSampler(spec, grid)
     if g is Geometry.USER_SUPPLIED:
-        if want_gradient:
-            raise ValueError("gradient evaluation is only provided on the sphere")
         return UserSampler(spec)
     raise ValueError(f"no sampler for geometry {g}")
 
@@ -469,121 +464,50 @@ def _torus_points_of(grid):
 
 
 # ---------------------------------------------------------------------------
-# covariance kernels
+# covariances
 
 
-@dataclass(frozen=True)
-class CovarianceKernel:
-    """Closed-form covariance of the spec's selected field.
+def covariance_matrix(spec: RandomFieldSpec, points) -> np.ndarray:
+    """Covariance matrix of the selected field over the points, (D w^2) D^T
+    for the sampler's design D and the field's per-column std w.
 
-    form: legendre_series (sphere, function of spherical distance),
-    fourier_series (torus, function of the displacement), or gridded_sum
-    (user-supplied, matrix over the stored points).
+    For a user-supplied model the points are indices into its stored points.
     """
-
-    spec: RandomFieldSpec
-    form: str
-
-    def level_variances(self) -> tuple[np.ndarray, np.ndarray]:
-        """Per-level pointwise variance contributions (positive, negative)."""
-        lw = level_weights(self.spec)
-        pos, neg = _field_scales(self.spec, lw)
-        model = self.spec.spectrum
-        M = self.spec.coefficients.truncation
-        if model.geometry is Geometry.USER_SUPPLIED:
-            raise ValueError("user-supplied diagonals vary by point; use the matrix form")
-        N = model.multiplicities[:M].astype(float)
-        pvar = pos * pos * N / model.volume
-        if neg.size:
-            Nn = np.array([p[1] for p in model.negative_levels], dtype=float)
-            nvar = neg * neg * Nn / model.volume
-        else:
-            nvar = np.zeros(0)
-        return pvar, nvar
-
-    def at_distance(self, d):
-        """Sphere kernel as a function of spherical distance."""
-        if self.form != "legendre_series":
-            raise ValueError("distance form only exists on the sphere")
-        pvar, _ = self.level_variances()
-        M = pvar.size
-        d = np.asarray(d, dtype=float)
-        table = legendre_all(M, np.cos(d).ravel())
-        out = (pvar[:, None] * table[1:]).sum(axis=0)
-        return out.reshape(d.shape) if d.shape else float(out[0])
-
-    def at_displacement(self, delta):
-        """Torus kernel as a function of the displacement x - y."""
-        if self.form != "fourier_series":
-            raise ValueError("displacement form only exists on the torus")
-        lw = level_weights(self.spec)
-        pos, _ = _field_scales(self.spec, lw)
-        model = self.spec.spectrum
-        delta = np.atleast_2d(np.asarray(delta, dtype=float))
-        out = np.zeros(delta.shape[0])
-        for i in range(self.spec.coefficients.truncation):
-            reps = model.torus_modes[i]
-            out += pos[i] ** 2 / (2.0 * math.pi**2) * np.cos(delta @ reps.T).sum(axis=1)
-        return out if out.size > 1 else float(out[0])
-
-    def matrix(self, points) -> np.ndarray:
-        """Covariance matrix of the field over the given points."""
-        model = self.spec.spectrum
-        if self.form == "legendre_series":
-            theta, phi, _ = _sphere_angles_of(points)
-            st, ct = np.sin(theta), np.cos(theta)
-            cosd = st[:, None] * st[None, :] * np.cos(phi[:, None] - phi[None, :]) + np.outer(ct, ct)
-            return self.at_distance(np.arccos(np.clip(cosd, -1.0, 1.0)))
-        if self.form == "fourier_series":
-            pts, _ = _torus_points_of(points)
-            n = pts.shape[0]
-            delta = (pts[:, None, :] - pts[None, :, :]).reshape(n * n, 2)
-            return np.asarray(self.at_displacement(delta)).reshape(n, n)
-        # gridded_sum: points are indices into the stored point set
-        idx = np.asarray(points, dtype=int)
-        lw = level_weights(self.spec)
-        pos, neg = _field_scales(self.spec, lw)
-        counts = model.multiplicities[: self.spec.coefficients.truncation]
-        w = np.repeat(pos, counts)
-        Phi = model.eigenfunctions[: w.size][:, idx]
-        K = (Phi * (w * w)[:, None]).T @ Phi
-        if model.negative_levels and neg.size:
-            neg_counts = np.array([p[1] for p in model.negative_levels])
-            wn = np.repeat(neg, neg_counts)
-            Phin = model.neg_eigenfunctions[:, idx]
-            K = K + (Phin * (wn * wn)[:, None]).T @ Phin
-        return K
+    smp = make_sampler(spec, points)
+    D = smp.design
+    if spec.spectrum.geometry is Geometry.USER_SUPPLIED:
+        D = D[np.asarray(points, dtype=int)]
+    w = _selected(spec, smp.wf, smp.wh)
+    return (D * w**2) @ D.T
 
 
-def _sphere_kernel(spec: RandomFieldSpec, want: FieldKind) -> CovarianceKernel:
-    if spec.spectrum.geometry is not Geometry.SPHERE2:
+def _legendre_series(spec: RandomFieldSpec, want: FieldKind, d):
+    """sum_m var_m P_m(cos d) with the per-level variances of the field."""
+    model = spec.spectrum
+    if model.geometry is not Geometry.SPHERE2:
         raise ValueError("this kernel is defined on the 2-sphere only")
     if spec.which is not want:
         raise ValueError(f"spec selects field {spec.which.value!r}, expected {want.value!r}")
-    return CovarianceKernel(spec, "legendre_series")
+    lw = level_weights(spec)
+    scale = _selected(spec, lw.alpha, lw.beta)
+    M = spec.coefficients.truncation
+    pvar = scale * scale * model.multiplicities[:M].astype(float) / model.volume
+    d = np.asarray(d, dtype=float)
+    table = legendre_all(M, np.cos(d).ravel())
+    out = (pvar[:, None] * table[1:]).sum(axis=0)
+    return out.reshape(d.shape) if d.shape else float(out[0])
 
 
 def covariance_h_sphere(spec: RandomFieldSpec, d):
     """r_h at spherical distance d: the Legendre series with the level
     variance weights of h (equal to the scheme values in the per-eigenspace
     convention)."""
-    return _sphere_kernel(spec, FieldKind.H).at_distance(d)
+    return _legendre_series(spec, FieldKind.H, d)
 
 
 def covariance_f_sphere(spec: RandomFieldSpec, d):
     """r_f at spherical distance d (per-eigenspace weights c_m / lambda_m^2)."""
-    return _sphere_kernel(spec, FieldKind.F).at_distance(d)
-
-
-def kernel_for(spec: RandomFieldSpec) -> CovarianceKernel:
-    g = spec.spectrum.geometry
-    if g is Geometry.SPHERE2:
-        return CovarianceKernel(spec, "legendre_series")
-    if g is Geometry.FLAT_TORUS2:
-        return CovarianceKernel(spec, "fourier_series")
-    if g is Geometry.USER_SUPPLIED:
-        return CovarianceKernel(spec, "gridded_sum")
-    raise ValueError(f"no covariance kernel for geometry {g}")
+    return _legendre_series(spec, FieldKind.F, d)
 
 
 # ---------------------------------------------------------------------------
@@ -602,7 +526,7 @@ def sample_cholesky(spec: RandomFieldSpec, points, seed: int, draw_index: int) -
     if the matrix still fails to factor, the error reports the most negative
     eigenvalue.
     """
-    K = kernel_for(spec).matrix(points)
+    K = covariance_matrix(spec, points)
     n = K.shape[0]
     base = _JITTER_SCALE * np.trace(K) / n
     total_jitter = 0.0
@@ -653,14 +577,24 @@ class VarianceSummary:
     sigma2_min: float
 
 
-def _grid_points(grid):
+def _grid_points(spec: RandomFieldSpec, grid):
+    """One row per point, read as the samplers read the grid: unit vectors on
+    the 2-sphere, (x, y) on the torus, the stored points of a user-supplied
+    model (which ignores the grid), array rows elsewhere."""
+    g = spec.spectrum.geometry
+    if g is Geometry.USER_SUPPLIED:
+        return spec.spectrum.points
+    if grid is None:
+        raise ValueError("variance_summary needs a grid")
+    if g is Geometry.FLAT_TORUS2:
+        return _torus_points_of(grid)[0]
+    if g is not Geometry.SPHERE2:
+        return np.asarray(grid)
     if isinstance(grid, SphereGrid):
         return grid.xyz
-    if isinstance(grid, TorusGrid):
-        return grid.points
-    if grid is None:
-        return None
-    return np.asarray(grid)
+    theta, phi, _ = _sphere_angles_of(grid)
+    st = np.sin(theta)
+    return np.column_stack([st * np.cos(phi), st * np.sin(phi), np.cos(theta)])
 
 
 def diagonal_variance(spec: RandomFieldSpec, grid) -> np.ndarray:
@@ -687,34 +621,20 @@ def variance_summary(spec: RandomFieldSpec, grid) -> VarianceSummary:
 
 def _diagonal_components(spec: RandomFieldSpec, grid):
     model = spec.spectrum
-    lw = level_weights(spec)
+    pts = _grid_points(spec, grid)
     if model.geometry is Geometry.USER_SUPPLIED:
-        counts = model.multiplicities[: spec.coefficients.truncation]
-        wf = np.repeat(lw.alpha, counts)
-        wh = np.repeat(lw.beta, counts)
-        Phi = model.eigenfunctions[: wf.size]
-        var_f = (wf[:, None] ** 2 * Phi**2).sum(axis=0)
-        var_h = (wh[:, None] ** 2 * Phi**2).sum(axis=0)
-        cov_fh = ((wf * wh)[:, None] * Phi**2).sum(axis=0)
-        if model.negative_levels:
-            neg_counts = np.array([p[1] for p in model.negative_levels])
-            wfn = np.repeat(lw.neg_alpha, neg_counts)
-            whn = np.repeat(lw.neg_beta, neg_counts)
-            Phin = model.neg_eigenfunctions
-            var_f = var_f + (wfn[:, None] ** 2 * Phin**2).sum(axis=0)
-            var_h = var_h + (whn[:, None] ** 2 * Phin**2).sum(axis=0)
-            cov_fh = cov_fh + ((wfn * whn)[:, None] * Phin**2).sum(axis=0)
+        smp = UserSampler(spec)
+        wf, wh = smp.wf, smp.wh
+        var_f, var_h, cov_fh = (smp.design**2 @ np.stack([wf * wf, wh * wh, wf * wh], axis=1)).T
         npts = var_h.size
     else:
-        # isotropic: constants across the grid
+        # isotropic: constants across the grid, summed per level
+        lw = level_weights(spec)
         M = spec.coefficients.truncation
         N = model.multiplicities[:M].astype(float)
         var_f = float(np.sum(lw.alpha**2 * N) / model.volume)
         var_h = float(np.sum(lw.beta**2 * N) / model.volume)
         cov_fh = float(np.sum(lw.alpha * lw.beta * N) / model.volume)
-        pts = _grid_points(grid)
-        if pts is None:
-            raise ValueError("variance_summary needs a grid")
         npts = len(pts)
         var_f = np.full(npts, var_f)
         var_h = np.full(npts, var_h)
@@ -736,10 +656,6 @@ def _diagonal_components(spec: RandomFieldSpec, grid):
             scale = spec.spectrum.dimension if spec.q_mode else 1.0
             # w = h + R0 f (surfaces) or -(h + n Q0 f); variance is the same
             diag = var_h + 2.0 * (scale * r0) * cov_fh + (scale * r0) ** 2 * var_f
-
-    pts = _grid_points(grid)
-    if pts is None and model.geometry is Geometry.USER_SUPPLIED:
-        pts = model.points
     return diag, pts
 
 

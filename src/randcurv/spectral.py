@@ -258,14 +258,6 @@ class CoefficientScheme:
             raise ValueError("coefficient scales must be nonnegative")
 
 
-def _h_level_mass(eig: float, mult: float, c: float, indexing: Indexing) -> float:
-    # level contribution to the diagonal variance of the Laplacian image field,
-    # modulo the constant 1/volume factor shared by all levels
-    if indexing is Indexing.PER_EIGENSPACE:
-        return c
-    return mult * (c * eig) ** 2
-
-
 def _check_tail(tail_fraction: float, tail_tol: float | None, what: str) -> None:
     if tail_tol is not None and not (tail_fraction <= tail_tol):
         raise ValueError(

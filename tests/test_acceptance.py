@@ -46,7 +46,7 @@ def test_criterion_01_unit_variance_of_single_point_samples():
     n = 100_000
     sq_sum = 0.0
     for first in range(0, n, 20_000):
-        _, H, _ = sampler.sample_block(11, range(first, min(first + 20_000, n)))
+        _, H = sampler.sample_block(11, range(first, min(first + 20_000, n)))
         sq_sum += float((H[:, 0] ** 2).sum())
     variance = sq_sum / n
     se = math.sqrt(2.0 / n)
@@ -73,7 +73,7 @@ def test_criterion_02_pair_covariances_match_kernel_and_brute_force():
     prod_sum = np.zeros(10)
     prod_sq_sum = np.zeros(10)
     for first in range(0, n, 20_000):
-        _, H, _ = sampler.sample_block(21, range(first, min(first + 20_000, n)))
+        _, H = sampler.sample_block(21, range(first, min(first + 20_000, n)))
         prods = np.stack([H[:, i] * H[:, j] for i, j in pairs], axis=1)
         prod_sum += prods.sum(axis=0)
         prod_sq_sum += (prods**2).sum(axis=0)
@@ -134,7 +134,7 @@ def test_criterion_06_volume_identity_mc_and_exact_zero_amplitude():
         total = 0.0
         total_sq = 0.0
         for first in range(0, n, 2000):
-            F, _, _ = sampler.sample_block(31, range(first, min(first + 2000, n)))
+            F, _ = sampler.sample_block(31, range(first, min(first + 2000, n)))
             volumes = np.exp(a * F) @ grid.weights  # n a f / 2 with n = 2
             total += float(volumes.sum())
             total_sq += float((volumes**2).sum())

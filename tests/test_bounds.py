@@ -66,7 +66,7 @@ def test_borell_tis_concentration_vs_mc_torus():
     n, B = 100_000, 2048
     sups = np.empty(n)
     for s0 in range(0, n, B):
-        _, H, _ = smp.sample_block(77, range(s0, min(s0 + B, n)))
+        _, H = smp.sample_block(77, range(s0, min(s0 + B, n)))
         sups[s0 : s0 + H.shape[0]] = H.max(axis=1)
     e_sup = float(sups.mean())
     for k in (1.0, 2.0, 3.0):
@@ -210,7 +210,7 @@ def test_linf_sigma_w_spectral_vs_mc():
     var_w = fl.variance_summary(spec_w, grid).sigma2_sup
     smp = fl.make_sampler(RandomFieldSpec(model, sch, FieldKind.H), grid)
     n = 4000
-    F, H, _ = smp.sample_block(55, range(n))
+    F, H = smp.sample_block(55, range(n))
     W = H + R0 * F
     mc = float(W[:, 3].var())
     se = var_w * math.sqrt(2.0 / n)

@@ -317,6 +317,12 @@ class TestMapChunks:
 SCHEME = make_sphere_normalized(8.0, 12)
 SPHERE = sphere2_spectrum(12)
 V_SPEC = RandomFieldSpec(SPHERE, SCHEME, FieldKind.V, reference_curvature=1.0)
+# three stored points: the user sampler takes no grid
+USER3 = SpectrumModel(
+    geometry=Geometry.USER_SUPPLIED, dimension=2, volume=1.0,
+    eigenvalues=np.array([1.0]), multiplicities=np.array([1]),
+    points=np.array([[0.0], [1.0], [2.0]]), eigenfunctions=np.array([[1.0, 0.5, -0.2]]),
+)
 
 
 class TestEstimateP2:
@@ -333,7 +339,7 @@ class TestEstimateP2:
         n, seed, a = 4096, 555, 0.45
         r = ex.estimate_p2(V_SPEC, a, grid, n, seed)
         smp = make_sampler(V_SPEC, grid)
-        _, H, _ = smp.sample_block(seed, range(n))
+        _, H = smp.sample_block(seed, range(n))
         sups = H.max(axis=1)  # R0 = 1
         direct = sups > 1.0 / a
         dual = (1.0 - a * sups) < 0.0
@@ -404,6 +410,11 @@ class TestEstimateP2:
         assert refined == [50, 435, 1084]
         assert study.e_sup == pytest.approx(1.6005453995744088, rel=1e-13)
 
+    def test_user_model_reports_its_stored_point_count(self):
+        spec = RandomFieldSpec(USER3, make_explicit([1.0]), FieldKind.V, reference_curvature=1.0)
+        study = ex.p2_curve(spec, [0.5], None, 64, 3)
+        assert study.reports[0].n_grid_points == 3
+
     def test_report_rejects_non_probability(self):
         with pytest.raises(ValueError):
             ex.ExcursionReport(
@@ -433,7 +444,7 @@ class TestEstimateLinf:
         n, seed, a, u = 2048, 2026, 0.05 / 3.0, 0.02
         r = ex.estimate_linf(TORUS_SPEC, a, u, grid, n, seed)
         smp = make_sampler(TORUS_SPEC, grid)
-        F, H, _ = smp.sample_block(seed, range(n))
+        F, H = smp.sample_block(seed, range(n))
         # flat reference: the exact deviation is -a h e^{-a f}
         dev = -a * H * np.exp(-a * F)
         events = np.abs(dev).max(axis=1) > u
@@ -500,6 +511,10 @@ class TestEstimateLinf:
         with pytest.raises(ValueError, match="n = 2"):
             ex.estimate_linf(spec, 0.01, 1e3, None, 16, 0, mode=DeviationMode.SCALAR_2D)
 
+    def test_user_model_reports_its_stored_point_count(self):
+        spec = RandomFieldSpec(USER3, make_explicit([1.0]), FieldKind.H, reference_curvature=0.0)
+        assert ex.estimate_linf(spec, 0.1, 0.3, None, 64, 3).n_grid_points == 3
+
     def test_screen_bound_dominates_every_draw(self):
         # the bound per draw is >= the computed max |exact| over the grid, in
         # both modes, for flat, signed and gridded references
@@ -508,7 +523,7 @@ class TestEstimateLinf:
             smp = make_sampler(spec0, grid)
             A = gaussian_draw_block(11, range(256), smp.n_gaussians)
             M = np.abs(A) @ ex._linf_screen(smp)
-            F, H, _ = smp.sample_block(11, range(256))
+            F, H = smp.sample_block(11, range(256))
             for mode in DeviationMode:
                 growth = curvature.exponent_factor(2, mode) * a * M[:, 0]
                 for r0 in (0.0, -0.4, np.linspace(-0.5, 0.3, grid.n_points)):
@@ -540,7 +555,7 @@ class TestEstimateLinf:
         u = a * u_over_a
 
         def brute(g):
-            F, H, _ = make_sampler(spec, g).sample_block(seed, range(n))
+            F, H = make_sampler(spec, g).sample_block(seed, range(n))
             exact = curvature.deviation_field(F, H, r0, a, 2, mode).exact
             return int((np.abs(exact).max(axis=1) > u).sum())
 

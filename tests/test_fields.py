@@ -8,7 +8,8 @@ from helpers import oracle_harmonic_columns, slow_sphere_field
 from randcurv import fields as fl
 from randcurv import spectral as sp
 from randcurv.fields import FieldKind, RandomFieldSpec
-from randcurv.grids import fibonacci_sphere, icosphere, torus_grid
+from randcurv.grids import fibonacci_sphere, sphere_distance, torus_grid
+from randcurv.harmonics import SphereHarmonicBasis
 from randcurv.spectral import Geometry, Indexing
 
 
@@ -111,7 +112,7 @@ def test_unit_variance_and_covariance_mc(h_spec):
     phi = np.full(4, base_ph)
     smp = fl.SphereSampler(h_spec, (theta, phi))
     n = 30000
-    _, H, _ = smp.sample_block(2024, np.arange(n))
+    _, H = smp.sample_block(2024, np.arange(n))
     var = H[:, 0].var()
     se_var = math.sqrt(2.0 / n)
     assert abs(var - 1.0) < 3 * se_var + 3e-9
@@ -124,20 +125,18 @@ def test_unit_variance_and_covariance_mc(h_spec):
 
 def test_determinism_and_block_consistency(h_spec):
     g = fibonacci_sphere(64)
-    smp = fl.SphereSampler(h_spec, g, want_gradient=True)
+    smp = fl.SphereSampler(h_spec, g)
     s1 = smp.sample(99, 7)
     s2 = smp.sample(99, 7)
     assert np.array_equal(s1.values_f, s2.values_f)
     assert np.array_equal(s1.values_h, s2.values_h)
-    assert np.array_equal(s1.values_gradsq, s2.values_gradsq)
     # block evaluation is bitwise reproducible for identical index sets and
     # matches the single-draw path to rounding (different BLAS kernel)
-    F, H, G = smp.sample_block(99, [5, 6, 7])
-    F2, H2, G2 = smp.sample_block(99, [5, 6, 7])
-    assert np.array_equal(F, F2) and np.array_equal(H, H2) and np.array_equal(G, G2)
+    F, H = smp.sample_block(99, [5, 6, 7])
+    F2, H2 = smp.sample_block(99, [5, 6, 7])
+    assert np.array_equal(F, F2) and np.array_equal(H, H2)
     np.testing.assert_allclose(F[2], s1.values_f, atol=1e-12)
     np.testing.assert_allclose(H[2], s1.values_h, atol=1e-12)
-    np.testing.assert_allclose(G[2], s1.values_gradsq, atol=1e-12)
     s3 = smp.sample(100, 7)
     assert not np.array_equal(s1.values_h, s3.values_h)
 
@@ -161,12 +160,12 @@ def test_torus_sampler_variance_and_translation():
     # translation invariance: same displacement, different base points
     pts = np.array([[0.3, 1.0], [0.8, 1.7], [4.0, 2.2], [4.5, 2.9]])
     smp = fl.TorusSampler(rt, pts)
-    _, H, _ = smp.sample_block(5, np.arange(30000))
+    _, H = smp.sample_block(5, np.arange(30000))
     c_a = float(np.mean(H[:, 0] * H[:, 1]))
     c_b = float(np.mean(H[:, 2] * H[:, 3]))
     se = math.sqrt(2.0) * vs.sigma2_sup / math.sqrt(30000)
     assert abs(c_a - c_b) < 3 * se
-    ref = fl.kernel_for(rt).at_displacement(np.array([0.5, 0.7]))
+    ref = fl.covariance_matrix(rt, pts[:2])[0, 1]
     assert abs(c_a - ref) < 3 * se
 
 
@@ -215,11 +214,11 @@ def test_cholesky_agrees_with_harmonic_sampler(h_spec):
     xyz /= np.linalg.norm(xyz, axis=1, keepdims=True)
     n = 20000
     smp = fl.SphereSampler(h_spec, xyz)
-    _, H, _ = smp.sample_block(31, np.arange(n))
+    _, H = smp.sample_block(31, np.arange(n))
     emp_direct = H.T @ H / n
     v = np.array([fl.sample_cholesky(h_spec, xyz, 32, j).values_which for j in range(n)])
     emp_chol = v.T @ v / n
-    K = fl.kernel_for(h_spec).matrix(xyz)
+    K = fl.covariance_matrix(h_spec, xyz)
     for emp in (emp_direct, emp_chol):
         se = np.sqrt((np.outer(np.diag(K), np.diag(K)) + K**2) / n)
         assert np.all(np.abs(emp - K) < 3.5 * se)
@@ -246,6 +245,23 @@ def test_variance_summary_fields(sphere12, norm8, h_spec):
     lam = sphere12.eigenvalues
     expect = float(np.sum(norm8.values * (1.0 - 1.0 / lam) ** 2))
     assert fl.variance_summary(w_spec, g).sigma2_sup == pytest.approx(expect, rel=1e-13)
+
+
+def test_variance_summary_reads_an_angle_tuple_as_points(h_spec):
+    # (theta, phi) is one point per entry, as the samplers read it
+    theta = np.array([0.3, 1.0, 1.7, 2.4, 3.0])
+    phi = np.array([0.1, 2.0, 4.0, 5.5, 1.2])
+    assert fl.diagonal_variance(h_spec, (theta, phi)).shape == (5,)
+    vs = fl.variance_summary(h_spec, (theta, phi))
+    assert vs.argmax_point.shape == (3,)
+    want = [math.sin(theta[vs.argmax_index]) * math.cos(phi[vs.argmax_index]),
+            math.sin(theta[vs.argmax_index]) * math.sin(phi[vs.argmax_index]),
+            math.cos(theta[vs.argmax_index])]
+    np.testing.assert_allclose(vs.argmax_point, want, atol=1e-15)
+    torus = RandomFieldSpec(sp.torus2_spectrum(1), sp.make_explicit([1.0]), FieldKind.H)
+    pts = np.array([[0.3, 1.0], [0.8, 1.7], [4.0, 2.2]])
+    assert fl.diagonal_variance(torus, pts).shape == (3,)
+    assert np.array_equal(fl.variance_summary(torus, pts).argmax_point, pts[0])
 
 
 def test_variance_summary_user_supplied_argmax():
@@ -305,18 +321,19 @@ def test_heat_variance_user_two_level():
     assert hv.sup == pytest.approx(float(direct.max()))
 
 
-def test_gradient_variance_closed_form_and_mc(sphere12, norm8):
+def test_gradient_variance_closed_form_and_harmonic_sum(sphere12, norm8):
     single = RandomFieldSpec(sphere12, sp.make_explicit([1.0]), FieldKind.F)
     assert fl.gradient_variance_sphere(single) == pytest.approx(0.5, rel=1e-14)
     spec = RandomFieldSpec(sphere12, norm8, FieldKind.F)
     lam = sphere12.eigenvalues
     expect = float(np.sum(norm8.values / lam))
     assert fl.gradient_variance_sphere(spec) == pytest.approx(expect, rel=1e-14)
-    smp = fl.SphereSampler(spec, (np.array([1.234]), np.array([0.77])), want_gradient=True)
-    n = 30000
-    _, _, G = smp.sample_block(60, np.arange(n))
-    se = G.std() / math.sqrt(n)
-    assert abs(G.mean() - expect) < 3 * se
+    # independent route: sum_k wf_k^2 |grad Y_k|^2 from the differentiated
+    # harmonics at one point
+    basis = SphereHarmonicBasis(12, np.array([1.234]), np.array([0.77]), want_gradient=True)
+    wf = np.repeat(fl.level_weights(spec).alpha, sphere12.multiplicities)
+    grad_sq = basis.dtheta[0] ** 2 + basis.dphi_over_sin[0] ** 2
+    assert float(np.sum(wf**2 * grad_sq)) == pytest.approx(expect, rel=1e-12)
     t = sp.torus2_spectrum(2)
     with pytest.raises(ValueError):
         fl.gradient_variance_sphere(
@@ -377,7 +394,7 @@ def test_sample_block_evaluates_only_requested_fields(h_spec):
     )
     torus = sp.torus2_spectrum(3)
     samplers = [
-        fl.SphereSampler(h_spec, fibonacci_sphere(32), want_gradient=True),
+        fl.SphereSampler(h_spec, fibonacci_sphere(32)),
         fl.TorusSampler(
             RandomFieldSpec(torus, sp.make_explicit([0.5, 0.3, 0.2]), FieldKind.H), torus_grid(6)
         ),
@@ -386,13 +403,11 @@ def test_sample_block_evaluates_only_requested_fields(h_spec):
         ),
     ]
     for smp in samplers:
-        F, H, G = smp.sample_block(8, [0, 3, 4])
-        F1, H1, G1 = smp.sample_block(8, [0, 3, 4], fields=("h",))
+        F, H = smp.sample_block(8, [0, 3, 4])
+        F1, H1 = smp.sample_block(8, [0, 3, 4], fields=("h",))
         assert F1 is None and np.array_equal(H1, H)
-        F2, H2, _ = smp.sample_block(8, [0, 3, 4], fields=("f",))
+        F2, H2 = smp.sample_block(8, [0, 3, 4], fields=("f",))
         assert H2 is None and np.array_equal(F2, F)
-        # the gradient slot follows want_gradient, not the field selection
-        assert (G1 is None) == (G is None)
         with pytest.raises(ValueError, match="unknown fields"):
             smp.sample_block(8, [0], fields=("H",))
 
@@ -438,3 +453,76 @@ def test_heat_variance_torus_tiny_time():
     assert fl.heat_variance(model, 1e3).sup == 0.0
     with pytest.raises(ValueError):
         fl.heat_variance(model, math.nan)
+
+
+def test_covariance_matrix_matches_legendre_forms_on_the_sphere(sphere12, norm8, h_spec):
+    xyz = np.random.default_rng(0).normal(size=(12, 3))
+    xyz /= np.linalg.norm(xyz, axis=1, keepdims=True)
+    d = sphere_distance(xyz[:, None, :], xyz[None, :, :])
+    f_spec = RandomFieldSpec(sphere12, norm8, FieldKind.F)
+    np.testing.assert_allclose(
+        fl.covariance_matrix(h_spec, xyz), fl.covariance_h_sphere(h_spec, d), rtol=0, atol=1e-14
+    )
+    np.testing.assert_allclose(
+        fl.covariance_matrix(f_spec, xyz), fl.covariance_f_sphere(f_spec, d), rtol=0, atol=1e-14
+    )
+
+
+def test_covariance_matrix_matches_cosine_sum_on_the_torus():
+    t3 = sp.torus2_spectrum(3)
+    values = [0.9, 0.4, 0.25]
+    spec = RandomFieldSpec(t3, sp.make_explicit(values, indexing=Indexing.PER_EIGENFUNCTION), FieldKind.H)
+    pts = np.random.default_rng(1).uniform(0.0, 2.0 * math.pi, size=(7, 2))
+    # each mode pair cos(k.x), sin(k.x) / (pi sqrt 2) contributes cos(k.(x - y)) / (2 pi^2)
+    delta = pts[:, None, :] - pts[None, :, :]
+    brute = np.zeros((7, 7))
+    for lam, c, reps in zip(t3.eigenvalues, values, t3.torus_modes):
+        for k in reps:
+            brute += (lam * c) ** 2 * np.cos(delta @ k) / (2.0 * math.pi**2)
+    np.testing.assert_allclose(fl.covariance_matrix(spec, pts), brute, rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("dimension", [2, 4])
+def test_covariance_matrix_user_model_with_negative_level(dimension):
+    phi = np.array([[1.0, 0.5, -0.3, 0.8], [0.2, 1.5, 0.7, -1.1]])
+    psi = np.array([[0.6, -0.4, 1.2, 0.3]])
+    model = sp.SpectrumModel(
+        geometry=Geometry.USER_SUPPLIED,
+        dimension=dimension,
+        volume=1.0,
+        eigenvalues=np.array([1.0, 3.0]),
+        multiplicities=np.array([1, 1]),
+        negative_levels=((2.0, 1),),
+        points=np.arange(4.0)[:, None],
+        eigenfunctions=phi,
+        neg_eigenfunctions=psi,
+    )
+    sch = sp.make_explicit([0.7, 0.2], indexing=Indexing.PER_EIGENFUNCTION, neg_values=[0.5])
+    idx = np.array([2, 0, 3])
+    # h = -lambda f on the positive levels and +mu f on the negative one
+    w_f = np.array([0.7, 0.2, 0.5])
+    w_h = np.array([-1.0 * 0.7, -3.0 * 0.2, 2.0 * 0.5])
+    # w = h + R0 f on surfaces, -(h + n Q0 f) otherwise
+    w_w = w_h + 0.4 * w_f if dimension == 2 else -(w_h + dimension * 0.4 * w_f)
+    cols = np.concatenate([phi, psi])[:, idx]
+    for which, w in ((FieldKind.F, w_f), (FieldKind.H, w_h), (FieldKind.W, w_w)):
+        spec = RandomFieldSpec(model, sch, which, reference_curvature=0.4)
+        brute = np.einsum("k,ki,kj->ij", w**2, cols, cols)
+        np.testing.assert_allclose(fl.covariance_matrix(spec, idx), brute, rtol=1e-14, atol=1e-15)
+        diag = fl.diagonal_variance(spec, None)
+        np.testing.assert_allclose(diag[idx], np.diag(brute), rtol=1e-14)
+
+
+@pytest.mark.parametrize("which, r0", [(FieldKind.V, 2.0), (FieldKind.W, 1.0), (FieldKind.W, -0.7)])
+def test_covariance_matrix_diagonal_matches_variance_summary(sphere12, norm8, which, r0):
+    g = fibonacci_sphere(16)
+    spec = RandomFieldSpec(sphere12, norm8, which, reference_curvature=r0)
+    np.testing.assert_allclose(
+        np.diag(fl.covariance_matrix(spec, g)), fl.diagonal_variance(spec, g), rtol=1e-12
+    )
+    t = sp.torus2_spectrum(3)
+    tspec = RandomFieldSpec(t, sp.make_explicit([0.9, 0.4, 0.25]), which, reference_curvature=r0)
+    tg = torus_grid(4)
+    np.testing.assert_allclose(
+        np.diag(fl.covariance_matrix(tspec, tg)), fl.diagonal_variance(tspec, tg), rtol=1e-12
+    )
