@@ -14,6 +14,8 @@ import hashlib
 import os
 from dataclasses import dataclass, fields as dataclass_fields
 
+from .spectral import Indexing
+
 __all__ = [
     "COMMANDS",
     "SEED_ENV",
@@ -30,6 +32,7 @@ SEED_ENV = "RANDCURV_SEED"
 GEOMETRIES = ("sphere", "torus", "s4")
 SCHEMES = ("normalized", "power", "heat", "explicit")
 GRID_KINDS = ("fibonacci", "icosphere", "torus")
+INDEXINGS = tuple(i.value for i in Indexing)
 
 # fields whose values never influence the computed numbers
 _UNHASHED = ("workers", "out")
@@ -164,6 +167,10 @@ def _validate(cfg: ExperimentConfig) -> None:
         raise ValueError(f"geometry must be one of {', '.join(GEOMETRIES)}")
     if cfg.scheme not in SCHEMES:
         raise ValueError(f"scheme must be one of {', '.join(SCHEMES)}")
+    if cfg.indexing not in INDEXINGS:
+        raise ValueError(
+            f"indexing must be one of {', '.join(INDEXINGS)}, got {cfg.indexing!r}"
+        )
     if cfg.truncation < 1:
         raise ValueError("truncation must be at least 1")
     if cfg.n_samples < 1:

@@ -429,6 +429,9 @@ def euler_curve(
         raise ValueError("need thresholds and at least one sample")
     if not np.all(np.isfinite(ts)):
         raise ValueError("thresholds must be finite")
+    # the prediction rejects a scheme it does not cover: before any draw
+    L2 = SPHERE2_VOLUME * at_metric_constant(spec.coefficients)
+    predicted = np.array([predicted_euler(spec.coefficients, u) for u in ts])
     ctx = SimpleNamespace(
         sampler=make_sampler(spec, grid), triangulation=_closed_triangulation(grid),
         thresholds=ts, seed=int(seed),
@@ -439,8 +442,6 @@ def euler_curve(
     mean = chi_sum / n
     var = (chi2_sum - n * mean * mean) / (n - 1) if n > 1 else np.zeros(ts.size)
     se = np.sqrt(np.maximum(var, 0.0) / n)
-    L2 = SPHERE2_VOLUME * at_metric_constant(spec.coefficients)
-    predicted = np.array([predicted_euler(spec.coefficients, u) for u in ts])
     return EulerCurve(
         thresholds=ts,
         empirical_mean=mean,

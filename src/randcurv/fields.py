@@ -28,7 +28,6 @@ independent route to the same numbers.
 
 from __future__ import annotations
 
-import logging
 import math
 import operator
 from dataclasses import dataclass
@@ -37,7 +36,7 @@ from enum import Enum
 import numpy as np
 
 from .grids import SphereGrid, TorusGrid
-from .harmonics import SphereHarmonicBasis, legendre, legendre_all
+from .harmonics import SphereHarmonicBasis, legendre_all
 from .spectral import CoefficientScheme, Geometry, Indexing, SpectrumModel
 
 __all__ = [
@@ -55,17 +54,13 @@ __all__ = [
     "TorusSampler",
     "UserSampler",
     "make_sampler",
-    "sample_cholesky",
     "VarianceSummary",
     "variance_summary",
     "diagonal_variance",
     "HeatVariance",
     "heat_variance",
     "gradient_variance_sphere",
-    "legendre",
 ]
-
-logger = logging.getLogger(__name__)
 
 
 class FieldKind(str, Enum):
@@ -180,9 +175,7 @@ class FieldSample:
     """One realization: the Gaussian draws plus evaluated fields on a grid.
 
     Samplers fill values_f / values_h; values_gradsq (|grad f|^2) is read by
-    the dimension-n curvature and filled by its callers.  The Cholesky path
-    fills values_which for its single target field and records the diagonal
-    jitter it had to apply.
+    the dimension-n curvature and filled by its callers.
     """
 
     seed: int
@@ -192,9 +185,6 @@ class FieldSample:
     values_f: np.ndarray | None = None
     values_h: np.ndarray | None = None
     values_gradsq: np.ndarray | None = None
-    which: FieldKind | None = None
-    values_which: np.ndarray | None = None
-    jitter: float = 0.0
 
 
 _U64 = 2**64 - 1
@@ -511,60 +501,6 @@ def covariance_f_sphere(spec: RandomFieldSpec, d):
 
 
 # ---------------------------------------------------------------------------
-# exact sampling on arbitrary point sets
-
-
-_JITTER_SCALE = 1e-12
-_MAX_JITTER_APPLICATIONS = 3
-
-
-def sample_cholesky(spec: RandomFieldSpec, points, seed: int, draw_index: int) -> FieldSample:
-    """Exact Gaussian sample of the selected field on a finite point set.
-
-    For user-supplied geometries, points are indices into the stored grid.
-    A diagonal jitter of 1e-12 * trace/N is added at most 3 times (logged);
-    if the matrix still fails to factor, the error reports the most negative
-    eigenvalue.
-    """
-    K = covariance_matrix(spec, points)
-    n = K.shape[0]
-    base = _JITTER_SCALE * np.trace(K) / n
-    total_jitter = 0.0
-    L = None
-    for attempt in range(_MAX_JITTER_APPLICATIONS + 1):
-        try:
-            L = np.linalg.cholesky(K + total_jitter * np.eye(n))
-            break
-        except np.linalg.LinAlgError:
-            if attempt == _MAX_JITTER_APPLICATIONS:
-                lo = float(np.linalg.eigvalsh(K)[0])
-                raise np.linalg.LinAlgError(
-                    f"covariance matrix is indefinite beyond jitter tolerance; "
-                    f"most negative eigenvalue ~ {lo:.6e}"
-                )
-            total_jitter += base
-            logger.info(
-                "cholesky jitter applied: %d x %.3e on %d points", attempt + 1, base, n
-            )
-    z = gaussian_draws(seed, draw_index, n)
-    values = L @ z
-    out = FieldSample(
-        seed=seed,
-        draw_index=draw_index,
-        gaussians=z,
-        grid=points,
-        which=spec.which,
-        values_which=values,
-        jitter=total_jitter,
-    )
-    if spec.which is FieldKind.F:
-        out.values_f = values
-    elif spec.which is FieldKind.H:
-        out.values_h = values
-    return out
-
-
-# ---------------------------------------------------------------------------
 # variance summaries
 
 
@@ -677,21 +613,31 @@ class HeatVariance:
     values: np.ndarray | None = None
 
 
+def _level_series(term, max_level: int, T: float) -> float:
+    """sum_{m >= 1} term(m), stopped once a term falls below 1e-17 of the sum;
+    a series that has not converged by level max_level + 1 raises ValueError
+    naming T instead of returning a partial sum."""
+    total = 0.0
+    for m in range(1, max_level + 2):
+        t = term(m)
+        total += t
+        if t < 1e-17 * max(total, 1e-300):
+            return total
+    raise ValueError(f"heat variance series does not converge in bounded work at T = {T!r}")
+
+
 def heat_variance(spectrum: SpectrumModel, T: float) -> HeatVariance:
     """sum_j e^{-lambda_j T} phi_j(x)^2, extended adaptively past any
-    truncation for the built-in geometries."""
+    truncation for the built-in geometries.
+
+    On the 2-sphere and on S^4 the series is summed over at most 10^5 and
+    10^4 levels; a T too small for it to converge there raises ValueError.
+    """
     if not T > 0:
         raise ValueError("diffusion time must be positive")
     g = spectrum.geometry
     if g is Geometry.SPHERE2:
-        total = 0.0
-        m = 1
-        while True:
-            term = (2 * m + 1) * math.exp(-m * (m + 1) * T)
-            total += term
-            if term < 1e-17 * max(total, 1e-300) or m > 100000:
-                break
-            m += 1
+        total = _level_series(lambda m: (2 * m + 1) * math.exp(-m * (m + 1) * T), 100000, T)
         return HeatVariance(sup=total / spectrum.volume, is_constant=True)
     if g is Geometry.FLAT_TORUS2:
         # sum over k in Z^2 \ {0} of e^{-|k|^2 T} = theta^2 - 1 = 4 s (1 + s)
@@ -709,15 +655,11 @@ def heat_variance(spectrum: SpectrumModel, T: float) -> HeatVariance:
     if g is Geometry.ROUND_SPHERE4_PANEITZ:
         from .spectral import paneitz_level_s4
 
-        total = 0.0
-        m = 1
-        while True:
+        def term(m):
             lam, mult = paneitz_level_s4(m)
-            term = mult * math.exp(-lam * T)
-            total += term
-            if term < 1e-17 * max(total, 1e-300) or m > 10000:
-                break
-            m += 1
+            return mult * math.exp(-lam * T)
+
+        total = _level_series(term, 10000, T)
         return HeatVariance(sup=total / spectrum.volume, is_constant=True)
     # user-supplied: finite listed sum on the stored grid
     rows = []

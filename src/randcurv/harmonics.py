@@ -96,11 +96,6 @@ class SphereHarmonicBasis:
         self.dphi_over_sin = np.empty((npts, ncol)) if want_gradient else None
         self._build(want_gradient)
 
-    def level_slice(self, m: int) -> slice:
-        if not 1 <= m <= self.max_level:
-            raise ValueError("level out of range")
-        return level_slice(m)
-
     # ---- construction ----
 
     def _build(self, want_gradient: bool) -> None:

@@ -1,9 +1,15 @@
 """Configuration loading: section merging, override precedence, validation,
 and hash stability."""
 
+import os
+import tempfile
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from randcurv.config import (
+    INDEXINGS,
     SEED_ENV,
     ExperimentConfig,
     canonical_text,
@@ -135,6 +141,15 @@ class TestValidation:
         with pytest.raises(ValueError, match="values"):
             load_config("bounds", path)
 
+    def test_misspelled_indexing_rejected_naming_the_key(self, tmp_path):
+        for scheme in ("explicit", "power"):
+            path = write(
+                tmp_path,
+                f"[common]\nscheme = {scheme}\nvalues = 1.0\nindexing = per_eigenfuncton\n",
+            )
+            with pytest.raises(ValueError, match="indexing.*per_eigenfuncton"):
+                load_config("bounds", path)
+
     def test_bad_geometry_and_command(self, tmp_path):
         path = write(tmp_path, "[common]\ngeometry = klein\n")
         with pytest.raises(ValueError, match="geometry"):
@@ -189,3 +204,54 @@ class TestHash:
         h = config_hash(ExperimentConfig(command="bounds"))
         assert len(h) == 16
         assert h == config_hash(ExperimentConfig(command="bounds"))
+
+
+_positive = st.floats(min_value=1e-3, max_value=50.0)
+
+
+@st.composite
+def _ini_values(draw):
+    """The [common] section of a valid p2, linf or heat config."""
+    command = draw(st.sampled_from(["p2", "linf", "heat"]))
+    geometry = draw(st.sampled_from(["sphere", "torus"]))
+    schemes = ["power", "heat", "explicit"] + (["normalized"] if geometry == "sphere" else [])
+    kv = {
+        "geometry": geometry,
+        "scheme": draw(st.sampled_from(schemes)),
+        "indexing": draw(st.sampled_from(INDEXINGS)),
+        "s": draw(_positive),
+        "truncation": draw(st.integers(1, 40)),
+        "values": draw(st.lists(_positive, min_size=1, max_size=4)),
+        "reference": draw(st.floats(-5.0, 5.0).filter(bool)),
+        "seed": draw(st.integers(0, 2**64 - 1)),
+        "n_samples": draw(st.integers(1, 10**6)),
+        "refine": draw(st.booleans()),
+        "grid": "torus:8" if geometry == "torus" else draw(st.sampled_from(["fibonacci:64", "icosphere:3"])),
+    }
+    if command == "heat":
+        kv["t_values"] = draw(st.lists(_positive, min_size=1, max_size=5))
+    else:
+        kv["amplitudes"] = amps = draw(st.lists(_positive, min_size=1, max_size=4))
+        if command == "linf":
+            kv["thresholds"] = draw(st.lists(_positive, min_size=len(amps), max_size=len(amps)))
+    text = "".join(
+        f"{k} = {', '.join(map(repr, v)) if isinstance(v, list) else v}\n" for k, v in kv.items()
+    )
+    return command, text
+
+
+def _load_common(command, body):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "exp.ini")
+        with open(path, "w") as fh:
+            fh.write("[common]\n" + body)
+        return load_config(command, path)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_ini_values())
+def test_canonical_text_reloads_to_itself(case):
+    command, body = case
+    text = canonical_text(_load_common(command, body))
+    rest = "\n".join(line for line in text.splitlines() if not line.startswith("command="))
+    assert canonical_text(_load_common(command, rest + "\n")) == text

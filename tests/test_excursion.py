@@ -618,6 +618,16 @@ class TestEulerCurve:
         with pytest.raises(ValueError, match="finite"):
             ex.euler_curve(spec, [1.0, np.inf], 16, 0, grid=icosphere(2))
 
+    def test_unpredictable_scheme_rejected_before_any_draw(self, monkeypatch):
+        def no_draws(*args):
+            raise AssertionError("euler_curve drew samples for a scheme it rejects")
+
+        monkeypatch.setattr(ex, "map_chunks", no_draws)
+        power = make_power_law(3.0, SPHERE, SPHERE.n_levels, tail_tol=None)
+        spec = RandomFieldSpec(SPHERE, power, FieldKind.H)
+        with pytest.raises(ValueError, match="per-eigenspace"):
+            ex.euler_curve(spec, [1.0], 16, 0, grid=icosphere(2))
+
     def test_pinned_chi_sums(self):
         # seed 12345, 64 draws on icosphere:5: the exact chi sums per threshold
         spec = RandomFieldSpec(SPHERE, SCHEME, FieldKind.H)

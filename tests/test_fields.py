@@ -193,43 +193,28 @@ def test_torus_sampler_matches_direct_modes():
     np.testing.assert_allclose(s.values_h, ref_h, atol=1e-13)
 
 
-def test_cholesky_single_point_and_antipodes(sphere12):
+def test_unit_variance_at_a_point_and_odd_antipodal_correlation(sphere12):
     single = RandomFieldSpec(sphere12, sp.make_explicit([0.6, 0.4]), FieldKind.H)
-    p = np.array([[0.0, 0.0, 1.0]])
-    vals = np.array(
-        [fl.sample_cholesky(single, p, 77, j).values_which[0] for j in range(20000)]
-    )
-    assert abs(vals.var() - 1.0) < 3 * math.sqrt(2.0 / 20000)
+    pole = np.array([[0.0, 0.0, 1.0]])
+    assert fl.covariance_matrix(single, pole)[0, 0] == pytest.approx(1.0, rel=1e-14)
+    # odd levels only: h(-x) = -h(x), so the antipodes are perfectly anticorrelated
     odd = RandomFieldSpec(sphere12, sp.make_explicit([0.7, 0.0, 0.3]), FieldKind.H)
-    pts = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]])
-    v = np.array([fl.sample_cholesky(odd, pts, 8, j).values_which for j in range(4000)])
-    corr = np.corrcoef(v[:, 0], v[:, 1])[0, 1]
-    assert corr == pytest.approx(-1.0, abs=1e-6)
+    poles = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]])
+    K = fl.covariance_matrix(odd, poles)
+    assert K[0, 1] / math.sqrt(K[0, 0] * K[1, 1]) == pytest.approx(-1.0, abs=1e-14)
+    assert fl.covariance_h_sphere(odd, math.pi) == pytest.approx(-1.0, abs=1e-14)
 
 
-def test_cholesky_agrees_with_harmonic_sampler(h_spec):
-    # same covariance from both samplers on a common 12-point set
+def test_sampler_second_moments_match_covariance_matrix(h_spec):
     rng = np.random.default_rng(0)
     xyz = rng.normal(size=(12, 3))
     xyz /= np.linalg.norm(xyz, axis=1, keepdims=True)
     n = 20000
-    smp = fl.SphereSampler(h_spec, xyz)
-    _, H = smp.sample_block(31, np.arange(n))
-    emp_direct = H.T @ H / n
-    v = np.array([fl.sample_cholesky(h_spec, xyz, 32, j).values_which for j in range(n)])
-    emp_chol = v.T @ v / n
+    _, H = fl.SphereSampler(h_spec, xyz).sample_block(31, np.arange(n))
+    emp = H.T @ H / n
     K = fl.covariance_matrix(h_spec, xyz)
-    for emp in (emp_direct, emp_chol):
-        se = np.sqrt((np.outer(np.diag(K), np.diag(K)) + K**2) / n)
-        assert np.all(np.abs(emp - K) < 3.5 * se)
-
-
-def test_cholesky_jitter_on_duplicate_points(h_spec, caplog):
-    pts = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 1.0]])      # exactly singular
-    with caplog.at_level("INFO", logger="randcurv.fields"):
-        s = fl.sample_cholesky(h_spec, pts, 5, 0)
-    assert s.jitter > 0.0
-    assert s.values_which[0] == pytest.approx(s.values_which[1], rel=1e-5)
+    se = np.sqrt((np.outer(np.diag(K), np.diag(K)) + K**2) / n)
+    assert np.all(np.abs(emp - K) < 3.5 * se)
 
 
 def test_variance_summary_fields(sphere12, norm8, h_spec):
@@ -453,6 +438,19 @@ def test_heat_variance_torus_tiny_time():
     assert fl.heat_variance(model, 1e3).sup == 0.0
     with pytest.raises(ValueError):
         fl.heat_variance(model, math.nan)
+
+
+def test_heat_variance_rejects_a_time_too_small_to_converge(sphere12):
+    # sum_{m>=1} (2m+1) e^{-m(m+1)T} = 1/T - 2/3 + O(T); at T = 1e-8 the
+    # series converges within the level cap, at 1e-10 it does not
+    T = 1e-8
+    assert fl.heat_variance(sphere12, T).sup * sphere12.volume == pytest.approx(
+        1.0 / T - 2.0 / 3.0, rel=1e-9
+    )
+    with pytest.raises(ValueError, match="T = 1e-10"):
+        fl.heat_variance(sphere12, 1e-10)
+    with pytest.raises(ValueError, match="T = 1e-17"):
+        fl.heat_variance(sp.s4_paneitz_spectrum(3), 1e-17)
 
 
 def test_covariance_matrix_matches_legendre_forms_on_the_sphere(sphere12, norm8, h_spec):
