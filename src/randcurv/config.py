@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import configparser
 import hashlib
+import math
 import os
 from dataclasses import dataclass, fields as dataclass_fields
 
@@ -76,9 +77,16 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"not a boolean: {text!r}")
 
 
+def _parse_float(text: str) -> float:
+    x = float(text)
+    if not math.isfinite(x):
+        raise ValueError(f"not a finite number: {text.strip()!r}")
+    return x
+
+
 def _parse_floats(text: str) -> tuple[float, ...]:
     parts = [p for p in (s.strip() for s in text.split(",")) if p]
-    return tuple(float(p) for p in parts)
+    return tuple(_parse_float(p) for p in parts)
 
 
 def _parse_seed(text) -> int:
@@ -98,13 +106,13 @@ def _parse_pair(text: str) -> tuple[float, float]:
 _CONVERTERS = {
     "geometry": str.strip,
     "scheme": str.strip,
-    "s": float,
-    "heat_time": float,
+    "s": _parse_float,
+    "heat_time": _parse_float,
     "truncation": int,
     "values": _parse_floats,
     "indexing": str.strip,
-    "reference": float,
-    "amplitude": float,
+    "reference": _parse_float,
+    "amplitude": _parse_float,
     "amplitudes": _parse_floats,
     "thresholds": _parse_floats,
     "grid": str.strip,
@@ -114,9 +122,9 @@ _CONVERTERS = {
     "out": str.strip,
     "refine": _parse_bool,
     "n_dim": int,
-    "sigma_v": float,
-    "sigma_2": float,
-    "alpha": float,
+    "sigma_v": _parse_float,
+    "sigma_2": _parse_float,
+    "alpha": _parse_float,
     "r0sq_pair": _parse_pair,
     "lambda1_pair": _parse_pair,
     "t_values": _parse_floats,

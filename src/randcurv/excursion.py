@@ -189,7 +189,7 @@ def p2_curve(
     if not (np.all(r > 0.0) or np.all(r < 0.0)):
         raise ValueError("reference curvature must have one strict sign on the grid")
     a_arr = np.asarray(a_values, dtype=float)
-    if a_arr.size == 0 or np.any(a_arr <= 0.0):
+    if a_arr.size == 0 or not np.all(a_arr > 0.0):
         raise ValueError("amplitudes must be positive and nonempty")
     n = int(n_samples)
     if n < 1:
@@ -252,20 +252,21 @@ def _linf_screen(sampler):
     return screen * (1.0 + _SCREEN_MARGIN)
 
 
-def _linf_count(ctx, sampler, screen, A, j0: int) -> tuple[int, int]:
-    """(events, screen survivors) among the draws j0, j0 + 1, ... with rows A.
+def _linf_count(ctx, sampler, screen, A) -> tuple[int, int]:
+    """(events, screen survivors) among the draws with rows A.
 
     Since |f| <= Mf and |h| <= Mh on the grid (Mf, Mh = |A| @ screen),
     |R0 expm1(-r f) - a h e^{-r f}| <= rho expm1(r Mf) + a Mh e^{r Mf}
     (rho = max |R0|); a draw whose bound is <= u cannot be an event.  The
-    survivors are drawn again by index, bit-identically, and decided on the
-    exact deviation field as before, so the count does not change.
+    survivors' fields are evaluated from their own rows of A, bit-identical to
+    sample_block on their draw indices, and decided on the exact deviation
+    field, so the count does not change.
     """
     M = np.abs(A) @ screen
     growth = ctx.rate * M[:, 0]
     bound = ctx.rho * np.expm1(growth) + ctx.a * M[:, 1] * np.exp(growth)
     hit = np.flatnonzero(bound > ctx.u)
-    F, H = sampler.sample_block(ctx.seed, j0 + hit)
+    F, H = sampler.evaluate(A[hit])
     dev = deviation_field(F, H, ctx.reference, ctx.a, ctx.dim, ctx.mode)
     return int((np.abs(dev.exact).max(axis=1) > ctx.u).sum()), int(hit.size)
 
@@ -276,7 +277,7 @@ def _linf_chunk(ctx, j0: int, j1: int):
     n_gaussians = ctx.screened[0][0].n_gaussians
     # looked up through the module, where profilers wrap the draw layer
     A = fields.gaussian_draw_block(ctx.seed, range(j0, j1), n_gaussians)
-    return [_linf_count(ctx, smp, screen, A, j0) for smp, screen in ctx.screened]
+    return [_linf_count(ctx, smp, screen, A) for smp, screen in ctx.screened]
 
 
 def estimate_linf(
@@ -292,7 +293,7 @@ def estimate_linf(
 ) -> ExcursionReport:
     """Fraction of samples whose max |curvature deviation| over the grid
     exceeds u, using the exact deviation field of the selected mode."""
-    if a <= 0 or u <= 0:
+    if not (a > 0 and u > 0):
         raise ValueError("a and u must be positive")
     if spec.reference_curvature is None:
         raise ValueError("deviation estimation needs the spec's reference curvature")
@@ -502,7 +503,7 @@ def sphere_p2_prediction(scheme: CoefficientScheme, a: float) -> P2Prediction:
     C1 Psi(1/a) + (C2/a) e^{-1/(2 a^2)} with C1 = 2 and C2 the normalized
     eigenvalue-weighted coefficient sum.  Hypothesis violations are attached
     as warnings, not raised: the number is still evaluable."""
-    if a <= 0:
+    if not a > 0:
         raise ValueError("amplitude must be positive")
     c, eig = _sphere_level_data(scheme)
     warnings = []

@@ -18,12 +18,13 @@ Sampling is counter-based: the Gaussian vector of draw j from seed s is
 generated by a Philox stream keyed by s with counter j * 2^128, so samples
 are reproducible and independent of scheduling or worker count.
 
-Each sampler is a column model: field = design @ (w * A) for the draws A,
-with one design column per eigenfunction at the points and per-column stds
-wf, wh.  Every second moment follows from it, so covariance_matrix is
-(D w^2) D^T over the sampler's design D; covariance_h_sphere and
-covariance_f_sphere are the closed Legendre forms on the sphere, an
-independent route to the same numbers.
+Every sampler is a LinearSampler, the column model field = design @ (w * A)
+for the draws A, with one design column per eigenfunction at the points and
+per-column stds wf, wh; the geometry subclasses only build the design.
+Every second moment follows from it, so covariance_matrix is (D w^2) D^T
+over the sampler's design D; covariance_h_sphere and covariance_f_sphere
+are the closed Legendre forms on the sphere, an independent route to the
+same numbers.
 """
 
 from __future__ import annotations
@@ -50,6 +51,7 @@ __all__ = [
     "covariance_f_sphere",
     "gaussian_draws",
     "gaussian_draw_block",
+    "LinearSampler",
     "SphereSampler",
     "TorusSampler",
     "UserSampler",
@@ -246,38 +248,29 @@ def gaussian_draw_block(seed: int, draw_indices, n: int) -> np.ndarray:
 # samplers
 
 
-def _linear_fields(A, wf, wh, design, fields):
-    """(F, H) = ((A wf) design^T, (A wh) design^T) for the draws A (B, n);
-    a field not named in `fields` is None and costs no GEMM."""
-    unknown = set(fields) - {"f", "h"}
-    if unknown:
-        raise ValueError(f"unknown fields {sorted(unknown)}; choose from 'f', 'h'")
-    F = (A * wf) @ design.T if "f" in fields else None
-    H = (A * wh) @ design.T if "h" in fields else None
-    return F, H
+class LinearSampler:
+    """The column model field = design @ (w * a) on a point set: one design
+    column per eigenfunction, with the stds wf (of f) and wh (of h) of
+    level_weights repeated by multiplicity, positive levels then negative
+    ones.  The geometry subclasses only build the design."""
 
-
-class SphereSampler:
-    """Evaluates f and h on a sphere point set."""
-
-    def __init__(self, spec: RandomFieldSpec, grid):
-        if spec.spectrum.geometry is not Geometry.SPHERE2:
-            raise ValueError("sphere sampler needs the Sphere2 geometry")
-        theta, phi, self.grid = _sphere_angles_of(grid)
-        M = spec.coefficients.truncation
-        if M < 1:
-            raise ValueError("empty coefficient scheme")
-        self.spec = spec
-        self.basis = SphereHarmonicBasis(M, theta, phi)
-        self.design = self.basis.Y
+    def __init__(self, spec: RandomFieldSpec, design: np.ndarray, grid):
+        model = spec.spectrum
         lw = level_weights(spec)
-        counts = spec.spectrum.multiplicities[:M]
-        self.wf = np.repeat(lw.alpha, counts)
-        self.wh = np.repeat(lw.beta, counts)
+        counts = np.concatenate([
+            model.multiplicities[: spec.coefficients.truncation],
+            [p[1] for p in model.negative_levels],
+        ]).astype(int)
+        self.wf = np.repeat(np.concatenate([lw.alpha, lw.neg_alpha]), counts)
+        self.wh = np.repeat(np.concatenate([lw.beta, lw.neg_beta]), counts)
+        if design.shape[1] != self.wf.size:
+            raise ValueError(f"design has {design.shape[1]} columns for {self.wf.size} weights")
+        self.design = design
+        self.grid = grid
 
     @property
     def n_points(self) -> int:
-        return self.basis.theta.size
+        return self.design.shape[0]
 
     @property
     def n_gaussians(self) -> int:
@@ -290,125 +283,84 @@ class SphereSampler:
             draw_index=draw_index,
             gaussians=a,
             grid=self.grid,
-            values_f=self.basis.Y @ (self.wf * a),
-            values_h=self.basis.Y @ (self.wh * a),
+            values_f=self.design @ (self.wf * a),
+            values_h=self.design @ (self.wh * a),
         )
 
+    def evaluate(self, A, fields=("f", "h")):
+        """(F, H) = ((A wf) design^T, (A wh) design^T) of shape (B, n_points)
+        for the draw rows A (B, n_gaussians); a field not named in `fields`
+        ("f", "h") is None and costs no GEMM."""
+        unknown = set(fields) - {"f", "h"}
+        if unknown:
+            raise ValueError(f"unknown fields {sorted(unknown)}; choose from 'f', 'h'")
+        F = (A * self.wf) @ self.design.T if "f" in fields else None
+        H = (A * self.wh) @ self.design.T if "h" in fields else None
+        return F, H
+
     def sample_block(self, seed: int, draw_indices, fields=("f", "h")):
-        """Batched evaluation: returns (F, H) arrays of shape (B, n_points).
-
-        Only the fields named in `fields` ("f", "h") are evaluated; the slot
-        of one not asked for is None.
-        """
+        """evaluate() on the block draws of draw_indices."""
         A = gaussian_draw_block(seed, np.asarray(draw_indices), self.n_gaussians)
-        return _linear_fields(A, self.wf, self.wh, self.design, fields)
+        return self.evaluate(A, fields)
 
 
-class TorusSampler:
-    """Evaluates f and h on points of the square torus [0, 2 pi)^2.
+class SphereSampler(LinearSampler):
+    """f and h on a sphere point set: the real spherical harmonics of degrees
+    1..M at the points."""
+
+    # perfbench's tracer wraps these per class, read from the class namespace
+    sample, sample_block = LinearSampler.sample, LinearSampler.sample_block
+
+    def __init__(self, spec: RandomFieldSpec, grid):
+        if spec.spectrum.geometry is not Geometry.SPHERE2:
+            raise ValueError("sphere sampler needs the Sphere2 geometry")
+        theta, phi, grid = _sphere_angles_of(grid)
+        M = spec.coefficients.truncation
+        if M < 1:
+            raise ValueError("empty coefficient scheme")
+        super().__init__(spec, SphereHarmonicBasis(M, theta, phi).Y, grid)
+
+
+class TorusSampler(LinearSampler):
+    """f and h on points of the square torus [0, 2 pi)^2.
 
     Mode columns are ordered level-major, within a level by the sorted
     half-lattice representatives, cosine before sine; all modes are the
     orthonormal cos(k.x)/(pi sqrt 2), sin(k.x)/(pi sqrt 2).
     """
 
+    # perfbench's tracer wraps these per class, read from the class namespace
+    sample, sample_block = LinearSampler.sample, LinearSampler.sample_block
+
     def __init__(self, spec: RandomFieldSpec, grid):
         if spec.spectrum.geometry is not Geometry.FLAT_TORUS2:
             raise ValueError("torus sampler needs the FlatTorus2 geometry")
-        pts, self.grid = _torus_points_of(grid)
-        model = spec.spectrum
-        M = spec.coefficients.truncation
-        self.spec = spec
+        pts, grid = _torus_points_of(grid)
         norm = 1.0 / (math.pi * math.sqrt(2.0))
         cols = []
-        for i in range(M):
-            reps = model.torus_modes[i]
+        for reps in spec.spectrum.torus_modes[: spec.coefficients.truncation]:
             phase = pts @ reps.T          # (npts, n_reps)
-            cos = np.cos(phase) * norm
-            sin = np.sin(phase) * norm
-            inter = np.empty((pts.shape[0], 2 * reps.shape[0]))
-            inter[:, 0::2] = cos
-            inter[:, 1::2] = sin
-            cols.append(inter)
-        self.design = np.concatenate(cols, axis=1)
-        lw = level_weights(spec)
-        counts = model.multiplicities[:M]
-        self.wf = np.repeat(lw.alpha, counts)
-        self.wh = np.repeat(lw.beta, counts)
-
-    @property
-    def n_points(self) -> int:
-        return self.design.shape[0]
-
-    @property
-    def n_gaussians(self) -> int:
-        return self.wf.size
-
-    def sample(self, seed: int, draw_index: int) -> FieldSample:
-        a = gaussian_draws(seed, draw_index, self.n_gaussians)
-        return FieldSample(
-            seed=seed,
-            draw_index=draw_index,
-            gaussians=a,
-            grid=self.grid,
-            values_f=self.design @ (self.wf * a),
-            values_h=self.design @ (self.wh * a),
-        )
-
-    def sample_block(self, seed: int, draw_indices, fields=("f", "h")):
-        """(F, H) of shape (B, n_points); see SphereSampler.sample_block."""
-        A = gaussian_draw_block(seed, np.asarray(draw_indices), self.n_gaussians)
-        return _linear_fields(A, self.wf, self.wh, self.design, fields)
+            cos_sin = np.stack([np.cos(phase), np.sin(phase)], axis=2)
+            cols.append(cos_sin.reshape(len(pts), -1) * norm)
+        super().__init__(spec, np.concatenate(cols, axis=1), grid)
 
 
-class UserSampler:
-    """Evaluates f and h on the stored point set of a user-supplied model."""
+class UserSampler(LinearSampler):
+    """f and h on the stored point set of a user-supplied model: its stored
+    eigenfunctions, then its negative-level ones."""
+
+    # perfbench's tracer wraps these per class, read from the class namespace
+    sample, sample_block = LinearSampler.sample, LinearSampler.sample_block
 
     def __init__(self, spec: RandomFieldSpec):
         model = spec.spectrum
         if model.geometry is not Geometry.USER_SUPPLIED:
             raise ValueError("user sampler needs a user-supplied spectrum")
-        self.spec = spec
-        lw = level_weights(spec)
-        M = spec.coefficients.truncation
-        counts = model.multiplicities[:M]
-        n_pos = int(counts.sum())
+        n_pos = int(model.multiplicities[: spec.coefficients.truncation].sum())
         design = [model.eigenfunctions[:n_pos].T]
-        wf = [np.repeat(lw.alpha, counts)]
-        wh = [np.repeat(lw.beta, counts)]
         if model.negative_levels:
-            neg_counts = np.array([p[1] for p in model.negative_levels])
             design.append(model.neg_eigenfunctions.T)
-            wf.append(np.repeat(lw.neg_alpha, neg_counts))
-            wh.append(np.repeat(lw.neg_beta, neg_counts))
-        self.design = np.concatenate(design, axis=1)
-        self.wf = np.concatenate(wf)
-        self.wh = np.concatenate(wh)
-        self.grid = model.points
-
-    @property
-    def n_points(self) -> int:
-        return self.design.shape[0]
-
-    @property
-    def n_gaussians(self) -> int:
-        return self.wf.size
-
-    def sample(self, seed: int, draw_index: int) -> FieldSample:
-        a = gaussian_draws(seed, draw_index, self.n_gaussians)
-        return FieldSample(
-            seed=seed,
-            draw_index=draw_index,
-            gaussians=a,
-            grid=self.grid,
-            values_f=self.design @ (self.wf * a),
-            values_h=self.design @ (self.wh * a),
-        )
-
-    def sample_block(self, seed: int, draw_indices, fields=("f", "h")):
-        """(F, H) of shape (B, n_points); see SphereSampler.sample_block."""
-        A = gaussian_draw_block(seed, np.asarray(draw_indices), self.n_gaussians)
-        return _linear_fields(A, self.wf, self.wh, self.design, fields)
+        super().__init__(spec, np.concatenate(design, axis=1), model.points)
 
 
 def make_sampler(spec: RandomFieldSpec, grid=None):
@@ -510,7 +462,6 @@ class VarianceSummary:
     argmax_index: int
     argmax_point: np.ndarray | None
     is_constant: bool
-    sigma2_min: float
 
 
 def _grid_points(spec: RandomFieldSpec, grid):
@@ -551,7 +502,6 @@ def variance_summary(spec: RandomFieldSpec, grid) -> VarianceSummary:
         argmax_index=imax,
         argmax_point=(None if pts is None else np.asarray(pts[imax])),
         is_constant=bool(hi - lo < 1e-10 * max(hi, 1e-300)),
-        sigma2_min=lo,
     )
 
 
@@ -630,8 +580,9 @@ def heat_variance(spectrum: SpectrumModel, T: float) -> HeatVariance:
     """sum_j e^{-lambda_j T} phi_j(x)^2, extended adaptively past any
     truncation for the built-in geometries.
 
-    On the 2-sphere and on S^4 the series is summed over at most 10^5 and
-    10^4 levels; a T too small for it to converge there raises ValueError.
+    On the 2-sphere, the flat torus and S^4 the series is summed over at
+    most 10^5, 10^6 and 10^4 levels; a T too small for it to converge there
+    raises ValueError.
     """
     if not T > 0:
         raise ValueError("diffusion time must be positive")
@@ -643,14 +594,7 @@ def heat_variance(spectrum: SpectrumModel, T: float) -> HeatVariance:
         # sum over k in Z^2 \ {0} of e^{-|k|^2 T} = theta^2 - 1 = 4 s (1 + s)
         # with theta = 1 + 2 s, s = sum_{k >= 1} e^{-k^2 T}: O(1/sqrt(T))
         # terms and no cancellation at large T
-        s = 0.0
-        k = 1
-        while True:
-            term = math.exp(-k * k * T)
-            s += term
-            if term < 1e-17 * max(s, 1e-300):
-                break
-            k += 1
+        s = _level_series(lambda k: math.exp(-k * k * T), 10**6, T)
         return HeatVariance(sup=4.0 * s * (1.0 + s) / spectrum.volume, is_constant=True)
     if g is Geometry.ROUND_SPHERE4_PANEITZ:
         from .spectral import paneitz_level_s4

@@ -64,7 +64,7 @@ def test_criterion_02_pair_covariances_match_kernel_and_brute_force():
     kernel = covariance_h_sphere(H_SPEC, distances)
 
     # independent route: direct harmonic summation over the basis columns
-    Y = sampler.basis.Y
+    Y = sampler.design
     wh_sq = sampler.wh**2
     brute = np.array([float((Y[i] * wh_sq) @ Y[j]) for i, j in pairs])
     assert np.max(np.abs(kernel - brute)) <= 1e-10

@@ -184,6 +184,14 @@ class TestP2:
         assert main(["p2", "--config", ini]) == 2
         assert "amplitudes" in capsys.readouterr().err
 
+    def test_nan_amplitude_is_a_config_error(self, tmp_path, capsys):
+        ini, out = write_ini(
+            tmp_path, "[common]\nout = {out}\n[p2]\ngrid = fibonacci:16\namplitudes = nan\n"
+        )
+        assert main(["p2", "--config", ini]) == 2
+        assert "'amplitudes'" in capsys.readouterr().err
+        assert not csvs(out)
+
     def test_worker_count_leaves_payload_identical(self, tmp_path):
         ini, out = write_ini(tmp_path)
         run_ok(["p2", "--config", ini, "--workers", "1"])
@@ -234,6 +242,17 @@ class TestLinf:
         assert row["regime_ok"] == "false"
         assert float(row["log_asymptote"]) == pytest.approx(-9.0, rel=1e-12)
         assert 0.5 <= float(row["ratio"]) <= 1.3
+
+    def test_nan_threshold_is_a_config_error(self, tmp_path, capsys):
+        ini, out = write_ini(
+            tmp_path,
+            "[common]\nout = {out}\n[linf]\ngeometry = torus\nscheme = explicit\n"
+            "values = 0.5\nreference = 0.0\ngrid = torus:8\n"
+            "amplitudes = 0.1\nthresholds = nan\n",
+        )
+        assert main(["linf", "--config", ini]) == 2
+        assert "'thresholds'" in capsys.readouterr().err
+        assert not csvs(out)
 
 
 class TestHeat:

@@ -150,6 +150,17 @@ class TestValidation:
             with pytest.raises(ValueError, match="indexing.*per_eigenfuncton"):
                 load_config("bounds", path)
 
+    @pytest.mark.parametrize("key, value", [
+        ("amplitudes", "0.1, nan"),
+        ("thresholds", "nan"),
+        ("reference", "inf"),
+        ("r0sq_pair", "1.0, nan"),
+    ])
+    def test_non_finite_number_rejected_naming_the_key(self, tmp_path, key, value):
+        path = write(tmp_path, f"[common]\n{key} = {value}\n")
+        with pytest.raises(ValueError, match=f"bad value for '{key}'.*finite"):
+            load_config("bounds", path)
+
     def test_bad_geometry_and_command(self, tmp_path):
         path = write(tmp_path, "[common]\ngeometry = klein\n")
         with pytest.raises(ValueError, match="geometry"):

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import chi2
 
-from randcurv import curvature
+from randcurv import curvature, fields
 from randcurv import excursion as ex
 from randcurv.bounds import gaussian_tail
 from randcurv.curvature import DeviationMode
@@ -234,6 +234,10 @@ class TestSphereP2Prediction:
         with pytest.raises(ValueError):
             ex.sphere_p2_prediction(make_explicit([1.0]), 0.0)
 
+    def test_rejects_nan_amplitude(self):
+        with pytest.raises(ValueError, match="positive"):
+            ex.sphere_p2_prediction(make_explicit([1.0]), math.nan)
+
 
 class TestAttainability:
     def test_degree_one_block_is_singular(self):
@@ -399,6 +403,10 @@ class TestEstimateP2:
         with pytest.raises(ValueError):
             ex.p2_curve(V_SPEC, [0.3], g, 0, 0)
 
+    def test_rejects_nan_amplitude(self):
+        with pytest.raises(ValueError, match="positive"):
+            ex.p2_curve(V_SPEC, [0.3, math.nan], fibonacci_sphere(8), 16, 0)
+
     def test_pinned_counts(self):
         # seed 2026, 4096 draws on fib256 and its refinement: exact counts
         n = 4096
@@ -479,6 +487,29 @@ class TestEstimateLinf:
             ex.estimate_linf(TORUS_SPEC, -0.01, 0.05, g, 16, 0)
         with pytest.raises(ValueError):
             ex.estimate_linf(TORUS_SPEC, 0.01, 0.0, g, 16, 0)
+
+    def test_rejects_nan_amplitude_and_threshold(self):
+        g = torus_grid(8)
+        for a, u in ((0.01, math.nan), (math.nan, 0.05)):
+            with pytest.raises(ValueError, match="positive"):
+                ex.estimate_linf(TORUS_SPEC, a, u, g, 16, 0)
+
+    @pytest.mark.parametrize("refine", [False, True])
+    def test_draws_each_chunk_once(self, monkeypatch, refine):
+        # screen survivors are evaluated from the chunk's own draws, on the
+        # grid and on its refinement alike, never drawn again
+        blocks = []
+        draw = fields.gaussian_draw_block
+
+        def counting(seed, draw_indices, n):
+            blocks.append(len(draw_indices))
+            return draw(seed, draw_indices, n)
+
+        monkeypatch.setattr(fields, "gaussian_draw_block", counting)
+        n = 2 * ex.P2_CHUNK + 100
+        r = ex.estimate_linf(TORUS_SPEC, 0.05, 0.1, torus_grid(8), n, 2026, refine=refine)
+        assert r.estimate > 0.0
+        assert blocks == [ex.P2_CHUNK, ex.P2_CHUNK, 100]
 
     def test_sphere_deviation_mode_runs(self):
         spec = RandomFieldSpec(SPHERE, SCHEME, FieldKind.H, reference_curvature=1.0)

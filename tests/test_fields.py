@@ -97,11 +97,28 @@ def test_sampler_matches_slow_reference(h_spec):
     np.testing.assert_allclose(s.values_f, ref_f, atol=1e-12)
 
 
+def test_linear_sampler_rejects_a_design_of_the_wrong_width(h_spec):
+    smp = fl.SphereSampler(h_spec, fibonacci_sphere(8))
+    with pytest.raises(ValueError, match="columns"):
+        fl.LinearSampler(h_spec, smp.design[:, 1:], smp.grid)
+
+
+def test_evaluate_on_block_draws_is_sample_block(h_spec):
+    smp = fl.SphereSampler(h_spec, fibonacci_sphere(16))
+    A = fl.gaussian_draw_block(5, range(7), smp.n_gaussians)
+    F, H = smp.evaluate(A)
+    F2, H2 = smp.sample_block(5, range(7))
+    assert np.array_equal(F, F2) and np.array_equal(H, H2)
+    assert smp.evaluate(A, fields=("h",))[0] is None
+    with pytest.raises(ValueError, match="unknown fields"):
+        smp.evaluate(A, fields=("g",))
+
+
 def test_zero_draws_give_zero_fields(h_spec):
     smp = fl.SphereSampler(h_spec, (np.array([0.7]), np.array([0.1])))
     z = np.zeros(smp.n_gaussians)
-    assert np.all(smp.basis.Y @ (smp.wf * z) == 0.0)
-    assert np.all(smp.basis.Y @ (smp.wh * z) == 0.0)
+    assert np.all(smp.design @ (smp.wf * z) == 0.0)
+    assert np.all(smp.design @ (smp.wh * z) == 0.0)
 
 
 def test_unit_variance_and_covariance_mc(h_spec):
@@ -438,6 +455,12 @@ def test_heat_variance_torus_tiny_time():
     assert fl.heat_variance(model, 1e3).sup == 0.0
     with pytest.raises(ValueError):
         fl.heat_variance(model, math.nan)
+
+
+def test_heat_variance_torus_rejects_a_time_too_small_to_converge():
+    # s = sum_{k>=1} e^{-k^2 T} needs ~6e6 terms at T = 1e-12, past the cap
+    with pytest.raises(ValueError, match="T = 1e-12"):
+        fl.heat_variance(sp.torus2_spectrum(3), 1e-12)
 
 
 def test_heat_variance_rejects_a_time_too_small_to_converge(sphere12):
