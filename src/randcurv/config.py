@@ -103,31 +103,19 @@ def _parse_pair(text: str) -> tuple[float, float]:
     return vals
 
 
+# parser per field annotation; the seed alone has its own range check
+_PARSERS = {
+    "str": str.strip,
+    "float": _parse_float,
+    "int": int,
+    "bool": _parse_bool,
+    "tuple[float, ...]": _parse_floats,
+    "tuple[float, float]": _parse_pair,
+}
 _CONVERTERS = {
-    "geometry": str.strip,
-    "scheme": str.strip,
-    "s": _parse_float,
-    "heat_time": _parse_float,
-    "truncation": int,
-    "values": _parse_floats,
-    "indexing": str.strip,
-    "reference": _parse_float,
-    "amplitude": _parse_float,
-    "amplitudes": _parse_floats,
-    "thresholds": _parse_floats,
-    "grid": str.strip,
-    "n_samples": int,
-    "seed": _parse_seed,
-    "workers": int,
-    "out": str.strip,
-    "refine": _parse_bool,
-    "n_dim": int,
-    "sigma_v": _parse_float,
-    "sigma_2": _parse_float,
-    "alpha": _parse_float,
-    "r0sq_pair": _parse_pair,
-    "lambda1_pair": _parse_pair,
-    "t_values": _parse_floats,
+    f.name: _parse_seed if f.name == "seed" else _PARSERS[f.type]
+    for f in dataclass_fields(ExperimentConfig)
+    if f.name != "command"
 }
 
 

@@ -77,7 +77,8 @@ class RandomFieldSpec:
     """A spectrum, a coefficient scheme, and which derived field is meant.
 
     reference_curvature (a constant or gridded values) is required for the
-    V and W fields; V additionally needs it nowhere zero.
+    V and W fields; V additionally needs it nowhere zero.  When given it must
+    be finite: a NaN would make every comparison against it false.
     """
 
     spectrum: SpectrumModel
@@ -93,13 +94,15 @@ class RandomFieldSpec:
             raise ValueError(
                 "negative-level scales must align with the spectrum's negative levels"
             )
-        if self.which in (FieldKind.V, FieldKind.W):
-            if self.reference_curvature is None:
+        if self.reference_curvature is None:
+            if self.which in (FieldKind.V, FieldKind.W):
                 raise ValueError(f"field {self.which.value} needs reference_curvature")
-            if self.which is FieldKind.V:
-                r = np.asarray(self.reference_curvature, dtype=float)
-                if np.any(r == 0.0):
-                    raise ValueError("v = h / R0 needs a nowhere-zero reference curvature")
+            return
+        r = np.asarray(self.reference_curvature, dtype=float)
+        if not np.all(np.isfinite(r)):
+            raise ValueError("reference_curvature must be finite everywhere")
+        if self.which is FieldKind.V and np.any(r == 0.0):
+            raise ValueError("v = h / R0 needs a nowhere-zero reference curvature")
 
     @property
     def q_mode(self) -> bool:
@@ -413,12 +416,19 @@ def covariance_matrix(spec: RandomFieldSpec, points) -> np.ndarray:
     """Covariance matrix of the selected field over the points, (D w^2) D^T
     for the sampler's design D and the field's per-column std w.
 
-    For a user-supplied model the points are indices into its stored points.
+    For a user-supplied model the points are integer indices into its
+    stored points, each in [0, n_points); anything else would alias a point.
     """
     smp = make_sampler(spec, points)
     D = smp.design
     if spec.spectrum.geometry is Geometry.USER_SUPPLIED:
-        D = D[np.asarray(points, dtype=int)]
+        try:
+            idx = [operator.index(i) for i in np.ravel(points)]
+        except TypeError:
+            raise ValueError("user-model points must be integer indices") from None
+        if not all(0 <= i < smp.n_points for i in idx):
+            raise ValueError(f"user-model point indices must lie in [0, {smp.n_points})")
+        D = D[idx]
     w = _selected(spec, smp.wf, smp.wh)
     return (D * w**2) @ D.T
 

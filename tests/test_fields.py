@@ -9,7 +9,6 @@ from randcurv import fields as fl
 from randcurv import spectral as sp
 from randcurv.fields import FieldKind, RandomFieldSpec
 from randcurv.grids import fibonacci_sphere, sphere_distance, torus_grid
-from randcurv.harmonics import SphereHarmonicBasis
 from randcurv.spectral import Geometry, Indexing
 
 
@@ -35,6 +34,19 @@ def test_spec_validation(sphere12, norm8):
         RandomFieldSpec(sphere12, norm8, FieldKind.V, reference_curvature=np.array([1.0, 0.0]))
     with pytest.raises(ValueError):
         RandomFieldSpec(sp.sphere2_spectrum(5), norm8, FieldKind.H)   # truncation 12 > 5 levels
+
+
+@pytest.mark.parametrize("which", [FieldKind.H, FieldKind.V, FieldKind.W])
+def test_spec_rejects_non_finite_reference_curvature(which):
+    # a NaN reference makes every comparison false, so estimate_linf would read 0
+    model = sp.torus2_spectrum(3)
+    sch = sp.make_explicit([0.0, 0.0, 0.5])
+    gridded = np.ones(64)
+    gridded[5] = np.nan
+    for r in (math.nan, math.inf, -math.inf, gridded):
+        with pytest.raises(ValueError, match="reference_curvature"):
+            RandomFieldSpec(model, sch, which, reference_curvature=r)
+    RandomFieldSpec(model, sch, which, reference_curvature=np.ones(64))
 
 
 def test_level_weights_sphere_conventions(sphere12, norm8):
@@ -330,12 +342,13 @@ def test_gradient_variance_closed_form_and_harmonic_sum(sphere12, norm8):
     lam = sphere12.eigenvalues
     expect = float(np.sum(norm8.values / lam))
     assert fl.gradient_variance_sphere(spec) == pytest.approx(expect, rel=1e-14)
-    # independent route: sum_k wf_k^2 |grad Y_k|^2 from the differentiated
-    # harmonics at one point
-    basis = SphereHarmonicBasis(12, np.array([1.234]), np.array([0.77]), want_gradient=True)
-    wf = np.repeat(fl.level_weights(spec).alpha, sphere12.multiplicities)
-    grad_sq = basis.dtheta[0] ** 2 + basis.dphi_over_sin[0] ** 2
-    assert float(np.sum(wf**2 * grad_sq)) == pytest.approx(expect, rel=1e-12)
+    # independent route: E|grad f|^2 = 4 (r_f(0) - r_f(delta)) / delta^2 + O(delta^2)
+    # from the Legendre covariance
+    delta = 1e-3
+    for coeffs in (norm8, sp.make_explicit([1.0]), sp.make_explicit([0.2, 0, 0.5, 0.3])):
+        s = RandomFieldSpec(sphere12, coeffs, FieldKind.F)
+        r0, rd = fl.covariance_f_sphere(s, 0.0), fl.covariance_f_sphere(s, delta)
+        assert 4 * (r0 - rd) / delta**2 == pytest.approx(fl.gradient_variance_sphere(s), rel=1e-5)
     t = sp.torus2_spectrum(2)
     with pytest.raises(ValueError):
         fl.gradient_variance_sphere(
@@ -532,6 +545,26 @@ def test_covariance_matrix_user_model_with_negative_level(dimension):
         np.testing.assert_allclose(fl.covariance_matrix(spec, idx), brute, rtol=1e-14, atol=1e-15)
         diag = fl.diagonal_variance(spec, None)
         np.testing.assert_allclose(diag[idx], np.diag(brute), rtol=1e-14)
+
+
+def test_covariance_matrix_user_model_rejects_aliasing_indices():
+    model = sp.SpectrumModel(
+        geometry=Geometry.USER_SUPPLIED,
+        dimension=2,
+        volume=1.0,
+        eigenvalues=np.array([1.0, 3.0]),
+        multiplicities=np.array([1, 1]),
+        points=np.arange(3.0)[:, None],
+        eigenfunctions=np.array([[1.0, 0.5, -0.3], [0.2, 1.5, 0.7]]),
+    )
+    spec = RandomFieldSpec(model, sp.make_explicit([0.7, 0.2], indexing=Indexing.PER_EIGENFUNCTION))
+    for bad in ([-1], [2.7], [0.5, 1.9], [3]):
+        with pytest.raises(ValueError, match="indices"):
+            fl.covariance_matrix(spec, bad)
+    K = fl.covariance_matrix(spec, np.array([2, 0]))
+    np.testing.assert_array_equal(K, fl.covariance_matrix(spec, [2, 0]))
+    # h weights -lambda * c = (-0.7, -0.6) against point 2's values (-0.3, 0.7)
+    assert K[0, 0] == pytest.approx((0.7 * 0.3) ** 2 + (0.6 * 0.7) ** 2, rel=1e-14)
 
 
 @pytest.mark.parametrize("which, r0", [(FieldKind.V, 2.0), (FieldKind.W, 1.0), (FieldKind.W, -0.7)])

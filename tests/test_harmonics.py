@@ -4,13 +4,7 @@ import numpy as np
 import pytest
 from scipy.special import eval_legendre, gammaln, lpmv
 
-from randcurv.harmonics import (
-    SphereHarmonicBasis,
-    legendre,
-    legendre_all,
-    level_slice,
-    n_columns,
-)
+from randcurv.harmonics import SphereHarmonicBasis, legendre_all, n_columns
 
 
 def oracle_pbar(m, k, x):
@@ -29,31 +23,30 @@ def random_angles():
 
 def test_legendre_against_scipy():
     t = np.linspace(-1.0, 1.0, 101)
+    table = legendre_all(40, t)
     for m in (0, 1, 2, 5, 13, 40):
-        np.testing.assert_allclose(legendre(m, t), eval_legendre(m, t), atol=1e-12)
+        np.testing.assert_allclose(table[m], eval_legendre(m, t), atol=1e-12)
 
 
 def test_legendre_bounded_and_clamped():
     t = np.linspace(-1, 1, 2001)
-    for m in range(60):
-        assert np.max(np.abs(legendre(m, t))) <= 1.0 + 1e-12
-    assert legendre(3, 1.0 + 5e-13) == pytest.approx(1.0)
+    assert np.max(np.abs(legendre_all(59, t))) <= 1.0 + 1e-12
+    assert legendre_all(3, 1.0 + 5e-13)[3, 0] == pytest.approx(1.0)
     with pytest.raises(ValueError):
-        legendre(3, 1.001)
+        legendre_all(3, 1.001)
 
 
 def test_legendre_all_matches_single():
+    # every row of the table against scipy's single-degree evaluation
     t = np.linspace(-1, 1, 17)
     table = legendre_all(12, t)
     for m in range(13):
-        np.testing.assert_allclose(table[m], legendre(m, t), atol=1e-14)
+        np.testing.assert_allclose(table[m], eval_legendre(m, t), atol=1e-14)
 
 
 def test_column_layout():
     assert n_columns(1) == 3
     assert n_columns(4) == 24
-    assert level_slice(1) == slice(0, 3)
-    assert level_slice(3) == slice(8, 15)
 
 
 def test_harmonics_match_scipy(random_angles):
@@ -85,9 +78,9 @@ def test_addition_theorem(random_angles):
     B = SphereHarmonicBasis(M, th2, ph2)
     cosd = np.sin(theta) * np.sin(th2) * np.cos(phi - ph2) + np.cos(theta) * np.cos(th2)
     for m in range(1, M + 1):
-        sl = level_slice(m)
+        sl = slice(m * m - 1, (m + 1) ** 2 - 1)
         lhs = np.sum(A.Y[:, sl] * B.Y[:, sl], axis=1)
-        rhs = (2 * m + 1) / (4 * np.pi) * legendre(m, cosd)
+        rhs = (2 * m + 1) / (4 * np.pi) * legendre_all(m, cosd)[m]
         assert np.max(np.abs(lhs - rhs)) < 1e-10
 
 
@@ -103,64 +96,3 @@ def test_orthonormality_by_quadrature():
     B = SphereHarmonicBasis(M, T.ravel(), P.ravel())
     G = B.Y.T @ (W.ravel()[:, None] * B.Y)
     np.testing.assert_allclose(G, np.eye(n_columns(M)), atol=1e-10)
-
-
-def test_gradient_matches_finite_differences(random_angles):
-    theta, phi = random_angles
-    M = 7
-    rng = np.random.default_rng(5)
-    c = rng.normal(size=n_columns(M))
-    B = SphereHarmonicBasis(M, theta, phi, want_gradient=True)
-    h = 1e-6
-
-    def f(th, ph):
-        return SphereHarmonicBasis(M, th, ph).Y @ c
-
-    fd_th = (f(theta + h, phi) - f(theta - h, phi)) / (2 * h)
-    fd_ph = (f(theta, phi + h) - f(theta, phi - h)) / (2 * h) / np.sin(theta)
-    np.testing.assert_allclose(B.dtheta @ c, fd_th, atol=2e-7)
-    np.testing.assert_allclose(B.dphi_over_sin @ c, fd_ph, atol=2e-7)
-
-
-def test_gradient_finite_and_continuous_at_poles():
-    # degree-1 field: |grad|^2 tends to (3/4pi)(c_cos^2 + c_sin^2) at the pole
-    tt = np.array([0.0, 1e-9, 1e-6, 1e-3])
-    pp = np.full_like(tt, 1.3)
-    B = SphereHarmonicBasis(1, tt, pp, want_gradient=True)
-    c = np.array([0.3, -1.2, 0.8])
-    g2 = (B.dtheta @ c) ** 2 + (B.dphi_over_sin @ c) ** 2
-    limit = 3.0 / (4 * np.pi) * (1.2**2 + 0.8**2)
-    assert np.all(np.isfinite(g2))
-    np.testing.assert_allclose(g2[:2], limit, rtol=1e-9)
-    # higher-degree combination stays finite and matches a slightly off-pole value
-    rng = np.random.default_rng(11)
-    c6 = rng.normal(size=n_columns(6))
-    near = SphereHarmonicBasis(6, np.array([1e-8, 1e-6]), np.array([0.4, 0.4]), want_gradient=True)
-    g2n = (near.dtheta @ c6) ** 2 + (near.dphi_over_sin @ c6) ** 2
-    assert np.all(np.isfinite(g2n))
-    assert g2n[0] == pytest.approx(g2n[1], rel=1e-5)
-
-
-def test_gradient_of_zonal_field_is_polar_only():
-    theta = np.linspace(0.1, np.pi - 0.1, 30)
-    phi = np.zeros_like(theta)
-    B = SphereHarmonicBasis(4, theta, phi, want_gradient=True)
-    for m in range(1, 5):
-        base = m * m - 1
-        np.testing.assert_allclose(B.dphi_over_sin[:, base], 0.0, atol=1e-14)
-
-
-def test_laplacian_eigenrelation_by_quadrature():
-    # integral of |grad Y|^2 over the sphere equals the eigenvalue m(m+1)
-    M = 5
-    nodes, weights = np.polynomial.legendre.leggauss(3 * M + 4)
-    nphi = 6 * M + 6
-    phis = np.arange(nphi) * (2 * np.pi / nphi)
-    th = np.arccos(nodes)
-    T, P = np.meshgrid(th, phis, indexing="ij")
-    W = (np.repeat(weights[:, None], nphi, axis=1) * (2 * np.pi / nphi)).ravel()
-    B = SphereHarmonicBasis(M, T.ravel(), P.ravel(), want_gradient=True)
-    for m in range(1, M + 1):
-        for j in range(m * m - 1, (m + 1) ** 2 - 1):
-            e = np.sum(W * (B.dtheta[:, j] ** 2 + B.dphi_over_sin[:, j] ** 2))
-            assert e == pytest.approx(m * (m + 1), rel=1e-9)
