@@ -18,6 +18,9 @@ import numpy as np
 __all__ = ["legendre_all", "n_columns", "SphereHarmonicBasis"]
 
 _CLAMP = 1e-12
+# points per block of the basis build: one block's transposed rows are
+# written into Y, so Y is never held twice
+_POINT_BLOCK = 2048
 
 
 def legendre_all(max_degree: int, t) -> np.ndarray:
@@ -61,14 +64,18 @@ class SphereHarmonicBasis:
         self.theta = theta
         self.phi = phi
         self.Y = np.empty((theta.size, n_columns(max_level)))
-        self._build()
+        for i in range(0, theta.size, _POINT_BLOCK):
+            block = slice(i, i + _POINT_BLOCK)
+            self.Y[block] = self._rows(theta[block], phi[block]).T
 
-    def _build(self) -> None:
+    def _rows(self, theta, phi) -> np.ndarray:
+        """Y^T at a block of points, filled one harmonic (row) at a time."""
         M = self.max_level
-        x = np.cos(self.theta)
-        sx = np.sin(self.theta)
+        x = np.cos(theta)
+        sx = np.sin(theta)
         sqrt2 = math.sqrt(2.0)
         diag = np.full(x.size, 1.0 / math.sqrt(4.0 * math.pi))   # P~_0^0
+        Yt = np.empty((n_columns(M), x.size))
 
         # one order k at a time: P~_m^k for degrees m = k..M, rows below k unused
         for k in range(M + 1):
@@ -90,11 +97,12 @@ class SphereHarmonicBasis:
 
             if k == 0:
                 for m in range(1, M + 1):
-                    self.Y[:, m * m - 1] = Pk[m]
+                    Yt[m * m - 1] = Pk[m]
                 continue
-            cos_k = np.cos(k * self.phi)
-            sin_k = np.sin(k * self.phi)
+            cos_k = np.cos(k * phi)
+            sin_k = np.sin(k * phi)
             for m in range(k, M + 1):
                 c = m * m - 1 + 2 * k - 1
-                self.Y[:, c] = sqrt2 * Pk[m] * cos_k
-                self.Y[:, c + 1] = sqrt2 * Pk[m] * sin_k
+                Yt[c] = sqrt2 * Pk[m] * cos_k
+                Yt[c + 1] = sqrt2 * Pk[m] * sin_k
+        return Yt
