@@ -39,6 +39,7 @@ from .excursion import (
 )
 from .fields import (
     FieldKind,
+    FieldSample,
     RandomFieldSpec,
     level_weights,
     make_sampler,
@@ -108,6 +109,7 @@ def _base_metadata(cfg: ExperimentConfig) -> dict:
         "scheme": cfg.scheme,
         "truncation": cfg.truncation,
         "seed": cfg.seed,
+        "rng_stream": cfg.rng_stream,
     }
 
 
@@ -163,8 +165,10 @@ def cmd_sample(cfg: ExperimentConfig) -> RunRecord:
     artifacts = []
     rows = []
     h = config_hash(cfg)
+    # n_samples <= 256 (checked in config): one block of draws
+    F, H = sampler.sample_block(cfg.seed, range(cfg.n_samples))
     for j in range(cfg.n_samples):
-        sample = sampler.sample(cfg.seed, j)
+        sample = FieldSample(cfg.seed, j, None, grid, values_f=F[j], values_h=H[j])
         curv = scalar_curvature_2d(cfg.reference, sample, cfg.amplitude)
         table = [
             [i, *coords[i], sample.values_f[i], sample.values_h[i], curv.values[i]]

@@ -4,7 +4,9 @@ INI-style files with a [common] section and one optional section per command;
 command-section keys override [common], command-line flags override the file,
 and the RANDCURV_SEED environment variable overrides everything for the seed.
 The config hash is a stable digest of the canonicalized effective settings
-(excluding workers and output directory, which do not change the numbers).
+(excluding workers and output directory, which do not change the numbers);
+they include rng_stream, the version of the random stream, which must be the
+library's own.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import math
 import os
 from dataclasses import dataclass, fields as dataclass_fields
 
+from .fields import RNG_STREAM
 from .spectral import Indexing
 
 __all__ = [
@@ -66,6 +69,8 @@ class ExperimentConfig:
     r0sq_pair: tuple[float, float] = (1.0, 0.5)
     lambda1_pair: tuple[float, float] = (2.0, 1.0)
     t_values: tuple[float, ...] = (0.01, 0.1, 1.0, 5.0, 10.0)
+    # the random stream the numbers come from; part of the hash
+    rng_stream: int = RNG_STREAM
 
 
 def _parse_bool(text: str) -> bool:
@@ -166,6 +171,10 @@ def _validate(cfg: ExperimentConfig) -> None:
     if cfg.indexing not in INDEXINGS:
         raise ValueError(
             f"indexing must be one of {', '.join(INDEXINGS)}, got {cfg.indexing!r}"
+        )
+    if cfg.rng_stream != RNG_STREAM:
+        raise ValueError(
+            f"rng_stream {cfg.rng_stream} cannot be reproduced: this version draws stream {RNG_STREAM}"
         )
     if cfg.truncation < 1:
         raise ValueError("truncation must be at least 1")

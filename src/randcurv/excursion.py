@@ -52,7 +52,8 @@ __all__ = [
     "degeneracy_check",
 ]
 
-P2_CHUNK = 2048
+# one draw block per chunk, so each column's stream is set once per chunk
+P2_CHUNK = fields.DRAW_BLOCK
 EULER_CHUNK = 256
 
 logger = logging.getLogger(__name__)
@@ -143,7 +144,8 @@ def map_chunks(kernel, ctx, n: int, chunk: int, workers: int = 1) -> list:
 
 
 def _samplers(spec, grid, refine: bool) -> list:
-    """The grid's sampler, then, if refine, the refined grid's one."""
+    """The grid's sampler, then, if refine, the refined grid's one.  A
+    gridded reference curvature must hold one value per grid point."""
     grids_ = [grid]
     if refine:
         if np.ndim(spec.reference_curvature) != 0:
@@ -154,7 +156,14 @@ def _samplers(spec, grid, refine: bool) -> list:
         if getattr(grid, "refine", None) is None:
             raise ValueError("refinement needs a structured grid with a refine() method")
         grids_.append(grid.refine())
-    return [make_sampler(spec, g) for g in grids_]
+    samplers = [make_sampler(spec, g) for g in grids_]
+    shape = np.shape(spec.reference_curvature)
+    if shape and shape != (samplers[0].n_points,):
+        raise ValueError(
+            f"a gridded reference_curvature needs shape ({samplers[0].n_points},) "
+            f"for the grid's points, got {shape}"
+        )
+    return samplers
 
 
 def _p2_chunk(ctx, j0: int, j1: int):
@@ -242,13 +251,15 @@ _SCREEN_MARGIN = 1e-12
 
 
 def _linf_screen(sampler):
-    """Columns (|wf| c, |wh| c) with c_k = max_x |design[x, k]| the grid
-    sup-norm of each design column, so |A| @ screen bounds (max |f|, max |h|)
-    of every draw row A.  They are raised by the margin; as expm1 is convex
-    through 0, that raises the deviation bound by at least the same ratio,
-    and the exponent by enough where e^{r max|f|} is large."""
-    c = np.abs(sampler.design).max(axis=0)
-    screen = np.stack([np.abs(sampler.wf) * c, np.abs(sampler.wh) * c], axis=1)
+    """Per active column the pair (|wf| c, |wh| c) with c_k = max_x
+    |design[x, k]| the grid sup-norm of the design column, so |A| @ screen
+    bounds (max |f|, max |h|) of every draw row A of the active columns.
+    They are raised by the margin; as expm1 is convex through 0, that raises
+    the deviation bound by at least the same ratio, and the exponent by
+    enough where e^{r max|f|} is large."""
+    k = sampler.active
+    c = np.abs(sampler.design).max(axis=0)[k]
+    screen = np.stack([np.abs(sampler.wf[k]) * c, np.abs(sampler.wh[k]) * c], axis=1)
     return screen * (1.0 + _SCREEN_MARGIN)
 
 
@@ -273,10 +284,10 @@ def _linf_count(ctx, sampler, screen, A) -> tuple[int, int]:
 
 def _linf_chunk(ctx, j0: int, j1: int):
     """Per sampler (coarse, then refined if asked) the chunk's (events,
-    screen survivors); both share the chunk's draws."""
-    n_gaussians = ctx.screened[0][0].n_gaussians
+    screen survivors); both share the chunk's draws of the active columns,
+    which are the same on both grids."""
     # looked up through the module, where profilers wrap the draw layer
-    A = fields.gaussian_draw_block(ctx.seed, range(j0, j1), n_gaussians)
+    A = fields.gaussian_draw_block(ctx.seed, range(j0, j1), ctx.screened[0][0].active)
     return [_linf_count(ctx, smp, screen, A) for smp, screen in ctx.screened]
 
 

@@ -14,13 +14,17 @@ variance of h).  Both reduce to the same per-harmonic (alpha, beta) pair used
 throughout this module: alpha is the f coefficient std, beta = -lambda*alpha
 the h coefficient std.
 
-Sampling is counter-based: the Gaussian vector of draw j from seed s is
-generated by a Philox stream keyed by s with counter j * 2^128, so samples
-are reproducible and independent of scheduling or worker count.
+Sampling is counter-based and addressed by column (stream RNG_STREAM = 2):
+the normal of draw j, column k and seed s is row j mod B of the B normals of
+the Philox stream keyed by s with counter words (0, b mod 2^64, k, b >> 64),
+where b = j // B and B = DRAW_BLOCK.  Draw j of seed s is therefore fixed
+whatever the chunking, the worker count or the other columns drawn, and a
+column without weight is never drawn at all.
 
 Every sampler is a LinearSampler, the column model field = design @ (w * A)
 for the draws A, with one design column per eigenfunction at the points and
-per-column stds wf, wh; the geometry subclasses only build the design.
+per-column stds wf, wh; the geometry subclasses only build the design.  Only
+its active columns (nonzero wf or wh) are drawn and evaluated.
 Every second moment follows from it, so covariance_matrix is (D w^2) D^T
 over the sampler's design D; covariance_h_sphere and covariance_f_sphere
 are the closed Legendre forms on the sphere, an independent route to the
@@ -41,6 +45,8 @@ from .harmonics import SphereHarmonicBasis, legendre_all
 from .spectral import CoefficientScheme, Geometry, Indexing, SpectrumModel
 
 __all__ = [
+    "RNG_STREAM",
+    "DRAW_BLOCK",
     "FieldKind",
     "RandomFieldSpec",
     "LevelWeights",
@@ -179,72 +185,133 @@ def _selected(spec: RandomFieldSpec, f, h):
 class FieldSample:
     """One realization: the Gaussian draws plus evaluated fields on a grid.
 
+    gaussians holds one coefficient per sampler column, 0 in the columns
+    without weight (never drawn), or None for fields taken from a block.
     Samplers fill values_f / values_h; values_gradsq (|grad f|^2) is read by
     the dimension-n curvature and filled by its callers.
     """
 
     seed: int
     draw_index: int
-    gaussians: np.ndarray
+    gaussians: np.ndarray | None
     grid: object
     values_f: np.ndarray | None = None
     values_h: np.ndarray | None = None
     values_gradsq: np.ndarray | None = None
 
 
+# version of the random stream: draw j of seed s changes only with it
+RNG_STREAM = 2
+# rows of one (block, column) Philox stream
+DRAW_BLOCK = 2048
+
 _U64 = 2**64 - 1
 
 
-def _check_stream(seed: int, draw_indices) -> None:
-    """Reject a seed outside [0, 2^64) or a draw index outside [0, 2^128).
-
-    Philox keys and counter words are unsigned: an out-of-range seed would
-    wrap onto another seed's stream and an out-of-range index would fail
-    inside numpy, differently for single and block draws.
-    """
+def _check_seed(seed) -> int:
+    """The seed as an int in [0, 2^64): Philox keys are unsigned, so an
+    out-of-range seed would wrap onto another seed's stream."""
+    seed = operator.index(seed)
     if not 0 <= seed <= _U64:
         raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
-    if draw_indices and not (min(draw_indices) >= 0 and max(draw_indices) < 2**128):
+    return seed
+
+
+def _index_array(draw_indices) -> np.ndarray:
+    """The draw indices as a 1-D integer array, each in [0, 2^128).
+
+    A range or an integer array is checked as a whole; anything else goes
+    through operator.index one value at a time, which keeps Python ints
+    beyond 64 bits (as an object array) and rejects a fractional index with
+    TypeError instead of aliasing another draw.
+    """
+    idx = draw_indices
+    if isinstance(idx, range):
+        if -(2**63) <= min(idx.start, idx.stop) and max(idx.start, idx.stop) < 2**63:
+            idx = np.arange(idx.start, idx.stop, idx.step, dtype=np.int64)
+        else:
+            idx = list(idx)
+    j = np.asarray(idx)
+    if j.size and j.dtype.kind not in "iu":
+        # Python ints beyond 64 bits, or values that are not integers
+        j = np.array([operator.index(x) for x in idx], dtype=object)
+    if j.ndim != 1:
+        raise ValueError("draw indices must form a one-dimensional sequence")
+    if not j.size:
+        return np.zeros(0, dtype=np.int64)
+    if j.min() < 0 or (j.dtype == object and j.max() >= 2**128):
         raise ValueError("draw_index must lie in [0, 2**128)")
+    return j if j.dtype == object else j.astype(np.uint64, copy=False)
 
 
-def gaussian_draws(seed: int, draw_index: int, n: int) -> np.ndarray:
-    """The canonical i.i.d. N(0,1) vector of a (seed, draw_index) pair.
+def _column_array(columns) -> np.ndarray:
+    """Column indices: range(columns) for an int, else the given integers."""
+    if np.ndim(columns) == 0:
+        return np.arange(operator.index(columns))
+    cols = np.asarray(columns)
+    if cols.ndim != 1 or (cols.size and (cols.dtype.kind not in "iu" or cols.min() < 0)):
+        raise ValueError("columns must be a count or a 1-D array of nonnegative integers")
+    return cols
 
-    Streams are spaced 2^128 Philox states apart (the counter's upper two
-    words), vastly more than one vector ever consumes, so distinct draw
-    indices can never overlap.  The seed must lie in [0, 2^64) and the draw
-    index in [0, 2^128); both must be integers (Python or numpy), so a
-    fractional value raises TypeError instead of aliasing another draw.
+
+def _draws(seed: int, j: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Stream v2 normals, shape (j.size, cols.size), for checked inputs.
+
+    One Philox bit generator, Generator and state dict serve every stream:
+    per (block, column) only counter words 1-3 change, and only the rows up
+    to the largest one the block needs are generated.  The result is the
+    transpose of a (cols.size, j.size) array, so a chunk that is the start
+    of one block is generated in place, one column at a time.
     """
-    seed, draw_index = operator.index(seed), operator.index(draw_index)
-    _check_stream(seed, [draw_index])
-    bitgen = np.random.Philox(key=seed, counter=draw_index << 128)
-    return np.random.Generator(bitgen).standard_normal(n)
-
-
-def gaussian_draw_block(seed: int, draw_indices, n: int) -> np.ndarray:
-    """Rows gaussian_draws(seed, j, n) for j in draw_indices, bit-identical.
-
-    One Philox bit generator, one Generator and one state dict serve the
-    whole block: per row only the counter words change, and the row is
-    filled in place, which is several times faster than constructing a
-    generator per draw for the short vectors the samplers consume.
-    """
-    seed = operator.index(seed)
-    idx = [operator.index(j) for j in draw_indices]
-    _check_stream(seed, idx)
+    out = np.empty((cols.size, j.size))
+    if not out.size:
+        return out.T
     bg = np.random.Philox(key=seed)
     gen = np.random.Generator(bg)
     state = bg.state  # a fresh state: zero counter, empty buffer
     counter = state["state"]["counter"]
-    out = np.empty((len(idx), n))
-    for r, j in enumerate(idx):
-        counter[2] = j & _U64
-        counter[3] = j >> 64
-        bg.state = state
-        gen.standard_normal(out=out[r])
-    return out
+    rows = (j % DRAW_BLOCK).astype(np.intp)
+    blocks = j // DRAW_BLOCK
+    # the draws grouped by block: runs of equal blocks in sorted order
+    order = np.argsort(blocks, kind="stable")
+    ordered = blocks[order]
+    for sel in np.split(order, np.flatnonzero(ordered[1:] != ordered[:-1]) + 1):
+        r = rows[sel]
+        in_place = sel.size == j.size and np.array_equal(r, np.arange(sel.size))
+        buf = out if in_place else np.empty((cols.size, int(r.max()) + 1))
+        b = int(blocks[sel[0]])
+        counter[1] = b & _U64
+        counter[3] = b >> 64
+        for c, k in enumerate(cols.tolist()):
+            counter[2] = k
+            bg.state = state
+            gen.standard_normal(out=buf[c])
+        if not in_place:
+            out[:, sel] = buf[:, r]
+    return out.T
+
+
+def gaussian_draws(seed: int, draw_index: int, columns) -> np.ndarray:
+    """The canonical N(0, 1) coefficients of a (seed, draw_index) pair in the
+    given columns (an int n means columns 0..n-1): row 0 of
+    gaussian_draw_block(seed, [draw_index], columns).
+
+    The seed must lie in [0, 2^64) and the draw index in [0, 2^128); both
+    must be integers (Python or numpy), so a fractional value raises
+    TypeError instead of aliasing another draw.
+    """
+    seed, draw_index = _check_seed(seed), operator.index(draw_index)
+    return _draws(seed, _index_array([draw_index]), _column_array(columns))[0]
+
+
+def gaussian_draw_block(seed: int, draw_indices, columns) -> np.ndarray:
+    """Rows gaussian_draws(seed, j, columns) for j in draw_indices.
+
+    Column k of draw j depends on (seed, j, k) alone, so any subset of the
+    columns equals those columns of the full draw.  A block of consecutive
+    draws inside one DRAW_BLOCK costs one Philox state set per column.
+    """
+    return _draws(_check_seed(seed), _index_array(draw_indices), _column_array(columns))
 
 
 # ---------------------------------------------------------------------------
@@ -270,6 +337,11 @@ class LinearSampler:
             raise ValueError(f"design has {design.shape[1]} columns for {self.wf.size} weights")
         self.design = design
         self.grid = grid
+        # the columns with weight, the only ones drawn and evaluated; their
+        # design is a view of the design when every column has weight
+        self.active = np.flatnonzero((self.wf != 0.0) | (self.wh != 0.0))
+        cols = slice(None) if self.active.size == self.wf.size else self.active
+        self._columns = design[:, cols], self.wf[cols], self.wh[cols]
 
     @property
     def n_points(self) -> int:
@@ -280,31 +352,31 @@ class LinearSampler:
         return self.wf.size
 
     def sample(self, seed: int, draw_index: int) -> FieldSample:
-        a = gaussian_draws(seed, draw_index, self.n_gaussians)
+        """Row 0 of sample_block(seed, [draw_index]), with its draws."""
+        A = gaussian_draw_block(seed, [draw_index], self.active)
+        F, H = self.evaluate(A)
+        a = np.zeros(self.n_gaussians)
+        a[self.active] = A[0]
         return FieldSample(
-            seed=seed,
-            draw_index=draw_index,
-            gaussians=a,
-            grid=self.grid,
-            values_f=self.design @ (self.wf * a),
-            values_h=self.design @ (self.wh * a),
+            seed=seed, draw_index=draw_index, gaussians=a, grid=self.grid,
+            values_f=F[0], values_h=H[0],
         )
 
     def evaluate(self, A, fields=("f", "h")):
         """(F, H) = ((A wf) design^T, (A wh) design^T) of shape (B, n_points)
-        for the draw rows A (B, n_gaussians); a field not named in `fields`
-        ("f", "h") is None and costs no GEMM."""
+        over the active columns, for their draw rows A (B, active.size); a
+        field not named in `fields` ("f", "h") is None and costs no GEMM."""
         unknown = set(fields) - {"f", "h"}
         if unknown:
             raise ValueError(f"unknown fields {sorted(unknown)}; choose from 'f', 'h'")
-        F = (A * self.wf) @ self.design.T if "f" in fields else None
-        H = (A * self.wh) @ self.design.T if "h" in fields else None
+        design, wf, wh = self._columns
+        F = (A * wf) @ design.T if "f" in fields else None
+        H = (A * wh) @ design.T if "h" in fields else None
         return F, H
 
     def sample_block(self, seed: int, draw_indices, fields=("f", "h")):
-        """evaluate() on the block draws of draw_indices."""
-        A = gaussian_draw_block(seed, np.asarray(draw_indices), self.n_gaussians)
-        return self.evaluate(A, fields)
+        """evaluate() on the active columns' draws of draw_indices."""
+        return self.evaluate(gaussian_draw_block(seed, draw_indices, self.active), fields)
 
 
 class SphereSampler(LinearSampler):

@@ -41,7 +41,6 @@ __all__ = [
     "make_heat_kernel",
     "make_explicit",
     "classify_regularity",
-    "zeta_direct",
     "load_spectrum_file",
     "write_spectrum_file",
 ]
@@ -284,6 +283,27 @@ def _zeta_tail(s: float, M: int) -> float:
     return M ** (1.0 - s) / (s - 1.0)
 
 
+# B_2, B_4, ..., B_16 over (2k)!: the Euler-Maclaurin corrections of _zeta
+_EM_COEFFICIENTS = tuple(
+    b / math.factorial(2 * k)
+    for k, b in enumerate((1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6, -3617 / 510), 1)
+)
+
+
+def _zeta(s: float, N: int = 10) -> float:
+    """Riemann zeta for s > 1: the terms below N, then the Euler-Maclaurin
+    tail N^(1-s)/(s-1) + N^-s/2 + sum_k B_2k/(2k)! s(s+1)...(s+2k-2) N^(1-s-2k).
+    At N = 10 the first omitted correction is below 3e-17 of the value for
+    every s > 1, so the result is within a few ulp of scipy.special.zeta."""
+    head = math.fsum(n**-s for n in range(1, N))
+    tail = [N ** (1.0 - s) / (s - 1.0), 0.5 * N**-s]
+    rising = s  # s (s+1) ... (s+2k-2)
+    for k, c in enumerate(_EM_COEFFICIENTS, 1):
+        tail.append(c * rising * N ** (1.0 - s - 2 * k))
+        rising *= (s + 2 * k - 1) * (s + 2 * k)
+    return head + math.fsum(tail)
+
+
 def _heat_tail_sphere2(T: float, M: int) -> float:
     """Tail of sum (2m+1) e^{-m(m+1) T} beyond level M (exact integral bound)."""
     return math.exp(-M * (M + 1) * T) / T
@@ -389,7 +409,7 @@ def make_sphere_normalized(
     M = int(truncation)
     if M < 1:
         raise ValueError("need at least one level")
-    K = 1.0 / zeta_direct(s)
+    K = 1.0 / _zeta(s)
     m = np.arange(1, M + 1, dtype=float)
     values = K * m ** (-s)
     tail = K * _zeta_tail(s, M)    # fraction of the unit total
@@ -509,26 +529,6 @@ def classify_regularity(
     n = spectrum.dimension
     s_eff = s if which == "f" else s - 1.0
     return s_eff > (n + k) / 2.0
-
-
-# ---------------------------------------------------------------------------
-# zeta, self-contained
-
-
-def zeta_direct(s: float, n_terms: int = 1_000_000) -> float:
-    """Riemann zeta by direct summation plus an Euler-Maclaurin tail.
-
-    Accurate to well over 12 significant digits for s >= 1.1 with the default
-    term count; the tail corrections are integral + half-term + first
-    derivative term.
-    """
-    if s <= 1.0:
-        raise ValueError("zeta summation requires s > 1")
-    N = int(n_terms)
-    m = np.arange(1, N + 1, dtype=float)
-    head = float(np.sum(m ** (-s)))
-    tail = N ** (1.0 - s) / (s - 1.0) - 0.5 * N ** (-s) + (s / 12.0) * N ** (-s - 1.0)
-    return head + tail
 
 
 # ---------------------------------------------------------------------------

@@ -8,10 +8,14 @@ import math
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
 
 from randcurv.cli import main
+from randcurv.fields import RNG_STREAM, FieldKind, RandomFieldSpec, make_sampler
+from randcurv.grids import fibonacci_sphere
 from randcurv.reports import RUN_SCHEMA, format_cell, payload_lines, read_csv
+from randcurv.spectral import make_sphere_normalized, sphere2_spectrum
 
 BASE = """
 [common]
@@ -97,6 +101,7 @@ class TestArtifacts:
         for csv_path in csvs(out):
             meta, header, rows = read_csv(csv_path)
             assert len(meta["config_hash"]) == 16
+            assert meta["rng_stream"] == str(RNG_STREAM)
             assert header and rows
         run_files = sorted(Path(out).glob("*_run.json"))
         assert len(run_files) == len(COMMANDS)
@@ -135,6 +140,20 @@ class TestSample:
         for path in csvs(out):
             for row in rows_by_header(path):
                 assert row["R1"] == "1.0"
+
+    def test_fields_are_the_samplers_draws(self, tmp_path):
+        # the command draws its fields in one block; draw j is the sampler's
+        ini, out = write_ini(tmp_path)
+        run_ok(["sample", "--config", ini])
+        spec = RandomFieldSpec(sphere2_spectrum(12), make_sphere_normalized(8.0, 12), FieldKind.H)
+        smp = make_sampler(spec, fibonacci_sphere(12))
+        paths = csvs(out)
+        assert len(paths) == 2
+        for j, path in enumerate(paths):
+            rows = rows_by_header(path)
+            s = smp.sample(7, j)
+            np.testing.assert_allclose([float(r["f"]) for r in rows], s.values_f, rtol=0, atol=1e-13)
+            np.testing.assert_allclose([float(r["h"]) for r in rows], s.values_h, rtol=0, atol=1e-12)
 
     def test_rerun_is_byte_identical(self, tmp_path):
         ini, out = write_ini(tmp_path)

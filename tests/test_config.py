@@ -17,6 +17,7 @@ from randcurv.config import (
     load_config,
     parse_grid,
 )
+from randcurv.fields import RNG_STREAM
 
 
 def write(tmp_path, text):
@@ -210,6 +211,12 @@ class TestHash:
         keys = [line.split("=", 1)[0] for line in text.splitlines()]
         assert keys == sorted(keys)
         assert "command=bounds" in text
+
+    def test_rng_stream_is_hashed_and_must_be_the_librarys(self, tmp_path):
+        # a config made under another random stream cannot reproduce its numbers
+        assert f"rng_stream={RNG_STREAM}" in canonical_text(load_config("bounds", None)).splitlines()
+        with pytest.raises(ValueError, match="rng_stream 1 cannot be reproduced"):
+            load_config("bounds", write(tmp_path, "[common]\nrng_stream = 1\n"))
 
     def test_hash_is_stable_hex(self):
         h = config_hash(ExperimentConfig(command="bounds"))

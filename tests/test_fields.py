@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import oracle_harmonic_columns, slow_sphere_field
 
@@ -383,6 +385,78 @@ def test_gaussian_draw_block_bit_identical_to_single_draws():
     )
     with pytest.raises(ValueError):
         fl.gaussian_draw_block(321, [3, -1], 7)
+
+
+def _v2_normal(seed, j, k):
+    # the stream v2 definition, one fresh generator per (block, column)
+    b = j // fl.DRAW_BLOCK
+    counter = np.array([0, b % 2**64, k, b >> 64], dtype=np.uint64)
+    gen = np.random.Generator(np.random.Philox(key=seed, counter=counter))
+    return gen.standard_normal(fl.DRAW_BLOCK)[j % fl.DRAW_BLOCK]
+
+
+def test_stream_v2_follows_its_definition():
+    assert (fl.RNG_STREAM, fl.DRAW_BLOCK) == (2, 2048)
+    for j in (0, 1, 2047, 2048, 4097, 2**64 * 2048 + 5, 2**128 - 1):
+        row = fl.gaussian_draws(7, j, 3)
+        assert row.tolist() == [_v2_normal(7, j, k) for k in range(3)]
+
+
+# draw indices near block boundaries, at the top of the range, and anywhere
+_draw_indices = st.one_of(
+    st.integers(0, 3 * 2048),
+    st.integers(2**128 - 3 * 2048, 2**128 - 1),
+    st.integers(0, 2**128 - 1),
+)
+_seeds = st.integers(0, 2**64 - 1)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=_seeds, idx=st.lists(_draw_indices, max_size=10), n=st.integers(1, 5))
+def test_block_rows_equal_single_draws(seed, idx, n):
+    B = fl.gaussian_draw_block(seed, idx, n)
+    assert B.shape == (len(idx), n)
+    for r, j in enumerate(idx):
+        assert np.array_equal(B[r], fl.gaussian_draws(seed, j, n))
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=_seeds, start=st.integers(0, 3 * 2048), length=st.integers(0, 2 * 2048))
+def test_range_and_integer_array_indices_agree(seed, start, length):
+    by_range = fl.gaussian_draw_block(seed, range(start, start + length), 2)
+    reversed_ = np.arange(start, start + length, dtype=np.uint64)[::-1]
+    assert np.array_equal(fl.gaussian_draw_block(seed, reversed_, 2)[::-1], by_range)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=_seeds,
+    idx=st.lists(_draw_indices, max_size=6),
+    cols=st.lists(st.integers(0, 9), max_size=12),
+)
+def test_column_subset_equals_those_columns_of_the_full_draw(seed, idx, cols):
+    full = fl.gaussian_draw_block(seed, idx, 10)
+    part = fl.gaussian_draw_block(seed, idx, np.array(cols, dtype=np.int64))
+    assert np.array_equal(part, full[:, cols])
+
+
+_SPARSE_TORUS = fl.TorusSampler(
+    RandomFieldSpec(sp.torus2_spectrum(3), sp.make_explicit([0.0, 0.7, 0.0]), FieldKind.H),
+    torus_grid(6),
+)
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=_seeds, j=_draw_indices)
+def test_sample_is_row_zero_of_sample_block(seed, j):
+    smp = _SPARSE_TORUS
+    assert 0 < smp.active.size < smp.n_gaussians
+    s = smp.sample(seed, j)
+    F, H = smp.sample_block(seed, [j])
+    assert np.array_equal(s.values_f, F[0]) and np.array_equal(s.values_h, H[0])
+    assert np.array_equal(s.gaussians[smp.active], fl.gaussian_draws(seed, j, smp.active))
+    # unweighted columns are never drawn
+    assert np.count_nonzero(s.gaussians) <= smp.active.size
 
 
 @pytest.mark.parametrize(
