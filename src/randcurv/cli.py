@@ -59,6 +59,11 @@ from .spectral import (
     torus2_spectrum,
 )
 
+# draws per sample_block call of the sample command: the fields held at
+# once take 512 bytes per grid point, less than a truncation-12 design
+_SAMPLE_CHUNK = 32
+
+
 def _build_spectrum(cfg: ExperimentConfig):
     if cfg.geometry == "sphere":
         return sphere2_spectrum(cfg.truncation)
@@ -165,10 +170,11 @@ def cmd_sample(cfg: ExperimentConfig) -> RunRecord:
     artifacts = []
     rows = []
     h = config_hash(cfg)
-    # n_samples <= 256 (checked in config): one block of draws
-    F, H = sampler.sample_block(cfg.seed, range(cfg.n_samples))
     for j in range(cfg.n_samples):
-        sample = FieldSample(cfg.seed, j, None, grid, values_f=F[j], values_h=H[j])
+        r = j % _SAMPLE_CHUNK
+        if r == 0:
+            F, H = sampler.sample_block(cfg.seed, range(j, min(j + _SAMPLE_CHUNK, cfg.n_samples)))
+        sample = FieldSample(cfg.seed, j, None, grid, values_f=F[r], values_h=H[r])
         curv = scalar_curvature_2d(cfg.reference, sample, cfg.amplitude)
         table = [
             [i, *coords[i], sample.values_f[i], sample.values_h[i], curv.values[i]]

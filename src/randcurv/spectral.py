@@ -290,11 +290,12 @@ _EM_COEFFICIENTS = tuple(
 )
 
 
-def _zeta(s: float, N: int = 10) -> float:
-    """Riemann zeta for s > 1: the terms below N, then the Euler-Maclaurin
+def _zeta(s: float) -> float:
+    """Riemann zeta for s > 1: the terms below N = 10, then the Euler-Maclaurin
     tail N^(1-s)/(s-1) + N^-s/2 + sum_k B_2k/(2k)! s(s+1)...(s+2k-2) N^(1-s-2k).
-    At N = 10 the first omitted correction is below 3e-17 of the value for
-    every s > 1, so the result is within a few ulp of scipy.special.zeta."""
+    The first omitted correction is below 3e-17 of the value for every s > 1,
+    so the result is within a few ulp of scipy.special.zeta."""
+    N = 10
     head = math.fsum(n**-s for n in range(1, N))
     tail = [N ** (1.0 - s) / (s - 1.0), 0.5 * N**-s]
     rising = s  # s (s+1) ... (s+2k-2)

@@ -142,13 +142,14 @@ class TestSample:
                 assert row["R1"] == "1.0"
 
     def test_fields_are_the_samplers_draws(self, tmp_path):
-        # the command draws its fields in one block; draw j is the sampler's
-        ini, out = write_ini(tmp_path)
+        # the command draws its fields in blocks of draws; draw j is the
+        # sampler's, across the block boundary too
+        ini, out = write_ini(tmp_path, BASE.replace("n_samples = 2\n", "n_samples = 40\n"))
         run_ok(["sample", "--config", ini])
         spec = RandomFieldSpec(sphere2_spectrum(12), make_sphere_normalized(8.0, 12), FieldKind.H)
         smp = make_sampler(spec, fibonacci_sphere(12))
         paths = csvs(out)
-        assert len(paths) == 2
+        assert len(paths) == 40
         for j, path in enumerate(paths):
             rows = rows_by_header(path)
             s = smp.sample(7, j)

@@ -514,8 +514,8 @@ class TestEstimateLinf:
 
     @pytest.mark.parametrize("shape", [(10,), (8, 8), (1,)])
     def test_gridded_reference_of_the_wrong_shape_rejected_before_any_draw(self, monkeypatch, shape):
-        # it used to fail in the chunk kernel on a broadcast, or, with one
-        # value, to be taken for a constant
+        # unchecked, one value would broadcast as a constant and any other
+        # size would fail inside the chunk kernel
         def no_draws(*args):
             raise AssertionError("drew samples for a reference it rejects")
 
