@@ -349,45 +349,59 @@ def estimate_linf(
 
 
 def _closed_triangulation(grid):
-    """Faces and edges of the grid, after checking every edge lies in exactly
-    two faces (closed manifold); raises otherwise.  Edges are the sorted
-    unique (lo, hi) vertex pairs of grids.face_edges."""
+    """The grid's faces with each row's vertex indices sorted, after checking
+    they are an integer (F, 3) array of indices in [0, grid.n_points) and
+    every edge lies in exactly two faces (closed manifold); raises
+    otherwise."""
     faces = getattr(grid, "faces", None)
     if faces is None:
         raise ValueError("Euler counting needs a triangulated grid with faces")
-    edges, counts = face_edges(faces)
+    faces = np.asarray(faces)
+    if faces.ndim != 2 or faces.shape[1] != 3 or faces.shape[0] == 0 or faces.dtype.kind not in "iu":
+        raise ValueError(f"faces must be a nonempty integer (F, 3) array, got {faces.dtype} {faces.shape}")
+    if faces.min() < 0 or faces.max() >= grid.n_points:
+        raise ValueError(f"faces hold vertex indices outside [0, {grid.n_points})")
+    faces = np.sort(faces, axis=1)
+    _, counts = face_edges(faces)
     if np.any(counts != 2):
         raise ValueError("triangulation is not a closed manifold: an edge is not shared by exactly 2 faces")
-    return faces, edges
+    return faces
 
 
-def _euler_counts(values: np.ndarray, thresholds: np.ndarray, faces, edges) -> np.ndarray:
+def _euler_counts(values: np.ndarray, thresholds: np.ndarray, faces) -> np.ndarray:
     """Euler characteristics chi[b, k] = #V - #E + #F of {values[b] >= thresholds[k]}
-    for a block of vertex values (B, n_vertices) on a closed triangulation.
+    for a block of vertex values (B, n_vertices) on a closed triangulation
+    whose face rows are sorted (_closed_triangulation).
 
-    A cell lies in {h >= u} iff its lowest vertex value is >= u, so
-    chi(u) = sum over vertices v with h(v) >= u of
-    c(v) = 1 - #edges whose lowest vertex is v + #faces whose lowest vertex is v
-    (Banchoff's critical-point form for PL functions).  Of tied lowest
-    vertices one takes the cell; inclusion depends only on the shared value,
-    so no count changes.  c(v) is built once per sample, and only the few
-    vertices with c(v) != 0 (the PL critical points) meet the thresholds.
+    Order the vertices by (value, index).  A cell lies in {h >= u} iff its
+    lowest vertex value is >= u, so chi(u) = sum over vertices v with
+    h(v) >= u of c(v) = 1 - #edges lowest at v + #faces lowest at v
+    (Banchoff's critical-point form for PL functions).  The link of v is a
+    disjoint union of cycles, as every edge lies in two faces; call a
+    neighbour upper when it comes after v.  On each cycle, #upper vertices -
+    #upper edges is the number of upper arcs: half the upper/lower switches,
+    and 0 on an all-upper or all-lower cycle.  Neighbours p, q switch exactly
+    when v is the middle vertex of the face (v, p, q), so
+    c(v) = 1 - mid(v) / 2 with mid(v) the number of faces whose middle vertex
+    is v.  With f0 < f1 < f2 the tests a_i <= a_j break ties by index.
+    mid(v) is counted once per sample, and only the few vertices with
+    mid(v) != 2 (the PL critical points) meet the thresholds.
     Values and thresholds must be finite: a NaN would be mis-attributed.
     """
     B, n_vertices = values.shape
-    e0, e1 = np.ascontiguousarray(edges.T)
     f0, f1, f2 = np.ascontiguousarray(faces.T)
     rows, levels, weights = [], [], []
     for b, h in enumerate(values):
-        edge_low = np.where(h[e0] <= h[e1], e0, e1)
         a0, a1, a2 = h[f0], h[f1], h[f2]
-        face_low = np.where(np.minimum(a0, a1) <= a2, np.where(a0 <= a1, f0, f1), f2)
-        # c(v) - 1
-        c = np.bincount(face_low, minlength=n_vertices) - np.bincount(edge_low, minlength=n_vertices)
-        crit = np.flatnonzero(c != -1)
+        lt01 = a0 <= a1
+        lt02 = a0 <= a2
+        lt12 = a1 <= a2
+        mid = np.where(lt01 != lt02, f0, np.where(lt01 == lt12, f1, f2))
+        k = np.bincount(mid, minlength=n_vertices)
+        crit = np.flatnonzero(k != 2)
         rows.append(np.full(crit.size, b))
         levels.append(h[crit])
-        weights.append(c[crit] + 1)
+        weights.append(1 - k[crit] // 2)
     # a critical vertex at level h counts toward every threshold <= h: bin it
     # by the number of sorted thresholds <= h, then sum the bins from the top
     order = np.argsort(thresholds, kind="stable")
@@ -405,19 +419,19 @@ def empirical_euler(grid, values, u: float) -> int:
     triangulation: the vertices, edges and faces whose every vertex value is
     >= u (a vertex exactly at u is included).  Non-finite values or a
     non-finite u are rejected."""
-    faces, edges = _closed_triangulation(grid)
+    faces = _closed_triangulation(grid)
     vals = np.asarray(values, dtype=float).ravel()
     if vals.size != grid.n_points:
         raise ValueError("values must cover every grid vertex")
     if not (np.all(np.isfinite(vals)) and math.isfinite(u)):
         raise ValueError("vertex values and the threshold must be finite")
-    return int(_euler_counts(vals[None, :], np.array([u], dtype=float), faces, edges)[0, 0])
+    return int(_euler_counts(vals[None, :], np.array([u], dtype=float), faces)[0, 0])
 
 
 def _euler_chunk(ctx, j0: int, j1: int):
     """Per threshold, the chunk's sums of chi and chi^2."""
     _, H = ctx.sampler.sample_block(ctx.seed, range(j0, j1), fields=("h",))
-    chi = _euler_counts(H, ctx.thresholds, *ctx.triangulation)
+    chi = _euler_counts(H, ctx.thresholds, ctx.faces)
     return chi.sum(axis=0), (chi * chi).sum(axis=0)
 
 
@@ -445,7 +459,7 @@ def euler_curve(
     L2 = SPHERE2_VOLUME * at_metric_constant(spec.coefficients)
     predicted = np.array([predicted_euler(spec.coefficients, u) for u in ts])
     ctx = SimpleNamespace(
-        sampler=make_sampler(spec, grid), triangulation=_closed_triangulation(grid),
+        sampler=make_sampler(spec, grid), faces=_closed_triangulation(grid),
         thresholds=ts, seed=int(seed),
     )
     results = map_chunks(_euler_chunk, ctx, n, EULER_CHUNK, workers)

@@ -25,7 +25,7 @@ from randcurv.fields import (
     gaussian_draw_block,
     make_sampler,
 )
-from randcurv.grids import fibonacci_sphere, icosphere, torus_grid
+from randcurv.grids import face_edges, fibonacci_sphere, icosphere, torus_grid
 from randcurv.spectral import (
     Geometry,
     Indexing,
@@ -48,6 +48,29 @@ def octahedron():
         dtype=np.int64,
     )
     return SimpleNamespace(faces=faces, n_points=6)
+
+
+def torus_5x4():
+    # a 5 x 4 vertex lattice with periodic wrap, each square cut in two: genus 1
+    idx = lambda i, j: (i % 5) * 4 + j % 4
+    faces = []
+    for i in range(5):
+        for j in range(4):
+            faces += [[idx(i, j), idx(i + 1, j), idx(i + 1, j + 1)],
+                      [idx(i, j), idx(i + 1, j + 1), idx(i, j + 1)]]
+    return SimpleNamespace(faces=np.array(faces, dtype=np.int64), n_points=20)
+
+
+def suspended_12gon():
+    # a 12-cycle coned to two apexes 12 and 13: each apex has degree 12
+    faces = [[i, (i + 1) % 12, apex] for apex in (12, 13) for i in range(12)]
+    return SimpleNamespace(faces=np.array(faces, dtype=np.int64), n_points=14)
+
+
+def octahedra_glued_at_a_vertex():
+    # two octahedra sharing vertex 0, whose link is two 4-cycles
+    second = np.array([0, 6, 7, 8, 9, 10])[octahedron().faces]
+    return SimpleNamespace(faces=np.concatenate([octahedron().faces, second]), n_points=11)
 
 
 def brute_chi(faces, mask):
@@ -118,19 +141,59 @@ class TestEmpiricalEuler:
     def test_critical_vertex_counts_match_brute_force(self, g, seed, thresholds):
         # small integer values force ties between vertices and with thresholds;
         # thresholds come unsorted, repeated and equal to vertex values
-        faces, edges = ex._closed_triangulation(g)
+        faces = ex._closed_triangulation(g)
         values = np.random.default_rng(seed).integers(-2, 3, size=(3, g.n_points)).astype(float)
         ts = np.array(thresholds)
-        got = ex._euler_counts(values, ts, faces, edges)
+        got = ex._euler_counts(values, ts, faces)
         for b, h in enumerate(values):
             expect = [brute_chi(g.faces, h >= u) for u in ts]
             assert got[b].tolist() == expect
             assert [ex.empirical_euler(g, h, u) for u in ts] == expect
 
+    @pytest.mark.parametrize(
+        "g, chi",
+        [(torus_5x4(), 0), (suspended_12gon(), 2), (octahedra_glued_at_a_vertex(), 3)],
+        ids=["torus", "suspension", "glued"],
+    )
+    def test_other_topologies_match_brute_force(self, g, chi):
+        # the middle-vertex weight must hold on every closed triangulation:
+        # genus 1, a vertex of degree 12, a vertex whose link is two cycles
+        faces = ex._closed_triangulation(g)
+        assert ex.empirical_euler(g, np.zeros(g.n_points), 0.0) == chi
+        rng = np.random.default_rng(20261018)
+        for values in (
+            rng.integers(-2, 3, size=(8, g.n_points)).astype(float),
+            rng.standard_normal((8, g.n_points)),
+        ):
+            # unsorted thresholds, some equal to vertex values
+            ts = np.concatenate([[1.0, -1.0, 0.0, 2.0, -3.0], values[0, :4]])
+            got = ex._euler_counts(values, ts, faces)
+            for b, h in enumerate(values):
+                assert got[b].tolist() == [brute_chi(g.faces, h >= u) for u in ts]
+
     def test_closed_triangulation_edges_are_sorted_unique_pairs(self):
+        # the kernel reads only the row-sorted faces; their edges are the grid's
         g = icosphere(3)
-        _, edges = ex._closed_triangulation(g)
+        faces = ex._closed_triangulation(g)
+        assert np.array_equal(faces, np.sort(g.faces, axis=1))
+        edges, counts = face_edges(faces)
         assert np.array_equal(edges, g.edges)
+        assert np.all(counts == 2)
+
+    @pytest.mark.parametrize(
+        "faces",
+        [
+            np.vstack([octahedron().faces[:-1], [[0, 3, -1]]]),
+            np.vstack([octahedron().faces[:-1], [[0, 3, 6]]]),
+            octahedron().faces.astype(float),
+            octahedron().faces[:, :2],
+            octahedron().faces.ravel(),
+        ],
+        ids=["index-minus-one", "index-n-points", "float", "two-columns", "flat"],
+    )
+    def test_malformed_faces_rejected(self, faces):
+        with pytest.raises(ValueError, match="faces"):
+            ex.empirical_euler(SimpleNamespace(faces=faces, n_points=6), np.ones(6), 0.5)
 
     def test_open_triangulation_rejected(self):
         g = octahedron()
