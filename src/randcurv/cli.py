@@ -46,7 +46,7 @@ from .fields import (
     variance_summary,
 )
 from .grids import fibonacci_sphere, icosphere, torus_grid
-from .reports import RunRecord, write_csv, write_run_json
+from .reports import RunRecord, format_column, write_csv, write_run_json
 from .spectral import (
     SPHERE2_VOLUME,
     Indexing,
@@ -122,6 +122,11 @@ def _artifact(cfg: ExperimentConfig, stem: str) -> Path:
     return Path(cfg.out) / f"{stem}_{config_hash(cfg)}.csv"
 
 
+def _columns(table) -> list[list[str]]:
+    """The formatted CSV columns of a table given as rows."""
+    return [format_column(column) for column in zip(*table, strict=True)]
+
+
 def _rows(header, table) -> list[dict]:
     """Run-JSON rows of a CSV table: one {column: value} dict per row."""
     return [dict(zip(header, row)) for row in table]
@@ -167,6 +172,11 @@ def cmd_sample(cfg: ExperimentConfig) -> RunRecord:
             meta["lk_l2"] = SPHERE2_VOLUME * at_c
         meta["sigma_h"] = math.sqrt(variance_summary(spec, grid).sigma2_sup)
     header = ["index", *coord_names, "f", "h", "R1"]
+    # the index and coordinate columns are the same in every draw's file
+    grid_columns = [
+        format_column(np.arange(sampler.n_points)),
+        *(format_column(c) for c in coords.T),
+    ]
     artifacts = []
     rows = []
     h = config_hash(cfg)
@@ -176,12 +186,9 @@ def cmd_sample(cfg: ExperimentConfig) -> RunRecord:
             F, H = sampler.sample_block(cfg.seed, range(j, min(j + _SAMPLE_CHUNK, cfg.n_samples)))
         sample = FieldSample(cfg.seed, j, None, grid, values_f=F[r], values_h=H[r])
         curv = scalar_curvature_2d(cfg.reference, sample, cfg.amplitude)
-        table = [
-            [i, *coords[i], sample.values_f[i], sample.values_h[i], curv.values[i]]
-            for i in range(sampler.n_points)
-        ]
+        columns = [*grid_columns, format_column(F[r]), format_column(H[r]), format_column(curv.values)]
         path = Path(cfg.out) / f"sample_{h}_d{j:04d}.csv"
-        artifacts.append(write_csv(path, {**meta, "draw_index": j}, header, table))
+        artifacts.append(write_csv(path, {**meta, "draw_index": j}, header, columns))
         rows.append(
             {
                 "draw_index": j,
@@ -239,7 +246,7 @@ def cmd_p2(cfg: ExperimentConfig) -> RunRecord:
             [a, report.threshold, report.estimate, report.standard_error,
              prediction, lower, upper, report.refinement_delta, warnings]
         )
-    path = write_csv(_artifact(cfg, "p2"), meta, header, table)
+    path = write_csv(_artifact(cfg, "p2"), meta, header, _columns(table))
     return _finish(cfg, _rows(header, table), [path])
 
 
@@ -267,7 +274,7 @@ def cmd_euler(cfg: ExperimentConfig) -> RunRecord:
             curve.thresholds, curve.empirical_mean, curve.empirical_se, curve.predicted
         )
     ]
-    path = write_csv(_artifact(cfg, "euler"), meta, header, table)
+    path = write_csv(_artifact(cfg, "euler"), meta, header, _columns(table))
     return _finish(cfg, _rows(header, table), [path])
 
 
@@ -305,7 +312,7 @@ def cmd_linf(cfg: ExperimentConfig) -> RunRecord:
             [u, a, u / a, report.estimate, report.standard_error,
              log_estimate, asymptote, ratio, regime, report.refinement_delta]
         )
-    path = write_csv(_artifact(cfg, "linf"), meta, header, table)
+    path = write_csv(_artifact(cfg, "linf"), meta, header, _columns(table))
     return _finish(cfg, _rows(header, table), [path])
 
 
@@ -332,7 +339,7 @@ def cmd_heat(cfg: ExperimentConfig) -> RunRecord:
         table.append(
             [T, sigma2, small, sigma2 / small, F, asymptote, sigma2 / asymptote]
         )
-    path = write_csv(_artifact(cfg, "heat"), meta, header, table)
+    path = write_csv(_artifact(cfg, "heat"), meta, header, _columns(table))
     return _finish(cfg, _rows(header, table), [path])
 
 
@@ -357,7 +364,7 @@ def cmd_bounds(cfg: ExperimentConfig) -> RunRecord:
          None, None, None, None, None, None, negative],
     ]
     constants_path = write_csv(
-        _artifact(cfg, "bounds_constants"), meta, constants_header, constants_rows
+        _artifact(cfg, "bounds_constants"), meta, constants_header, _columns(constants_rows)
     )
 
     compare_header = ["regime", "input_a", "input_b", "larger_p2"]
@@ -366,7 +373,7 @@ def cmd_bounds(cfg: ExperimentConfig) -> RunRecord:
         ["large_T", *cfg.lambda1_pair, bounds.compare_large_T(*cfg.lambda1_pair).value],
     ]
     compare_path = write_csv(
-        _artifact(cfg, "bounds_compare"), meta, compare_header, compare_rows
+        _artifact(cfg, "bounds_compare"), meta, compare_header, _columns(compare_rows)
     )
 
     limits_header = ["a", "lower", "upper", "a2_log_lower", "a2_log_upper", "limit"]
@@ -376,7 +383,7 @@ def cmd_bounds(cfg: ExperimentConfig) -> RunRecord:
         lo_diag, up_diag, limit = bounds.p2_log_diagnostics(a, sv, 1.0, 1.0)
         limits_rows.append([a, lower, upper, lo_diag, up_diag, limit])
     limits_path = write_csv(
-        _artifact(cfg, "bounds_limits"), meta, limits_header, limits_rows
+        _artifact(cfg, "bounds_limits"), meta, limits_header, _columns(limits_rows)
     )
 
     rows = (
@@ -411,7 +418,7 @@ def cmd_qsign(cfg: ExperimentConfig) -> RunRecord:
         lower, upper = bounds.q_sign_bounds(a, sigma_v)
         lo_diag, up_diag, limit = bounds.p2_log_diagnostics(a, sigma_v, 1.0, 1.0)
         table.append([a, lower, upper, lo_diag, up_diag, limit])
-    path = write_csv(_artifact(cfg, "qsign"), meta, header, table)
+    path = write_csv(_artifact(cfg, "qsign"), meta, header, _columns(table))
     return _finish(cfg, _rows(header, table), [path])
 
 

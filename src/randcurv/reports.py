@@ -2,8 +2,13 @@
 
 CSV files carry '#'-prefixed metadata lines (config hash first), then a
 header row, then comma-separated data rows; floats are written with repr so
-reading them back is lossless.  Each run also emits one JSON summary object
-with the command, config hash, canonical config text, and every table row.
+reading them back is lossless.  Tables are written column by column: each
+column is formatted once (format_column) and the rows are joined from the
+formatted columns.  A float64 column's cells are repr of the Python float,
+the same text format_cell gives each value, so the bytes do not depend on
+whether a table arrives as rows of scalars or as arrays.  Each run also emits
+one JSON summary object with the command, config hash, canonical config text,
+and every table row.
 """
 
 from __future__ import annotations
@@ -12,10 +17,13 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
 __all__ = [
     "RunRecord",
     "RUN_SCHEMA",
     "format_cell",
+    "format_column",
     "write_csv",
     "read_csv",
     "payload_lines",
@@ -62,7 +70,7 @@ RUN_SCHEMA = {
 def format_cell(value) -> str:
     if value is None:
         return ""
-    if isinstance(value, bool):
+    if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
     if isinstance(value, float):
         # float() strips numpy scalar wrappers so repr stays plain
@@ -74,15 +82,29 @@ def format_cell(value) -> str:
     return text.replace(",", ";").replace("\n", " ")
 
 
-def write_csv(path, metadata: dict, header, rows) -> str:
-    """Write one table; metadata keys become '# key=value' lines above the
-    header.  Returns the path as a string."""
+def format_column(values) -> list[str]:
+    """[format_cell(v) for v in values], with the same strings made in bulk
+    for float64 and integer arrays.  Only float64 takes the repr path: a
+    float32 cell is formatted as its own shortest text, not its double's."""
+    if isinstance(values, np.ndarray):
+        if values.dtype == np.float64:
+            return list(map(repr, values.tolist()))
+        if values.dtype.kind in "iu":
+            return list(map(str, values.tolist()))
+    return [format_cell(v) for v in values]
+
+
+def write_csv(path, metadata: dict, header, columns) -> str:
+    """Write one table from its formatted columns (format_column), one per
+    header name; metadata keys become '# key=value' lines above the header.
+    Returns the path as a string."""
+    if len(columns) != len(header):
+        raise ValueError("column count does not match the header width")
+    if len({len(column) for column in columns}) > 1:
+        raise ValueError("ragged columns: some rows would not match the header width")
     lines = [f"# {key}={format_cell(value)}" for key, value in metadata.items()]
     lines.append(",".join(header))
-    for row in rows:
-        if len(row) != len(header):
-            raise ValueError("row width does not match the header")
-        lines.append(",".join(format_cell(cell) for cell in row))
+    lines.extend(map(",".join, zip(*columns)))
     p = Path(path)
     p.parent.mkdir(parents=True, exist_ok=True)
     p.write_text("\n".join(lines) + "\n")

@@ -3,6 +3,7 @@ summaries validate against the schema, reruns are byte-identical, and the
 documented row-level checks (sandwich, asymptote ratios, endpoint exactness)
 hold."""
 
+import hashlib
 import json
 import math
 from pathlib import Path
@@ -166,6 +167,23 @@ class TestSample:
         assert [p.name for p in first] == [p.name for p in second]
         for a, b in zip(first, second):
             assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("workers", [1, 8])
+    def test_payload_digest_is_pinned(self, tmp_path, monkeypatch, workers):
+        # the benchmark's pinned sample-cli run: two draws on fib1024
+        monkeypatch.delenv("RANDCURV_SEED", raising=False)
+        ini, out = write_ini(
+            tmp_path,
+            "[common]\ngeometry = sphere\nscheme = normalized\ns = 8.0\ntruncation = 12\n"
+            "[sample]\ngrid = fibonacci:1024\namplitude = 0.25\nn_samples = 2\n",
+        )
+        run_ok(["sample", "--config", ini, "--seed", "2026", "--workers", str(workers), "--out", str(out)])
+        paths = csvs(out)
+        assert len(paths) == 2
+        digest = hashlib.sha256()
+        for path in paths:
+            digest.update("\n".join(payload_lines(path)).encode())
+        assert digest.hexdigest() == "98c14d21a0b2c5c6bd359f67d5e948b461cdc608c21801409ed98fea16c938ff"
 
     def test_s4_has_no_sampler(self, tmp_path, capsys):
         text = BASE.replace("[sample]\ngrid", "[sample]\ngeometry = s4\ngrid")

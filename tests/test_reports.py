@@ -6,11 +6,15 @@ import json
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from randcurv.reports import (
     RUN_SCHEMA,
     RunRecord,
     format_cell,
+    format_column,
     payload_lines,
     read_csv,
     write_csv,
@@ -36,6 +40,57 @@ class TestFormatCell:
     def test_strings_lose_separators(self):
         assert format_cell("a, b\nc") == "a; b c"
 
+    def test_numpy_bools_are_plain_bools(self):
+        # a bool cell's text does not depend on its container
+        assert format_cell(np.bool_(True)) == "true"
+        assert format_cell(np.bool_(False)) == "false"
+        assert format_column(np.array([True, False])) == ["true", "false"]
+
+
+_SIZES = st.integers(0, 40)
+_SPECIAL_FLOATS = st.sampled_from(
+    [float("nan"), float("inf"), float("-inf"), -0.0, 5e-324, 1e300]
+)
+
+
+class TestFormatColumn:
+    # format_column is format_cell applied cell by cell, whatever the
+    # container: the CSV bytes must not depend on its fast paths
+
+    @given(arrays(np.float64, _SIZES, elements=st.floats() | _SPECIAL_FLOATS))
+    @example(np.array([np.nan, np.inf, -np.inf, -0.0, 5e-324, 1e300]))
+    def test_float64(self, col):
+        assert format_column(col) == [format_cell(v) for v in col]
+
+    @given(
+        st.one_of(
+            arrays(np.float32, _SIZES, elements=st.floats(width=32)),
+            arrays(np.int64, _SIZES),
+            arrays(np.uint8, _SIZES),
+            arrays(np.bool_, _SIZES),
+        )
+    )
+    @example(np.array([0.1], dtype=np.float32))
+    def test_other_dtypes(self, col):
+        assert format_column(col) == [format_cell(v) for v in col]
+
+    @given(
+        st.lists(
+            st.none()
+            | st.text()
+            | st.text(alphabet="a,\n")
+            | st.booleans()
+            | st.integers()
+            | st.floats()
+        )
+    )
+    @example([None, "a, b\nc", True, 7, 0.1, float("nan")])
+    def test_mixed_lists(self, col):
+        assert format_column(col) == [format_cell(v) for v in col]
+
+    def test_float32_keeps_its_own_digits(self):
+        assert format_column(np.array([0.1], dtype=np.float32)) == ["0.1"]
+
 
 class TestCsv:
     def test_round_trip(self, tmp_path):
@@ -43,7 +98,7 @@ class TestCsv:
         meta = {"config_hash": "ab" * 8, "sigma": 1.2345678901234567}
         header = ["a", "value", "note"]
         rows = [[0.1, 1e-300, "ok"], [0.2, None, ""]]
-        write_csv(path, meta, header, rows)
+        write_csv(path, meta, header, [format_column(col) for col in zip(*rows)])
         got_meta, got_header, got_rows = read_csv(path)
         assert got_meta["config_hash"] == "ab" * 8
         assert float(got_meta["sigma"]) == 1.2345678901234567
@@ -53,11 +108,16 @@ class TestCsv:
 
     def test_width_mismatch_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="width"):
-            write_csv(tmp_path / "t.csv", {}, ["a", "b"], [[1.0]])
+            write_csv(tmp_path / "t.csv", {}, ["a", "b"], [format_column([1.0])])
+
+    def test_ragged_columns_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="width"):
+            write_csv(tmp_path / "t.csv", {}, ["a", "b"], [["1.0", "2.0"], ["3.0"]])
+        assert not (tmp_path / "t.csv").exists()
 
     def test_payload_excludes_metadata(self, tmp_path):
         path = tmp_path / "t.csv"
-        write_csv(path, {"k": "v"}, ["a"], [[1.0]])
+        write_csv(path, {"k": "v"}, ["a"], [format_column([1.0])])
         lines = payload_lines(path)
         assert lines == ["a", "1.0"]
 
