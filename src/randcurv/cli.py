@@ -39,7 +39,6 @@ from .excursion import (
 )
 from .fields import (
     FieldKind,
-    FieldSample,
     RandomFieldSpec,
     level_weights,
     make_sampler,
@@ -184,18 +183,17 @@ def cmd_sample(cfg: ExperimentConfig) -> RunRecord:
         r = j % _SAMPLE_CHUNK
         if r == 0:
             F, H = sampler.sample_block(cfg.seed, range(j, min(j + _SAMPLE_CHUNK, cfg.n_samples)))
-        sample = FieldSample(cfg.seed, j, None, grid, values_f=F[r], values_h=H[r])
-        curv = scalar_curvature_2d(cfg.reference, sample, cfg.amplitude)
-        columns = [*grid_columns, format_column(F[r]), format_column(H[r]), format_column(curv.values)]
+        R1 = scalar_curvature_2d(cfg.reference, F[r], H[r], cfg.amplitude)
+        columns = [*grid_columns, format_column(F[r]), format_column(H[r]), format_column(R1)]
         path = Path(cfg.out) / f"sample_{h}_d{j:04d}.csv"
         artifacts.append(write_csv(path, {**meta, "draw_index": j}, header, columns))
         rows.append(
             {
                 "draw_index": j,
-                "max_abs_f": float(np.abs(sample.values_f).max()),
-                "max_abs_h": float(np.abs(sample.values_h).max()),
-                "min_R1": float(curv.values.min()),
-                "max_R1": float(curv.values.max()),
+                "max_abs_f": float(np.abs(F[r]).max()),
+                "max_abs_h": float(np.abs(H[r]).max()),
+                "min_R1": float(R1.min()),
+                "max_R1": float(R1.max()),
             }
         )
     return _finish(cfg, rows, artifacts)

@@ -10,6 +10,11 @@ The fourth-order case uses g1 = e^{2af} g0 in even dimension n, under which
 the associated curvature transforms as Q1 = e^{-naf} (Q0 - a h) with
 h = -P f.  In both cases the exponential prefactor is positive, so the sign
 of the transformed curvature is the sign of the bracket.
+
+Only the surface law is evaluated pointwise (scalar_curvature_2d): no
+built-in geometry of dimension n > 2 has a sampler.  The dimension-n law enters only
+through the constants of bounds, and the Q law only through
+deviation_field in its Q mode, whose exact part is Q1 - Q0.
 """
 
 from __future__ import annotations
@@ -20,88 +25,21 @@ from enum import Enum
 
 import numpy as np
 
-from .fields import FieldKind, FieldSample, RandomFieldSpec, diagonal_variance
+from .fields import FieldKind, RandomFieldSpec, diagonal_variance
 
 __all__ = [
-    "CurvatureField",
     "DeviationMode",
     "DeviationField",
     "scalar_curvature_2d",
-    "scalar_curvature_nd",
-    "q_curvature",
     "q_round_s4",
     "expected_volume",
     "deviation_field",
 ]
 
 
-@dataclass
-class CurvatureField:
-    """Transformed curvature on a grid, with its reference and sign array.
-
-    sign is computed from the bracket (the exponential prefactor is
-    positive, so it carries no sign information).
-    """
-
-    grid: object
-    values: np.ndarray
-    reference: float | np.ndarray
-    sign: np.ndarray
-
-
-def _require(sample: FieldSample, attr: str) -> np.ndarray:
-    v = getattr(sample, attr)
-    if v is None:
-        raise ValueError(f"sample is missing {attr}")
-    return v
-
-
-def scalar_curvature_2d(R0, sample: FieldSample, a: float) -> CurvatureField:
-    """R1 = e^{-af} (R0 - a h) on a surface."""
-    f = _require(sample, "values_f")
-    h = _require(sample, "values_h")
-    bracket = R0 - a * h
-    return CurvatureField(
-        grid=sample.grid,
-        values=np.exp(-a * f) * bracket,
-        reference=R0,
-        sign=np.sign(bracket),
-    )
-
-
-def scalar_curvature_nd(R0, sample: FieldSample, a: float, n: int) -> CurvatureField:
-    """Full conformal law in dimension n; at n = 2 this is the same
-    arithmetic as scalar_curvature_2d (the gradient term carries an exact
-    zero factor)."""
-    if n < 2:
-        raise ValueError("dimension must be >= 2")
-    f = _require(sample, "values_f")
-    h = _require(sample, "values_h")
-    if n == 2:
-        return scalar_curvature_2d(R0, sample, a)
-    g = _require(sample, "values_gradsq")
-    bracket = R0 - (a * (n - 1)) * h - (a * a * (n - 1) * (n - 2) / 4.0) * g
-    return CurvatureField(
-        grid=sample.grid,
-        values=np.exp(-a * f) * bracket,
-        reference=R0,
-        sign=np.sign(bracket),
-    )
-
-
-def q_curvature(Q0, sample: FieldSample, a: float, n: int) -> CurvatureField:
-    """Q1 = e^{-naf} (Q0 - a h) with h = -P f, even dimension."""
-    if n % 2 or n < 2:
-        raise ValueError("the Q transformation law is for even dimensions")
-    f = _require(sample, "values_f")
-    h = _require(sample, "values_h")
-    bracket = Q0 - a * h
-    return CurvatureField(
-        grid=sample.grid,
-        values=np.exp(-(n * a) * f) * bracket,
-        reference=Q0,
-        sign=np.sign(bracket),
-    )
+def scalar_curvature_2d(R0, f, h, a: float) -> np.ndarray:
+    """R1 = e^{-af} (R0 - a h) on a surface; R0, f and h broadcast."""
+    return np.exp(-a * f) * (R0 - a * h)
 
 
 def q_round_s4() -> float:

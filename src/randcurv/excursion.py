@@ -26,7 +26,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from . import fields
-from .bounds import gaussian_tail
+from .bounds import gaussian_tail, linf_regime_ok
 from .curvature import DeviationMode, deviation_field, exponent_factor
 from .fields import FieldKind, RandomFieldSpec, make_sampler, variance_summary
 from .grids import face_edges, icosphere
@@ -40,7 +40,6 @@ __all__ = [
     "EulerCurve",
     "P2Prediction",
     "map_chunks",
-    "estimate_p2",
     "p2_curve",
     "estimate_linf",
     "empirical_euler",
@@ -232,19 +231,6 @@ def p2_curve(
     )
 
 
-def estimate_p2(
-    spec: RandomFieldSpec,
-    a: float,
-    grid,
-    n_samples: int,
-    seed: int,
-    workers: int = 1,
-    refine: bool = False,
-) -> ExcursionReport:
-    """Fraction of samples whose grid supremum of v = h / R0 exceeds 1/a."""
-    return p2_curve(spec, [a], grid, n_samples, seed, workers, refine).reports[0]
-
-
 # relative margin of the screen bound over the computed fields; it covers
 # the rounding of the GEMMs and of exp/expm1 (a few ulp)
 _SCREEN_MARGIN = 1e-12
@@ -313,9 +299,7 @@ def estimate_linf(
     n = int(n_samples)
     if n < 1:
         raise ValueError("need at least one sample")
-    warning = None
-    if u / a < 3.0:
-        warning = "u/a < 3: the log-asymptote is not meaningful in this regime"
+    warning = None if linf_regime_ok(u, a) else "the log-asymptote needs u < 0.5 and u/a > 3"
     ctx = SimpleNamespace(
         screened=[(smp, _linf_screen(smp)) for smp in _samplers(spec, grid, refine)],
         reference=spec.reference_curvature,

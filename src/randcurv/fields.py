@@ -67,7 +67,6 @@ __all__ = [
     "diagonal_variance",
     "HeatVariance",
     "heat_variance",
-    "gradient_variance_sphere",
 ]
 
 
@@ -186,18 +185,15 @@ class FieldSample:
     """One realization: the Gaussian draws plus evaluated fields on a grid.
 
     gaussians holds one coefficient per sampler column, 0 in the columns
-    without weight (never drawn), or None for fields taken from a block.
-    Samplers fill values_f / values_h; values_gradsq (|grad f|^2) is read by
-    the dimension-n curvature and filled by its callers.
+    without weight (never drawn); values_f and values_h are the fields.
     """
 
     seed: int
     draw_index: int
-    gaussians: np.ndarray | None
+    gaussians: np.ndarray
     grid: object
-    values_f: np.ndarray | None = None
-    values_h: np.ndarray | None = None
-    values_gradsq: np.ndarray | None = None
+    values_f: np.ndarray
+    values_h: np.ndarray
 
 
 # version of the random stream: draw j of seed s changes only with it
@@ -628,7 +624,7 @@ def _diagonal_components(spec: RandomFieldSpec, grid):
 
 
 # ---------------------------------------------------------------------------
-# heat-kernel variance and gradient variance
+# heat-kernel variance
 
 
 @dataclass(frozen=True)
@@ -700,19 +696,3 @@ def heat_variance(spectrum: SpectrumModel, T: float) -> HeatVariance:
     return HeatVariance(
         sup=hi, is_constant=bool(hi - lo < 1e-10 * max(hi, 1e-300)), values=vals
     )
-
-
-def gradient_variance_sphere(spec: RandomFieldSpec) -> float:
-    """E|grad f|^2 on the round sphere: sum of alpha_m^2 lambda_m N_m / |S^2|
-    by the differentiated addition theorem (constant over the sphere).  In the
-    per-eigenspace convention this equals sum c_m / lambda_m."""
-    model = spec.spectrum
-    if model.geometry is not Geometry.SPHERE2:
-        raise ValueError(
-            "closed-form gradient variance is sphere-only; estimate by MC elsewhere"
-        )
-    lw = level_weights(spec)
-    M = spec.coefficients.truncation
-    lam = model.eigenvalues[:M]
-    N = model.multiplicities[:M].astype(float)
-    return float(np.sum(lw.alpha**2 * lam * N) / model.volume)

@@ -118,6 +118,56 @@ class TestArtifacts:
         assert "not found" in capsys.readouterr().err
 
 
+GOLDEN = {
+    "sample": (
+        "5a04230df9ee2eba53796af0bcc81326dacb619cb942e235356a0e911973499c",
+        ["sample_7d3053522711e40e_d0000.csv", "sample_7d3053522711e40e_d0001.csv",
+         "sample_7d3053522711e40e_run.json"],
+    ),
+    "p2": (
+        "3bf4c85be39ddea3b71c1bfe57c0dc36619252ed8942040415b8a1ad35eee680",
+        ["p2_9a14cd56bf9c4b68.csv", "p2_9a14cd56bf9c4b68_run.json"],
+    ),
+    "euler": (
+        "cb518e2a6175815d25fd380a5a4aa436d3efd34c106eb2f83a3f4053d0ae493e",
+        ["euler_a8bc2c96008a5320.csv", "euler_a8bc2c96008a5320_run.json"],
+    ),
+    "linf": (
+        "46f40294ccc9094a0f70dd61ad9fea020a94890517d76b037034ab53efc84b9c",
+        ["linf_ad255c716e77aec9.csv", "linf_ad255c716e77aec9_run.json"],
+    ),
+    "heat": (
+        "8066458dd0c8c7eb0268a0feb8edd903229f695cd20204229eb95a20618c4870",
+        ["heat_f55f4217a43ff358.csv", "heat_f55f4217a43ff358_run.json"],
+    ),
+    "bounds": (
+        "880162c98ca4be8cb4619309f99faa0b5c6ea22ca0b1f9cc1d3b6163eb67106a",
+        ["bounds_98f0b1425a8c809a_run.json", "bounds_compare_98f0b1425a8c809a.csv",
+         "bounds_constants_98f0b1425a8c809a.csv", "bounds_limits_98f0b1425a8c809a.csv"],
+    ),
+    "qsign": (
+        "85b898b13c26d0243c3c17dc982addadc5b1b04b5462f11845780acdcd420e6b",
+        ["qsign_3f273a77e7edb45b.csv", "qsign_3f273a77e7edb45b_run.json"],
+    ),
+}
+
+
+class TestGolden:
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_payload_and_names_are_pinned(self, tmp_path, monkeypatch, command):
+        # every command on BASE at one worker: the sha256 of its CSV payloads
+        # (files in name order) and its artifact names, which carry the
+        # config hash
+        monkeypatch.delenv("RANDCURV_SEED", raising=False)
+        ini, out = write_ini(tmp_path)
+        run_ok([command, "--config", ini, "--workers", "1"])
+        digest = hashlib.sha256()
+        for path in csvs(out):
+            digest.update("\n".join(payload_lines(path)).encode())
+        names = sorted(p.name for p in Path(out).iterdir())
+        assert (digest.hexdigest(), names) == GOLDEN[command]
+
+
 class TestRunRows:
     @pytest.mark.parametrize("command", ["p2", "euler", "linf", "heat", "qsign", "bounds"])
     def test_run_json_rows_are_the_csv_rows(self, tmp_path, command):
@@ -141,6 +191,22 @@ class TestSample:
         for path in csvs(out):
             for row in rows_by_header(path):
                 assert row["R1"] == "1.0"
+
+    def test_r1_is_the_law_of_its_own_f_and_h(self, tmp_path):
+        # repr round-trips, so R1 = e^{-af} (R0 - a h) holds bit for bit on
+        # the f and h read back from the same file
+        a, r0 = 0.7, -2.5
+        text = BASE.replace("amplitude = 0.1", f"amplitude = {a}\nreference = {r0}")
+        ini, out = write_ini(tmp_path, text)
+        run_ok(["sample", "--config", ini])
+        paths = csvs(out)
+        assert len(paths) == 2
+        for path in paths:
+            meta, _, _ = read_csv(path)
+            assert float(meta["reference"]) == r0
+            for row in rows_by_header(path):
+                f, h = float(row["f"]), float(row["h"])
+                assert float(row["R1"]) == np.exp(-a * f) * (r0 - a * h)
 
     def test_fields_are_the_samplers_draws(self, tmp_path):
         # the command draws its fields in blocks of draws; draw j is the

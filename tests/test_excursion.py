@@ -16,7 +16,7 @@ from scipy.stats import chi2
 
 from randcurv import curvature, fields
 from randcurv import excursion as ex
-from randcurv.bounds import gaussian_tail
+from randcurv.bounds import gaussian_tail, linf_regime_ok
 from randcurv.curvature import DeviationMode
 from randcurv.fields import (
     FieldKind,
@@ -396,7 +396,7 @@ class TestEstimateP2:
     def test_single_point_grid_matches_gaussian_tail(self):
         # on one grid point the supremum is a unit normal
         point = np.array([[0.0, 0.0, 1.0]])
-        r = ex.estimate_p2(V_SPEC, 1.0 / 1.5, point, 20000, 901)
+        r = ex.p2_curve(V_SPEC, [1.0 / 1.5], point, 20000, 901).reports[0]
         tail = gaussian_tail(1.5)
         assert abs(r.estimate - tail) <= 3.0 * r.standard_error
         assert r.n_grid_points == 1
@@ -404,7 +404,7 @@ class TestEstimateP2:
     def test_dual_route_agrees_sample_by_sample(self):
         grid = fibonacci_sphere(64)
         n, seed, a = 4096, 555, 0.45
-        r = ex.estimate_p2(V_SPEC, a, grid, n, seed)
+        r = ex.p2_curve(V_SPEC, [a], grid, n, seed).reports[0]
         smp = make_sampler(V_SPEC, grid)
         _, H = smp.sample_block(seed, range(n))
         sups = H.max(axis=1)  # R0 = 1
@@ -415,24 +415,24 @@ class TestEstimateP2:
         assert r.dual_estimate == dual.sum() / n
 
     def test_refinement_shift_is_small(self):
-        r = ex.estimate_p2(
-            V_SPEC, 0.5, fibonacci_sphere(256), 20000, 77, refine=True
-        )
+        r = ex.p2_curve(
+            V_SPEC, [0.5], fibonacci_sphere(256), 20000, 77, refine=True
+        ).reports[0]
         assert r.refinement_delta is not None
         assert abs(r.refinement_delta) < 2.0 * r.standard_error
 
     def test_worker_count_does_not_change_counts(self):
         grid = fibonacci_sphere(128)
         # 5000 samples leave a ragged final chunk
-        r1 = ex.estimate_p2(V_SPEC, 0.4, grid, 5000, 7, workers=1)
-        r2 = ex.estimate_p2(V_SPEC, 0.4, grid, 5000, 7, workers=2)
+        r1 = ex.p2_curve(V_SPEC, [0.4], grid, 5000, 7, workers=1).reports[0]
+        r2 = ex.p2_curve(V_SPEC, [0.4], grid, 5000, 7, workers=2).reports[0]
         assert r1 == r2
 
     def test_curve_shares_samples_across_amplitudes(self):
         grid = fibonacci_sphere(64)
         study = ex.p2_curve(V_SPEC, [0.4, 1.0 / 3.0], grid, 4096, 19)
         singles = [
-            ex.estimate_p2(V_SPEC, a, grid, 4096, 19) for a in (0.4, 1.0 / 3.0)
+            ex.p2_curve(V_SPEC, [a], grid, 4096, 19).reports[0] for a in (0.4, 1.0 / 3.0)
         ]
         assert study.reports == tuple(singles)
         assert study.reports[0].estimate >= study.reports[1].estimate
@@ -442,13 +442,13 @@ class TestEstimateP2:
     def test_requires_ratio_field_with_signed_reference(self):
         h_spec = RandomFieldSpec(SPHERE, SCHEME, FieldKind.H)
         with pytest.raises(ValueError, match="v = h / R0"):
-            ex.estimate_p2(h_spec, 0.3, fibonacci_sphere(8), 16, 0)
+            ex.p2_curve(h_spec, [0.3], fibonacci_sphere(8), 16, 0).reports[0]
         mixed = RandomFieldSpec(
             SPHERE, SCHEME, FieldKind.V,
             reference_curvature=np.array([1.0] * 4 + [-1.0] * 4),
         )
         with pytest.raises(ValueError, match="one strict sign"):
-            ex.estimate_p2(mixed, 0.3, fibonacci_sphere(8), 16, 0)
+            ex.p2_curve(mixed, [0.3], fibonacci_sphere(8), 16, 0).reports[0]
 
     def test_refine_with_gridded_reference_rejected_up_front(self):
         r0 = np.linspace(0.5, 1.5, 64)
@@ -529,6 +529,11 @@ class TestEstimateLinf:
         assert warm.regime_warning is not None
         cold = ex.estimate_linf(TORUS_SPEC, 0.05 / 4.0, 0.05, grid, 32, 1)
         assert cold.regime_warning is None
+        # the warning is exactly the CSV's regime_ok = false: at u/a == 3
+        # (criterion 7's point) and at u >= 0.5 with u/a large
+        for a, u in ((0.1 / 3.0, 0.1), (0.1, 0.6), (0.1, 0.5)):
+            assert not linf_regime_ok(u, a)
+            assert ex.estimate_linf(TORUS_SPEC, a, u, grid, 32, 1).regime_warning is not None
 
     def test_refinement_shift_is_small(self):
         r = ex.estimate_linf(

@@ -337,27 +337,6 @@ def test_heat_variance_user_two_level():
     assert hv.sup == pytest.approx(float(direct.max()))
 
 
-def test_gradient_variance_closed_form_and_harmonic_sum(sphere12, norm8):
-    single = RandomFieldSpec(sphere12, sp.make_explicit([1.0]), FieldKind.F)
-    assert fl.gradient_variance_sphere(single) == pytest.approx(0.5, rel=1e-14)
-    spec = RandomFieldSpec(sphere12, norm8, FieldKind.F)
-    lam = sphere12.eigenvalues
-    expect = float(np.sum(norm8.values / lam))
-    assert fl.gradient_variance_sphere(spec) == pytest.approx(expect, rel=1e-14)
-    # independent route: E|grad f|^2 = 4 (r_f(0) - r_f(delta)) / delta^2 + O(delta^2)
-    # from the Legendre covariance
-    delta = 1e-3
-    for coeffs in (norm8, sp.make_explicit([1.0]), sp.make_explicit([0.2, 0, 0.5, 0.3])):
-        s = RandomFieldSpec(sphere12, coeffs, FieldKind.F)
-        r0, rd = fl.covariance_f_sphere(s, 0.0), fl.covariance_f_sphere(s, delta)
-        assert 4 * (r0 - rd) / delta**2 == pytest.approx(fl.gradient_variance_sphere(s), rel=1e-5)
-    t = sp.torus2_spectrum(2)
-    with pytest.raises(ValueError):
-        fl.gradient_variance_sphere(
-            RandomFieldSpec(t, sp.make_explicit([1.0, 1.0], indexing=Indexing.PER_EIGENFUNCTION), FieldKind.F)
-        )
-
-
 def test_degeneracy_antipodal_covariance(sphere12):
     even = RandomFieldSpec(sphere12, sp.make_explicit([0.0, 0.5, 0.0, 0.5]), FieldKind.H)
     assert fl.covariance_h_sphere(even, math.pi) == pytest.approx(1.0, abs=1e-14)
