@@ -305,10 +305,10 @@ def cmd_linf(cfg: ExperimentConfig) -> RunRecord:
         asymptote = bounds.linf_log_asymptote(u, a, sigma_w)
         log_estimate = math.log(report.estimate) if report.estimate > 0 else None
         ratio = None if log_estimate is None else log_estimate / asymptote
-        regime = bounds.linf_regime_ok(u, a)
         table.append(
             [u, a, u / a, report.estimate, report.standard_error,
-             log_estimate, asymptote, ratio, regime, report.refinement_delta]
+             log_estimate, asymptote, ratio, report.regime_warning is None,
+             report.refinement_delta]
         )
     path = write_csv(_artifact(cfg, "linf"), meta, header, _columns(table))
     return _finish(cfg, _rows(header, table), [path])

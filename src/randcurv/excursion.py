@@ -336,7 +336,11 @@ def _closed_triangulation(grid):
     """The grid's faces with each row's vertex indices sorted, after checking
     they are an integer (F, 3) array of indices in [0, grid.n_points) and
     every edge lies in exactly two faces (closed manifold); raises
-    otherwise."""
+    otherwise.  An icosphere checked its faces when it was built and
+    carries the result, which is returned as it is."""
+    checked = getattr(grid, "_memo", {}).get("closed_faces")
+    if checked is not None:
+        return checked
     faces = getattr(grid, "faces", None)
     if faces is None:
         raise ValueError("Euler counting needs a triangulated grid with faces")

@@ -377,7 +377,9 @@ class LinearSampler:
 
 class SphereSampler(LinearSampler):
     """f and h on a sphere point set: the real spherical harmonics of degrees
-    1..M at the points."""
+    1..M at the points.  A SphereGrid keeps the (read-only) design of the
+    last M asked for, so its samplers of one truncation share one design;
+    other point sets build theirs on every call."""
 
     # perfbench's tracer wraps these per class, read from the class namespace
     sample, sample_block = LinearSampler.sample, LinearSampler.sample_block
@@ -389,7 +391,7 @@ class SphereSampler(LinearSampler):
         M = spec.coefficients.truncation
         if M < 1:
             raise ValueError("empty coefficient scheme")
-        super().__init__(spec, SphereHarmonicBasis(M, theta, phi).Y, grid)
+        super().__init__(spec, _sphere_design(M, theta, phi, grid), grid)
 
 
 class TorusSampler(LinearSampler):
@@ -463,6 +465,17 @@ def _sphere_angles_of(grid):
     theta = np.arccos(np.clip(xyz[:, 2], -1.0, 1.0))
     phi = np.mod(np.arctan2(xyz[:, 1], xyz[:, 0]), 2.0 * math.pi)
     return theta, phi, grid
+
+
+def _sphere_design(M: int, theta, phi, grid) -> np.ndarray:
+    if not isinstance(grid, SphereGrid):
+        return SphereHarmonicBasis(M, theta, phi).Y
+    level, Y = grid._memo.get("design", (None, None))
+    if level != M:
+        Y = SphereHarmonicBasis(M, theta, phi).Y
+        Y.flags.writeable = False
+        grid._memo["design"] = (M, Y)
+    return Y
 
 
 def _torus_points_of(grid):

@@ -4,12 +4,16 @@ mesh for topological counts, and regular torus lattices.
 Each grid knows how to produce its canonical refinement (used for the
 grid-convergence diagnostics): the Fibonacci set doubles its point count, the
 mesh subdivides once more, the torus lattice doubles each axis.
+
+The builders return read-only arrays, and a SphereGrid memoises what it
+derives from them (see SphereGrid), so every sampler and Euler count on one
+grid object shares that work.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -20,6 +24,16 @@ _GOLDEN_ANGLE = math.pi * (3.0 - math.sqrt(5.0))
 
 @dataclass(frozen=True)
 class SphereGrid:
+    """Points on the unit sphere, with faces and edges for a mesh.
+
+    Its arrays must not be changed after construction: the private memo
+    holds data derived from them, which lives as long as the grid and is
+    neither compared nor shown.  It keeps the harmonic design of the last
+    truncation a sampler asked for (fields.SphereSampler) and, for an
+    icosphere, the row-sorted faces already checked to be a closed
+    triangulation.  dataclasses.replace starts a new grid with an empty memo.
+    """
+
     kind: str                       # "fibonacci" or "icosphere"
     xyz: np.ndarray                 # (n, 3) unit vectors
     theta: np.ndarray
@@ -28,6 +42,7 @@ class SphereGrid:
     faces: np.ndarray | None = None     # (n_faces, 3), icosphere only
     edges: np.ndarray | None = None     # (n_edges, 2), icosphere only
     depth: int | None = None
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def n_points(self) -> int:
@@ -53,6 +68,12 @@ class TorusGrid:
         return torus_grid(2 * self.n_per_axis)
 
 
+def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
 def _angles(xyz: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     z = np.clip(xyz[:, 2], -1.0, 1.0)
     theta = np.arccos(z)
@@ -71,7 +92,7 @@ def fibonacci_sphere(n: int) -> SphereGrid:
     xyz = np.stack([r * np.cos(ang), r * np.sin(ang), z], axis=1)
     theta, phi = _angles(xyz)
     weights = np.full(n, 4.0 * math.pi / n)
-    return SphereGrid("fibonacci", xyz, theta, phi, weights)
+    return SphereGrid("fibonacci", *_read_only(xyz, theta, phi, weights))
 
 
 # icosahedron: 12 vertices, 20 faces (standard listing)
@@ -101,7 +122,9 @@ def icosphere(depth: int) -> SphereGrid:
     Vertex/edge/face counts are 10*4^d + 2, 30*4^d, 20*4^d.  Midpoints are
     shared through a cache so the mesh is watertight (Euler number 2).
     Weights are the spherical areas of the dual regions, approximated by a
-    third of each incident triangle's spherical area.
+    third of each incident triangle's spherical area.  The edges' face counts
+    are checked here, so the grid carries its faces with each row sorted as
+    a checked closed triangulation for Euler counting.
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
@@ -128,7 +151,7 @@ def icosphere(depth: int) -> SphereGrid:
 
     xyz = np.array(verts)
     farr = np.array(faces, dtype=np.int64)
-    edges, _ = face_edges(farr)
+    edges, counts = face_edges(farr)
 
     # spherical triangle areas by l'Huilier, shared to the three corners
     A, B, C = xyz[farr[:, 0]], xyz[farr[:, 1]], xyz[farr[:, 2]]
@@ -148,7 +171,12 @@ def icosphere(depth: int) -> SphereGrid:
         np.add.at(weights, farr[:, col], area / 3.0)
 
     theta, phi = _angles(xyz)
-    return SphereGrid("icosphere", xyz, theta, phi, weights, faces=farr, edges=edges, depth=depth)
+    sorted_faces = np.sort(farr, axis=1)
+    _read_only(xyz, theta, phi, weights, farr, edges, sorted_faces)
+    grid = SphereGrid("icosphere", xyz, theta, phi, weights, faces=farr, edges=edges, depth=depth)
+    if np.all(counts == 2):
+        grid._memo["closed_faces"] = sorted_faces
+    return grid
 
 
 def face_edges(faces: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -173,6 +201,7 @@ def torus_grid(n_per_axis: int) -> TorusGrid:
     X, Y = np.meshgrid(ax, ax, indexing="ij")
     pts = np.stack([X.ravel(), Y.ravel()], axis=1)
     weights = np.full(pts.shape[0], step * step)
+    _read_only(pts, weights)
     return TorusGrid(pts, n_per_axis, weights)
 
 

@@ -13,10 +13,11 @@ import numpy as np
 import pytest
 
 from randcurv.cli import main
+from randcurv.excursion import estimate_linf
 from randcurv.fields import RNG_STREAM, FieldKind, RandomFieldSpec, make_sampler
-from randcurv.grids import fibonacci_sphere
+from randcurv.grids import fibonacci_sphere, torus_grid
 from randcurv.reports import RUN_SCHEMA, format_cell, payload_lines, read_csv
-from randcurv.spectral import make_sphere_normalized, sphere2_spectrum
+from randcurv.spectral import make_explicit, make_sphere_normalized, sphere2_spectrum, torus2_spectrum
 
 BASE = """
 [common]
@@ -346,6 +347,30 @@ class TestLinf:
         assert row["regime_ok"] == "false"
         assert float(row["log_asymptote"]) == pytest.approx(-9.0, rel=1e-12)
         assert 0.5 <= float(row["ratio"]) <= 1.3
+
+    def test_regime_ok_is_the_report_without_warning(self, tmp_path):
+        # u/a == 3, u >= 0.5 with u/a large, and one point inside the regime
+        pairs = [(0.1 / 3.0, 0.1), (0.1, 0.6), (0.1, 0.5), (0.0125, 0.05)]
+        text = BASE.replace(
+            "amplitudes = 0.016666666666666666\nthresholds = 0.05\nn_samples = 4096",
+            "amplitudes = " + ", ".join(repr(a) for a, _ in pairs)
+            + "\nthresholds = " + ", ".join(repr(u) for _, u in pairs) + "\nn_samples = 64",
+        )
+        ini, out = write_ini(tmp_path, text)
+        run_ok(["linf", "--config", ini])
+        (path,) = csvs(out)
+        spec = RandomFieldSpec(
+            torus2_spectrum(11), make_explicit([0.0] * 10 + [0.5]), FieldKind.H,
+            reference_curvature=0.0,
+        )
+        rows = rows_by_header(path)
+        assert [(float(r["a"]), float(r["u"])) for r in rows] == pairs
+        expect = [
+            estimate_linf(spec, a, u, torus_grid(16), 64, 7).regime_warning is None
+            for a, u in pairs
+        ]
+        assert expect == [False, False, False, True]
+        assert [r["regime_ok"] for r in rows] == [format_cell(ok) for ok in expect]
 
     def test_nan_threshold_is_a_config_error(self, tmp_path, capsys):
         ini, out = write_ini(

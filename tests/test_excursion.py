@@ -428,6 +428,14 @@ class TestEstimateP2:
         r2 = ex.p2_curve(V_SPEC, [0.4], grid, 5000, 7, workers=2).reports[0]
         assert r1 == r2
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_reused_grid_gives_fresh_grid_results(self, workers):
+        reused = fibonacci_sphere(128)
+        for seed in (5, 6):
+            a = ex.p2_curve(V_SPEC, [0.4, 0.5], reused, 3000, seed, workers=workers)
+            b = ex.p2_curve(V_SPEC, [0.4, 0.5], fibonacci_sphere(128), 3000, seed, workers=workers)
+            assert a == b
+
     def test_curve_shares_samples_across_amplitudes(self):
         grid = fibonacci_sphere(64)
         study = ex.p2_curve(V_SPEC, [0.4, 1.0 / 3.0], grid, 4096, 19)
@@ -748,6 +756,26 @@ class TestEulerCurve:
         spec = RandomFieldSpec(SPHERE, power, FieldKind.H)
         with pytest.raises(ValueError, match="per-eigenspace"):
             ex.euler_curve(spec, [1.0], 16, 0, grid=icosphere(2))
+
+    def test_fresh_icosphere_is_not_checked_again(self, monkeypatch):
+        # icosphere() checked its edges when it built the grid
+        g = icosphere(3)
+        calls = []
+        monkeypatch.setattr(ex, "face_edges", lambda faces: calls.append(faces) or face_edges(faces))
+        spec = RandomFieldSpec(SPHERE, SCHEME, FieldKind.H)
+        ex.euler_curve(spec, [2.0], 16, 3, grid=g)
+        ex.empirical_euler(g, np.zeros(g.n_points), 0.0)
+        assert calls == []
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_reused_grid_gives_fresh_grid_results(self, workers):
+        spec = RandomFieldSpec(SPHERE, SCHEME, FieldKind.H)
+        reused = icosphere(3)
+        for seed in (5, 6):
+            a = ex.euler_curve(spec, [0.5, 2.0], 300, seed, grid=reused, workers=workers)
+            b = ex.euler_curve(spec, [0.5, 2.0], 300, seed, grid=icosphere(3), workers=workers)
+            assert np.array_equal(a.empirical_mean, b.empirical_mean)
+            assert np.array_equal(a.empirical_se, b.empirical_se)
 
     def test_pinned_chi_sums(self):
         # seed 12345, 64 draws on icosphere:5: the exact chi sums per

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -11,6 +12,7 @@ from randcurv import fields as fl
 from randcurv import spectral as sp
 from randcurv.fields import FieldKind, RandomFieldSpec
 from randcurv.grids import fibonacci_sphere, sphere_distance, torus_grid
+from randcurv.harmonics import SphereHarmonicBasis
 from randcurv.spectral import Geometry, Indexing
 
 
@@ -633,3 +635,59 @@ def test_covariance_matrix_diagonal_matches_variance_summary(sphere12, norm8, wh
     np.testing.assert_allclose(
         np.diag(fl.covariance_matrix(tspec, tg)), fl.diagonal_variance(tspec, tg), rtol=1e-12
     )
+
+
+class TestSphereDesignReuse:
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        """Counts every real harmonic basis build, whatever the caller."""
+        calls = []
+        init = SphereHarmonicBasis.__init__
+
+        def counting(self, max_level, theta, phi):
+            calls.append(max_level)
+            init(self, max_level, theta, phi)
+
+        monkeypatch.setattr(SphereHarmonicBasis, "__init__", counting)
+        return calls
+
+    def test_design_is_the_fresh_basis_and_is_built_once(self, h_spec, builds):
+        g = fibonacci_sphere(200)
+        smp = fl.make_sampler(h_spec, g)
+        assert builds == [12]
+        fresh = SphereHarmonicBasis(12, g.theta, g.phi).Y
+        assert np.array_equal(smp.design, fresh)
+        builds.clear()
+        again = fl.make_sampler(h_spec, g)
+        assert builds == [] and again.design is smp.design
+
+    def test_other_truncation_builds_and_replaces_the_design(self, h_spec, builds):
+        g = fibonacci_sphere(200)
+        fl.make_sampler(h_spec, g)
+        scheme6 = sp.make_sphere_normalized(8.0, 6, tail_tol=None)
+        spec6 = RandomFieldSpec(sp.sphere2_spectrum(12), scheme6, FieldKind.H)
+        assert fl.make_sampler(spec6, g).design.shape == (200, 48)
+        assert builds == [12, 6]
+        # one design per grid: the truncation asked for last
+        assert fl.make_sampler(h_spec, g).design.shape == (200, 168)
+        assert builds == [12, 6, 12]
+
+    def test_point_arrays_build_on_every_call(self, h_spec, builds):
+        g = fibonacci_sphere(50)
+        for grid in ((g.theta, g.phi), np.array(g.xyz)):
+            a, b = fl.make_sampler(h_spec, grid), fl.make_sampler(h_spec, grid)
+            assert np.array_equal(a.design, b.design) and a.design is not b.design
+        assert builds == [12] * 4
+
+    def test_design_is_read_only(self, h_spec):
+        smp = fl.make_sampler(h_spec, fibonacci_sphere(50))
+        with pytest.raises(ValueError, match="read-only"):
+            smp.design[0, 0] = 0.0
+
+    def test_replaced_grid_gets_its_own_design(self, h_spec):
+        g = fibonacci_sphere(50)
+        old = fl.make_sampler(h_spec, g).design
+        g2 = dataclasses.replace(g, theta=np.pi - g.theta)
+        new = fl.make_sampler(h_spec, g2).design
+        assert np.array_equal(new, SphereHarmonicBasis(12, g2.theta, g2.phi).Y)
+        assert not np.array_equal(new, old)

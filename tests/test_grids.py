@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -92,3 +94,42 @@ def test_torus_grid_layout():
     assert g.points[8].tolist() == [step, 0.0]
     assert g.weights.sum() == pytest.approx(4 * math.pi**2)
     assert g.refine().n_per_axis == 16
+
+
+@pytest.mark.parametrize(
+    "grid, names",
+    [
+        (fibonacci_sphere(64), ("xyz", "theta", "phi", "weights")),
+        (icosphere(2), ("xyz", "theta", "phi", "weights", "faces", "edges")),
+        (torus_grid(8), ("points", "weights")),
+    ],
+    ids=["fibonacci", "icosphere", "torus"],
+)
+def test_builders_return_read_only_arrays(grid, names):
+    # a sphere grid memoises data derived from its arrays, so they cannot change
+    for name in names:
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(grid, name)[0] = 0
+
+
+def test_icosphere_carries_its_checked_sorted_faces():
+    g = icosphere(3)
+    assert np.array_equal(g._memo["closed_faces"], np.sort(g.faces, axis=1))
+    assert not g._memo["closed_faces"].flags.writeable
+    # the memo is private: not shown, not compared
+    assert "_memo" not in repr(g)
+    assert g == dataclasses.replace(g)
+
+
+def test_replace_starts_an_empty_memo():
+    g = icosphere(2)
+    g2 = dataclasses.replace(g, theta=np.pi - g.theta)
+    assert g2._memo == {} and g2._memo is not g._memo
+    assert "closed_faces" in g._memo
+
+
+def test_grid_pickles_with_its_memo():
+    g = icosphere(2)
+    g2 = pickle.loads(pickle.dumps(g))
+    assert np.array_equal(g2._memo["closed_faces"], g._memo["closed_faces"])
+    assert np.array_equal(g2.faces, g.faces) and g2.depth == g.depth
