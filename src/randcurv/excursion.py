@@ -29,7 +29,7 @@ from . import fields
 from .bounds import gaussian_tail, linf_regime_ok
 from .curvature import DeviationMode, deviation_field, exponent_factor
 from .fields import FieldKind, RandomFieldSpec, make_sampler, variance_summary
-from .grids import face_edges, icosphere
+from .grids import _closed_triangulation, icosphere
 from .spectral import SPHERE2_VOLUME, CoefficientScheme, Indexing
 
 __all__ = [
@@ -330,30 +330,6 @@ def estimate_linf(
 
 # ---------------------------------------------------------------------------
 # Euler characteristics of super-level sets
-
-
-def _closed_triangulation(grid):
-    """The grid's faces with each row's vertex indices sorted, after checking
-    they are an integer (F, 3) array of indices in [0, grid.n_points) and
-    every edge lies in exactly two faces (closed manifold); raises
-    otherwise.  An icosphere checked its faces when it was built and
-    carries the result, which is returned as it is."""
-    checked = getattr(grid, "_memo", {}).get("closed_faces")
-    if checked is not None:
-        return checked
-    faces = getattr(grid, "faces", None)
-    if faces is None:
-        raise ValueError("Euler counting needs a triangulated grid with faces")
-    faces = np.asarray(faces)
-    if faces.ndim != 2 or faces.shape[1] != 3 or faces.shape[0] == 0 or faces.dtype.kind not in "iu":
-        raise ValueError(f"faces must be a nonempty integer (F, 3) array, got {faces.dtype} {faces.shape}")
-    if faces.min() < 0 or faces.max() >= grid.n_points:
-        raise ValueError(f"faces hold vertex indices outside [0, {grid.n_points})")
-    faces = np.sort(faces, axis=1)
-    _, counts = face_edges(faces)
-    if np.any(counts != 2):
-        raise ValueError("triangulation is not a closed manifold: an edge is not shared by exactly 2 faces")
-    return faces
 
 
 def _euler_counts(values: np.ndarray, thresholds: np.ndarray, faces) -> np.ndarray:

@@ -40,7 +40,7 @@ from enum import Enum
 
 import numpy as np
 
-from .grids import SphereGrid, TorusGrid
+from .grids import SphereGrid, TorusGrid, _harmonic_design
 from .harmonics import SphereHarmonicBasis, legendre_all
 from .spectral import CoefficientScheme, Geometry, Indexing, SpectrumModel
 
@@ -377,9 +377,10 @@ class LinearSampler:
 
 class SphereSampler(LinearSampler):
     """f and h on a sphere point set: the real spherical harmonics of degrees
-    1..M at the points.  A SphereGrid keeps the (read-only) design of the
-    last M asked for, so its samplers of one truncation share one design;
-    other point sets build theirs on every call."""
+    1..M at the points.  A SphereGrid from the builders keeps the
+    (read-only) design of the last M asked for, so repeated samplers of one
+    truncation on that grid object share one design; other point sets build
+    theirs on every call."""
 
     # perfbench's tracer wraps these per class, read from the class namespace
     sample, sample_block = LinearSampler.sample, LinearSampler.sample_block
@@ -391,7 +392,11 @@ class SphereSampler(LinearSampler):
         M = spec.coefficients.truncation
         if M < 1:
             raise ValueError("empty coefficient scheme")
-        super().__init__(spec, _sphere_design(M, theta, phi, grid), grid)
+        if isinstance(grid, SphereGrid):
+            design = _harmonic_design(grid, M)
+        else:
+            design = SphereHarmonicBasis(M, theta, phi).Y
+        super().__init__(spec, design, grid)
 
 
 class TorusSampler(LinearSampler):
@@ -465,17 +470,6 @@ def _sphere_angles_of(grid):
     theta = np.arccos(np.clip(xyz[:, 2], -1.0, 1.0))
     phi = np.mod(np.arctan2(xyz[:, 1], xyz[:, 0]), 2.0 * math.pi)
     return theta, phi, grid
-
-
-def _sphere_design(M: int, theta, phi, grid) -> np.ndarray:
-    if not isinstance(grid, SphereGrid):
-        return SphereHarmonicBasis(M, theta, phi).Y
-    level, Y = grid._memo.get("design", (None, None))
-    if level != M:
-        Y = SphereHarmonicBasis(M, theta, phi).Y
-        Y.flags.writeable = False
-        grid._memo["design"] = (M, Y)
-    return Y
 
 
 def _torus_points_of(grid):

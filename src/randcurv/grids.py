@@ -5,9 +5,9 @@ Each grid knows how to produce its canonical refinement (used for the
 grid-convergence diagnostics): the Fibonacci set doubles its point count, the
 mesh subdivides once more, the torus lattice doubles each axis.
 
-The builders return read-only arrays, and a SphereGrid memoises what it
-derives from them (see SphereGrid), so every sampler and Euler count on one
-grid object shares that work.
+The builders return read-only arrays.  A SphereGrid memoises what it
+derives from them (see SphereGrid), so repeated samplers and Euler counts on
+one grid object share that work; only this module reads or writes the memo.
 """
 
 from __future__ import annotations
@@ -16,6 +16,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .harmonics import SphereHarmonicBasis
 
 __all__ = ["SphereGrid", "TorusGrid", "fibonacci_sphere", "icosphere", "torus_grid", "sphere_distance"]
 
@@ -29,9 +31,12 @@ class SphereGrid:
     Its arrays must not be changed after construction: the private memo
     holds data derived from them, which lives as long as the grid and is
     neither compared nor shown.  It keeps the harmonic design of the last
-    truncation a sampler asked for (fields.SphereSampler) and, for an
-    icosphere, the row-sorted faces already checked to be a closed
-    triangulation.  dataclasses.replace starts a new grid with an empty memo.
+    truncation asked for (_harmonic_design) and, for an icosphere, the
+    row-sorted faces checked to be a closed triangulation when the mesh was
+    built (_closed_triangulation).  The memo is used only while the arrays it
+    derives from are read-only, as the builders return them; a grid built
+    by hand with writable arrays, or unpickled, derives them on every call.
+    dataclasses.replace starts a new grid with an empty memo.
     """
 
     kind: str                       # "fibonacci" or "icosphere"
@@ -72,6 +77,53 @@ def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
     for a in arrays:
         a.flags.writeable = False
     return arrays
+
+
+def _frozen(*arrays: np.ndarray) -> bool:
+    return not any(a.flags.writeable for a in arrays)
+
+
+def _harmonic_design(grid: SphereGrid, M: int) -> np.ndarray:
+    """The real spherical harmonics of degrees 1..M at the grid's points,
+    SphereHarmonicBasis(M, theta, phi).Y; the last M built stays in the memo
+    (read-only) while theta and phi are read-only."""
+    if not _frozen(grid.theta, grid.phi):
+        return SphereHarmonicBasis(M, grid.theta, grid.phi).Y
+    level, Y = grid._memo.get("design", (None, None))
+    if level != M:
+        Y = SphereHarmonicBasis(M, grid.theta, grid.phi).Y
+        Y.flags.writeable = False
+        grid._memo["design"] = (M, Y)
+    return Y
+
+
+def _closed_faces(faces, n_points: int) -> tuple[np.ndarray, np.ndarray]:
+    """The faces with each row's vertex indices sorted, and their edges
+    (face_edges), after checking they are an integer (F, 3) array of indices
+    in [0, n_points) and every edge lies in exactly two faces (closed
+    manifold); raises otherwise."""
+    faces = np.asarray(faces)
+    if faces.ndim != 2 or faces.shape[1] != 3 or faces.shape[0] == 0 or faces.dtype.kind not in "iu":
+        raise ValueError(f"faces must be a nonempty integer (F, 3) array, got {faces.dtype} {faces.shape}")
+    if faces.min() < 0 or faces.max() >= n_points:
+        raise ValueError(f"faces hold vertex indices outside [0, {n_points})")
+    faces = np.sort(faces, axis=1)
+    edges, counts = face_edges(faces)
+    if np.any(counts != 2):
+        raise ValueError("triangulation is not a closed manifold: an edge is not shared by exactly 2 faces")
+    return faces, edges
+
+
+def _closed_triangulation(grid) -> np.ndarray:
+    """The row-sorted faces of any grid with faces and n_points, checked by
+    _closed_faces.  An icosphere checked its faces when it was built: while
+    they are read-only, that result is returned from its memo."""
+    faces = getattr(grid, "faces", None)
+    if faces is None:
+        raise ValueError("Euler counting needs a triangulated grid with faces")
+    if isinstance(grid, SphereGrid) and "closed_faces" in grid._memo and _frozen(faces):
+        return grid._memo["closed_faces"]
+    return _closed_faces(faces, grid.n_points)[0]
 
 
 def _angles(xyz: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -122,9 +174,9 @@ def icosphere(depth: int) -> SphereGrid:
     Vertex/edge/face counts are 10*4^d + 2, 30*4^d, 20*4^d.  Midpoints are
     shared through a cache so the mesh is watertight (Euler number 2).
     Weights are the spherical areas of the dual regions, approximated by a
-    third of each incident triangle's spherical area.  The edges' face counts
-    are checked here, so the grid carries its faces with each row sorted as
-    a checked closed triangulation for Euler counting.
+    third of each incident triangle's spherical area.  Deriving the edges
+    checks the mesh is closed, so the grid's memo keeps the row-sorted faces
+    for Euler counting (_closed_triangulation).
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
@@ -151,7 +203,7 @@ def icosphere(depth: int) -> SphereGrid:
 
     xyz = np.array(verts)
     farr = np.array(faces, dtype=np.int64)
-    edges, counts = face_edges(farr)
+    sorted_faces, edges = _closed_faces(farr, xyz.shape[0])
 
     # spherical triangle areas by l'Huilier, shared to the three corners
     A, B, C = xyz[farr[:, 0]], xyz[farr[:, 1]], xyz[farr[:, 2]]
@@ -171,11 +223,9 @@ def icosphere(depth: int) -> SphereGrid:
         np.add.at(weights, farr[:, col], area / 3.0)
 
     theta, phi = _angles(xyz)
-    sorted_faces = np.sort(farr, axis=1)
     _read_only(xyz, theta, phi, weights, farr, edges, sorted_faces)
     grid = SphereGrid("icosphere", xyz, theta, phi, weights, faces=farr, edges=edges, depth=depth)
-    if np.all(counts == 2):
-        grid._memo["closed_faces"] = sorted_faces
+    grid._memo["closed_faces"] = sorted_faces
     return grid
 
 

@@ -3,6 +3,7 @@ triangulations, closed-form predictions against independent quadrature and
 chi-square identities, and Monte Carlo drivers against single-point Gaussian
 tails, hand-recomputed event vectors, and worker-count invariance."""
 
+import dataclasses
 import logging
 import math
 import re
@@ -14,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import chi2
 
-from randcurv import curvature, fields
+from randcurv import curvature, fields, grids
 from randcurv import excursion as ex
 from randcurv.bounds import gaussian_tail, linf_regime_ok
 from randcurv.curvature import DeviationMode
@@ -758,14 +759,19 @@ class TestEulerCurve:
             ex.euler_curve(spec, [1.0], 16, 0, grid=icosphere(2))
 
     def test_fresh_icosphere_is_not_checked_again(self, monkeypatch):
-        # icosphere() checked its edges when it built the grid
-        g = icosphere(3)
+        # icosphere() derives its edges once, which checks the mesh is closed
         calls = []
-        monkeypatch.setattr(ex, "face_edges", lambda faces: calls.append(faces) or face_edges(faces))
+        monkeypatch.setattr(grids, "face_edges", lambda faces: calls.append(faces) or face_edges(faces))
+        g = icosphere(3)
+        assert len(calls) == 1
         spec = RandomFieldSpec(SPHERE, SCHEME, FieldKind.H)
         ex.euler_curve(spec, [2.0], 16, 3, grid=g)
         ex.empirical_euler(g, np.zeros(g.n_points), 0.0)
-        assert calls == []
+        assert len(calls) == 1
+        # writable faces may have changed since: they are checked again
+        g2 = dataclasses.replace(g, faces=np.array(g.faces))
+        ex.empirical_euler(g2, np.zeros(g2.n_points), 0.0)
+        assert len(calls) == 2
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_reused_grid_gives_fresh_grid_results(self, workers):

@@ -5,7 +5,15 @@ import pickle
 import numpy as np
 import pytest
 
-from randcurv.grids import face_edges, fibonacci_sphere, icosphere, sphere_distance, torus_grid
+from randcurv.grids import (
+    _closed_triangulation,
+    _harmonic_design,
+    face_edges,
+    fibonacci_sphere,
+    icosphere,
+    sphere_distance,
+    torus_grid,
+)
 
 
 def test_fibonacci_basics():
@@ -114,8 +122,10 @@ def test_builders_return_read_only_arrays(grid, names):
 
 def test_icosphere_carries_its_checked_sorted_faces():
     g = icosphere(3)
-    assert np.array_equal(g._memo["closed_faces"], np.sort(g.faces, axis=1))
-    assert not g._memo["closed_faces"].flags.writeable
+    faces = _closed_triangulation(g)
+    assert faces is _closed_triangulation(g)
+    assert np.array_equal(faces, np.sort(g.faces, axis=1))
+    assert not faces.flags.writeable
     # the memo is private: not shown, not compared
     assert "_memo" not in repr(g)
     assert g == dataclasses.replace(g)
@@ -128,8 +138,16 @@ def test_replace_starts_an_empty_memo():
     assert "closed_faces" in g._memo
 
 
-def test_grid_pickles_with_its_memo():
-    g = icosphere(2)
-    g2 = pickle.loads(pickle.dumps(g))
-    assert np.array_equal(g2._memo["closed_faces"], g._memo["closed_faces"])
-    assert np.array_equal(g2.faces, g.faces) and g2.depth == g.depth
+def test_memo_is_used_only_over_read_only_arrays():
+    g = fibonacci_sphere(50)
+    assert _harmonic_design(g, 3) is _harmonic_design(g, 3)
+    # a grid whose angles can be written derives its design on every call
+    h = dataclasses.replace(g, theta=np.array(g.theta), phi=np.array(g.phi))
+    a, b = _harmonic_design(h, 3), _harmonic_design(h, 3)
+    assert a is not b and np.array_equal(a, b) and h._memo == {}
+    # an unpickled grid's arrays are writable, so its faces are checked again
+    ico = pickle.loads(pickle.dumps(icosphere(2)))
+    assert ico.faces.flags.writeable
+    faces = _closed_triangulation(ico)
+    assert faces is not ico._memo["closed_faces"]
+    assert np.array_equal(faces, ico._memo["closed_faces"])
