@@ -121,16 +121,6 @@ def _artifact(cfg: ExperimentConfig, stem: str) -> Path:
     return Path(cfg.out) / f"{stem}_{config_hash(cfg)}.csv"
 
 
-def _columns(table) -> list[list[str]]:
-    """The formatted CSV columns of a table given as rows."""
-    return [format_column(column) for column in zip(*table, strict=True)]
-
-
-def _rows(header, table) -> list[dict]:
-    """Run-JSON rows of a CSV table: one {column: value} dict per row."""
-    return [dict(zip(header, row)) for row in table]
-
-
 def _finish(cfg: ExperimentConfig, rows, artifacts) -> RunRecord:
     h = config_hash(cfg)
     record = RunRecord(
@@ -144,6 +134,18 @@ def _finish(cfg: ExperimentConfig, rows, artifacts) -> RunRecord:
     )
     json_path = write_run_json(Path(cfg.out) / f"{cfg.command}_{h}_run.json", record)
     return replace(record, artifacts=record.artifacts + (json_path,))
+
+
+def _write_tables(cfg: ExperimentConfig, meta: dict, tables: dict) -> RunRecord:
+    """Write each {stem: (header, table)} table, given as rows, to its CSV
+    artifact in order, and finish the run with one {column: value} run-JSON
+    row per table row."""
+    paths, rows = [], []
+    for stem, (header, table) in tables.items():
+        columns = [format_column(column) for column in zip(*table, strict=True)]
+        paths.append(write_csv(_artifact(cfg, stem), meta, header, columns))
+        rows += [dict(zip(header, row)) for row in table]
+    return _finish(cfg, rows, paths)
 
 
 def cmd_sample(cfg: ExperimentConfig) -> RunRecord:
@@ -244,8 +246,7 @@ def cmd_p2(cfg: ExperimentConfig) -> RunRecord:
             [a, report.threshold, report.estimate, report.standard_error,
              prediction, lower, upper, report.refinement_delta, warnings]
         )
-    path = write_csv(_artifact(cfg, "p2"), meta, header, _columns(table))
-    return _finish(cfg, _rows(header, table), [path])
+    return _write_tables(cfg, meta, {"p2": (header, table)})
 
 
 def cmd_euler(cfg: ExperimentConfig) -> RunRecord:
@@ -272,8 +273,7 @@ def cmd_euler(cfg: ExperimentConfig) -> RunRecord:
             curve.thresholds, curve.empirical_mean, curve.empirical_se, curve.predicted
         )
     ]
-    path = write_csv(_artifact(cfg, "euler"), meta, header, _columns(table))
-    return _finish(cfg, _rows(header, table), [path])
+    return _write_tables(cfg, meta, {"euler": (header, table)})
 
 
 def cmd_linf(cfg: ExperimentConfig) -> RunRecord:
@@ -310,8 +310,7 @@ def cmd_linf(cfg: ExperimentConfig) -> RunRecord:
              log_estimate, asymptote, ratio, report.regime_warning is None,
              report.refinement_delta]
         )
-    path = write_csv(_artifact(cfg, "linf"), meta, header, _columns(table))
-    return _finish(cfg, _rows(header, table), [path])
+    return _write_tables(cfg, meta, {"linf": (header, table)})
 
 
 def cmd_heat(cfg: ExperimentConfig) -> RunRecord:
@@ -337,8 +336,7 @@ def cmd_heat(cfg: ExperimentConfig) -> RunRecord:
         table.append(
             [T, sigma2, small, sigma2 / small, F, asymptote, sigma2 / asymptote]
         )
-    path = write_csv(_artifact(cfg, "heat"), meta, header, _columns(table))
-    return _finish(cfg, _rows(header, table), [path])
+    return _write_tables(cfg, meta, {"heat": (header, table)})
 
 
 def cmd_bounds(cfg: ExperimentConfig) -> RunRecord:
@@ -361,18 +359,12 @@ def cmd_bounds(cfg: ExperimentConfig) -> RunRecord:
         ["nd_negative", n, sv, None, cfg.alpha, cfg.amplitude,
          None, None, None, None, None, None, negative],
     ]
-    constants_path = write_csv(
-        _artifact(cfg, "bounds_constants"), meta, constants_header, _columns(constants_rows)
-    )
 
     compare_header = ["regime", "input_a", "input_b", "larger_p2"]
     compare_rows = [
         ["small_T", *cfg.r0sq_pair, bounds.compare_small_T(*cfg.r0sq_pair).value],
         ["large_T", *cfg.lambda1_pair, bounds.compare_large_T(*cfg.lambda1_pair).value],
     ]
-    compare_path = write_csv(
-        _artifact(cfg, "bounds_compare"), meta, compare_header, _columns(compare_rows)
-    )
 
     limits_header = ["a", "lower", "upper", "a2_log_lower", "a2_log_upper", "limit"]
     limits_rows = []
@@ -380,16 +372,11 @@ def cmd_bounds(cfg: ExperimentConfig) -> RunRecord:
         lower, upper = bounds.p2_two_sided(a, sv, 1.0, 1.0)
         lo_diag, up_diag, limit = bounds.p2_log_diagnostics(a, sv, 1.0, 1.0)
         limits_rows.append([a, lower, upper, lo_diag, up_diag, limit])
-    limits_path = write_csv(
-        _artifact(cfg, "bounds_limits"), meta, limits_header, _columns(limits_rows)
-    )
-
-    rows = (
-        _rows(constants_header, constants_rows)
-        + _rows(compare_header, compare_rows)
-        + _rows(limits_header, limits_rows)
-    )
-    return _finish(cfg, rows, [constants_path, compare_path, limits_path])
+    return _write_tables(cfg, meta, {
+        "bounds_constants": (constants_header, constants_rows),
+        "bounds_compare": (compare_header, compare_rows),
+        "bounds_limits": (limits_header, limits_rows),
+    })
 
 
 def cmd_qsign(cfg: ExperimentConfig) -> RunRecord:
@@ -416,8 +403,7 @@ def cmd_qsign(cfg: ExperimentConfig) -> RunRecord:
         lower, upper = bounds.q_sign_bounds(a, sigma_v)
         lo_diag, up_diag, limit = bounds.p2_log_diagnostics(a, sigma_v, 1.0, 1.0)
         table.append([a, lower, upper, lo_diag, up_diag, limit])
-    path = write_csv(_artifact(cfg, "qsign"), meta, header, _columns(table))
-    return _finish(cfg, _rows(header, table), [path])
+    return _write_tables(cfg, meta, {"qsign": (header, table)})
 
 
 _DISPATCH = {

@@ -14,13 +14,12 @@ of the transformed curvature is the sign of the bracket.
 Only the surface law is evaluated pointwise (scalar_curvature_2d): no
 built-in geometry of dimension n > 2 has a sampler.  The dimension-n law enters only
 through the constants of bounds, and the Q law only through
-deviation_field in its Q mode, whose exact part is Q1 - Q0.
+deviation_field in its Q mode, which returns the exact Q1 - Q0.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -29,7 +28,6 @@ from .fields import FieldKind, RandomFieldSpec, diagonal_variance
 
 __all__ = [
     "DeviationMode",
-    "DeviationField",
     "scalar_curvature_2d",
     "q_round_s4",
     "expected_volume",
@@ -70,21 +68,6 @@ class DeviationMode(str, Enum):
     Q = "q"
 
 
-@dataclass
-class DeviationField:
-    """Exact curvature deviation and its small-a linearization.
-
-    Scalar surface case: exact = R0 (e^{-af} - 1) - a h e^{-af}, and the
-    linearization is -a w with w = h + R0 f.  Fourth-order case: exact uses
-    the e^{-naf} prefactor and the linearization is -a (h + n Q0 f), which
-    equals +a w for the sign convention w = -(h + n Q0 f).
-    """
-
-    exact: np.ndarray
-    linear: np.ndarray
-    mode: DeviationMode
-
-
 def exponent_factor(n: int, mode: DeviationMode) -> float:
     """k in the deviation's prefactor e^{-k a f}: 1 on surfaces, n in the
     fourth-order mode (which needs even n)."""
@@ -97,11 +80,9 @@ def exponent_factor(n: int, mode: DeviationMode) -> float:
     return float(n)
 
 
-def deviation_field(f, h, reference, a: float, n: int, mode: DeviationMode) -> DeviationField:
-    """The deviation for field values f and h; f, h and reference broadcast."""
-    coef = exponent_factor(n, mode)
-    rate = coef * a
-    pref = np.exp(-rate * f)
-    exact = reference * np.expm1(-rate * f) - a * h * pref
-    linear = -a * (h + coef * reference * f)
-    return DeviationField(exact=exact, linear=linear, mode=mode)
+def deviation_field(f, h, reference, a: float, n: int, mode: DeviationMode) -> np.ndarray:
+    """The exact curvature deviation for field values f and h, which
+    broadcast with reference: R0 (e^{-af} - 1) - a h e^{-af} on surfaces,
+    Q1 - Q0 = Q0 (e^{-naf} - 1) - a h e^{-naf} in the fourth-order mode."""
+    rate = exponent_factor(n, mode) * a
+    return reference * np.expm1(-rate * f) - a * h * np.exp(-rate * f)

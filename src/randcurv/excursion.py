@@ -60,11 +60,11 @@ logger = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class ExcursionReport:
-    """One Monte Carlo exceedance estimate with its provenance.
+    """One Monte Carlo exceedance estimate over draws 0 .. n_samples - 1 of
+    the seed, with its provenance.
 
-    dual_estimate is the same event computed the second way
-    (min over the grid of 1 - a v < 0); refinement_delta is the change of the
-    estimate under the grid's canonical refinement with identical draws.
+    refinement_delta is the change of the estimate under the grid's
+    canonical refinement with identical draws (None without refinement).
     """
 
     estimate: float
@@ -74,9 +74,6 @@ class ExcursionReport:
     amplitude: float | None
     n_grid_points: int
     seed: int
-    first_draw_index: int
-    last_draw_index: int
-    dual_estimate: float | None = None
     refinement_delta: float | None = None
     regime_warning: str | None = None
 
@@ -166,18 +163,14 @@ def _samplers(spec, grid, refine: bool) -> list:
 
 
 def _p2_chunk(ctx, j0: int, j1: int):
-    """Exceedance counts per sampler and amplitude, the dual counts and the
-    sum of the per-draw suprema of v on the coarse grid."""
+    """Exceedance counts per sampler and amplitude and the sum of the
+    per-draw suprema of v on the coarse grid."""
     sups = [
         (smp.sample_block(ctx.seed, range(j0, j1), fields=("h",))[1] / ctx.r0).max(axis=1)
         for smp in ctx.samplers
     ]
-    a = ctx.a
-    counts = np.array([(sup[None, :] > (1.0 / a)[:, None]).sum(axis=1) for sup in sups])
-    # the same event, computed the way the sign-change set is defined:
-    # min over the grid of (1 - a v) = 1 - a sup v goes negative
-    dual = ((1.0 - a[:, None] * sups[0][None, :]) < 0.0).sum(axis=1)
-    return counts, dual, float(sups[0].sum())
+    counts = np.array([(sup[None, :] > (1.0 / ctx.a)[:, None]).sum(axis=1) for sup in sups])
+    return counts, float(sups[0].sum())
 
 
 def p2_curve(
@@ -204,8 +197,7 @@ def p2_curve(
         raise ValueError("need at least one sample")
     ctx = SimpleNamespace(samplers=_samplers(spec, grid, refine), r0=r, a=a_arr, seed=int(seed))
     results = map_chunks(_p2_chunk, ctx, n, P2_CHUNK, workers)
-    counts = sum(c for c, _, _ in results)
-    dual = sum(d for _, d, _ in results)
+    counts = sum(c for c, _ in results)
     reports = []
     for i, a in enumerate(a_arr):
         p, se = _se(int(counts[0, i]), n)
@@ -218,15 +210,12 @@ def p2_curve(
                 amplitude=float(a),
                 n_grid_points=ctx.samplers[0].n_points,
                 seed=int(seed),
-                first_draw_index=0,
-                last_draw_index=n - 1,
-                dual_estimate=int(dual[i]) / n,
                 refinement_delta=int(counts[1, i]) / n - p if refine else None,
             )
         )
     return P2Study(
         reports=tuple(reports),
-        e_sup=math.fsum(t for _, _, t in results) / n,
+        e_sup=math.fsum(t for _, t in results) / n,
         sigma_v=math.sqrt(variance_summary(spec, grid).sigma2_sup),
     )
 
@@ -265,7 +254,7 @@ def _linf_count(ctx, sampler, screen, A) -> tuple[int, int]:
     hit = np.flatnonzero(bound > ctx.u)
     F, H = sampler.evaluate(A[hit])
     dev = deviation_field(F, H, ctx.reference, ctx.a, ctx.dim, ctx.mode)
-    return int((np.abs(dev.exact).max(axis=1) > ctx.u).sum()), int(hit.size)
+    return int((np.abs(dev).max(axis=1) > ctx.u).sum()), int(hit.size)
 
 
 def _linf_chunk(ctx, j0: int, j1: int):
@@ -321,8 +310,6 @@ def estimate_linf(
         amplitude=float(a),
         n_grid_points=ctx.screened[0][0].n_points,
         seed=int(seed),
-        first_draw_index=0,
-        last_draw_index=n - 1,
         refinement_delta=delta,
         regime_warning=warning,
     )

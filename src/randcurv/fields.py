@@ -166,7 +166,7 @@ def _selected(spec: RandomFieldSpec, f, h):
     -(h + n Q0 f) in the Q mode.
 
     V and W need a constant reference here; gridded references are handled
-    pointwise by variance_summary instead.
+    pointwise by diagonal_variance instead.
     """
     if spec.which is FieldKind.F:
         return f
@@ -460,6 +460,8 @@ def _sphere_angles_of(grid):
     if isinstance(grid, tuple) and len(grid) == 2:
         th = np.atleast_1d(np.asarray(grid[0], dtype=float))
         ph = np.atleast_1d(np.asarray(grid[1], dtype=float))
+        if th.shape != ph.shape or th.ndim != 1:
+            raise ValueError("theta and phi must be 1-d arrays of equal length")
         return th, ph, grid
     xyz = np.atleast_2d(np.asarray(grid, dtype=float))
     if xyz.ndim != 2 or xyz.shape[1] != 3:
@@ -544,90 +546,56 @@ def covariance_f_sphere(spec: RandomFieldSpec, d):
 @dataclass(frozen=True)
 class VarianceSummary:
     sigma2_sup: float
-    argmax_index: int
-    argmax_point: np.ndarray | None
-    is_constant: bool
 
 
-def _grid_points(spec: RandomFieldSpec, grid):
-    """One row per point, read as the samplers read the grid: unit vectors on
-    the 2-sphere, (x, y) on the torus, the stored points of a user-supplied
-    model (which ignores the grid), array rows elsewhere."""
-    g = spec.spectrum.geometry
-    if g is Geometry.USER_SUPPLIED:
-        return spec.spectrum.points
+def _n_points(geometry: Geometry, grid) -> int:
+    """The number of grid points a sampler of the geometry reads, with the
+    grid checked as the samplers check it."""
     if grid is None:
         raise ValueError("variance_summary needs a grid")
-    if g is Geometry.FLAT_TORUS2:
-        return _torus_points_of(grid)[0]
-    if g is not Geometry.SPHERE2:
-        return np.asarray(grid)
-    if isinstance(grid, SphereGrid):
-        return grid.xyz
-    theta, phi, _ = _sphere_angles_of(grid)
-    st = np.sin(theta)
-    return np.column_stack([st * np.cos(phi), st * np.sin(phi), np.cos(theta)])
+    if geometry is Geometry.FLAT_TORUS2:
+        return len(_torus_points_of(grid)[0])
+    if geometry is Geometry.SPHERE2:
+        return len(_sphere_angles_of(grid)[0])
+    return len(np.asarray(grid))
 
 
 def diagonal_variance(spec: RandomFieldSpec, grid) -> np.ndarray:
-    """Pointwise variance of the selected field at the grid points."""
-    return _diagonal_components(spec, grid)[0]
-
-
-def variance_summary(spec: RandomFieldSpec, grid) -> VarianceSummary:
-    """Pointwise variance of the selected field over the grid, its sup and
-    argmax, and a constancy flag (max - min < 1e-10 * max)."""
-    diag, pts = _diagonal_components(spec, grid)
-    npts = diag.size
-    imax = int(np.argmax(diag))
-    hi = float(diag[imax])
-    lo = float(diag.min())
-    return VarianceSummary(
-        sigma2_sup=hi,
-        argmax_index=imax,
-        argmax_point=(None if pts is None else np.asarray(pts[imax])),
-        is_constant=bool(hi - lo < 1e-10 * max(hi, 1e-300)),
-    )
-
-
-def _diagonal_components(spec: RandomFieldSpec, grid):
+    """Pointwise variance of the selected field at the grid points, or at
+    the stored points of a user-supplied model (which ignores the grid)."""
     model = spec.spectrum
-    pts = _grid_points(spec, grid)
     if model.geometry is Geometry.USER_SUPPLIED:
         smp = UserSampler(spec)
         wf, wh = smp.wf, smp.wh
         var_f, var_h, cov_fh = (smp.design**2 @ np.stack([wf * wf, wh * wh, wf * wh], axis=1)).T
-        npts = var_h.size
     else:
         # isotropic: constants across the grid, summed per level
+        n = _n_points(model.geometry, grid)
         lw = level_weights(spec)
         M = spec.coefficients.truncation
         N = model.multiplicities[:M].astype(float)
-        var_f = float(np.sum(lw.alpha**2 * N) / model.volume)
-        var_h = float(np.sum(lw.beta**2 * N) / model.volume)
-        cov_fh = float(np.sum(lw.alpha * lw.beta * N) / model.volume)
-        npts = len(pts)
-        var_f = np.full(npts, var_f)
-        var_h = np.full(npts, var_h)
-        cov_fh = np.full(npts, cov_fh)
+        var_f = np.full(n, float(np.sum(lw.alpha**2 * N) / model.volume))
+        var_h = np.full(n, float(np.sum(lw.beta**2 * N) / model.volume))
+        cov_fh = np.full(n, float(np.sum(lw.alpha * lw.beta * N) / model.volume))
+    npts = var_h.size
     if npts == 0:
         raise ValueError("variance_summary needs a nonempty grid")
 
     if spec.which is FieldKind.F:
-        diag = var_f
-    elif spec.which is FieldKind.H:
-        diag = var_h
-    else:
-        r0 = np.broadcast_to(
-            np.asarray(spec.reference_curvature, dtype=float), (npts,)
-        )
-        if spec.which is FieldKind.V:
-            diag = var_h / r0**2
-        else:
-            scale = spec.spectrum.dimension if spec.q_mode else 1.0
-            # w = h + R0 f (surfaces) or -(h + n Q0 f); variance is the same
-            diag = var_h + 2.0 * (scale * r0) * cov_fh + (scale * r0) ** 2 * var_f
-    return diag, pts
+        return var_f
+    if spec.which is FieldKind.H:
+        return var_h
+    r0 = np.broadcast_to(np.asarray(spec.reference_curvature, dtype=float), (npts,))
+    if spec.which is FieldKind.V:
+        return var_h / r0**2
+    scale = spec.spectrum.dimension if spec.q_mode else 1.0
+    # w = h + R0 f (surfaces) or -(h + n Q0 f); variance is the same
+    return var_h + 2.0 * (scale * r0) * cov_fh + (scale * r0) ** 2 * var_f
+
+
+def variance_summary(spec: RandomFieldSpec, grid) -> VarianceSummary:
+    """The sup over the grid of the selected field's pointwise variance."""
+    return VarianceSummary(sigma2_sup=float(diagonal_variance(spec, grid).max()))
 
 
 # ---------------------------------------------------------------------------
@@ -638,13 +606,11 @@ def _diagonal_components(spec: RandomFieldSpec, grid):
 class HeatVariance:
     """Diagonal of the heat kernel without its constant term.
 
-    For the built-in homogeneous geometries this is a constant (is_constant
-    true, values None); user-supplied models get pointwise values over their
-    stored grid.
+    For the built-in homogeneous geometries this is a constant (values
+    None); user-supplied models get pointwise values over their stored grid.
     """
 
     sup: float
-    is_constant: bool
     values: np.ndarray | None = None
 
 
@@ -674,13 +640,13 @@ def heat_variance(spectrum: SpectrumModel, T: float) -> HeatVariance:
     g = spectrum.geometry
     if g is Geometry.SPHERE2:
         total = _level_series(lambda m: (2 * m + 1) * math.exp(-m * (m + 1) * T), 100000, T)
-        return HeatVariance(sup=total / spectrum.volume, is_constant=True)
+        return HeatVariance(sup=total / spectrum.volume)
     if g is Geometry.FLAT_TORUS2:
         # sum over k in Z^2 \ {0} of e^{-|k|^2 T} = theta^2 - 1 = 4 s (1 + s)
         # with theta = 1 + 2 s, s = sum_{k >= 1} e^{-k^2 T}: O(1/sqrt(T))
         # terms and no cancellation at large T
         s = _level_series(lambda k: math.exp(-k * k * T), 10**6, T)
-        return HeatVariance(sup=4.0 * s * (1.0 + s) / spectrum.volume, is_constant=True)
+        return HeatVariance(sup=4.0 * s * (1.0 + s) / spectrum.volume)
     if g is Geometry.ROUND_SPHERE4_PANEITZ:
         from .spectral import paneitz_level_s4
 
@@ -689,7 +655,7 @@ def heat_variance(spectrum: SpectrumModel, T: float) -> HeatVariance:
             return mult * math.exp(-lam * T)
 
         total = _level_series(term, 10000, T)
-        return HeatVariance(sup=total / spectrum.volume, is_constant=True)
+        return HeatVariance(sup=total / spectrum.volume)
     # user-supplied: finite listed sum on the stored grid
     rows = []
     pos = 0
@@ -698,8 +664,4 @@ def heat_variance(spectrum: SpectrumModel, T: float) -> HeatVariance:
         rows.append(math.exp(-lam * T) * np.sum(block**2, axis=0))
         pos += int(mult)
     vals = np.sum(rows, axis=0)
-    hi = float(vals.max())
-    lo = float(vals.min())
-    return HeatVariance(
-        sup=hi, is_constant=bool(hi - lo < 1e-10 * max(hi, 1e-300)), values=vals
-    )
+    return HeatVariance(sup=float(vals.max()), values=vals)

@@ -413,7 +413,6 @@ class TestEstimateP2:
         dual = (1.0 - a * sups) < 0.0
         assert np.array_equal(direct, dual)
         assert r.estimate == direct.sum() / n
-        assert r.dual_estimate == dual.sum() / n
 
     def test_refinement_shift_is_small(self):
         r = ex.p2_curve(
@@ -486,7 +485,6 @@ class TestEstimateP2:
         study = ex.p2_curve(V_SPEC, [0.3, 0.4, 0.5], fibonacci_sphere(256), n, 2026, refine=True)
         counts = [round(r.estimate * n) for r in study.reports]
         assert counts == [38, 429, 1088]
-        assert [round(r.dual_estimate * n) for r in study.reports] == counts
         refined = [round((r.estimate + r.refinement_delta) * n) for r in study.reports]
         assert refined == [39, 430, 1098]
         assert study.e_sup == pytest.approx(1.6058032086244622, rel=1e-13)
@@ -501,7 +499,6 @@ class TestEstimateP2:
             ex.ExcursionReport(
                 estimate=1.5, standard_error=0.0, n_samples=1, threshold=1.0,
                 amplitude=1.0, n_grid_points=1, seed=0,
-                first_draw_index=0, last_draw_index=0,
             )
 
 
@@ -657,7 +654,7 @@ class TestEstimateLinf:
                 growth = curvature.exponent_factor(2, mode) * a * M[:, 0]
                 for r0 in (0.0, -0.4, np.linspace(-0.5, 0.3, grid.n_points)):
                     bound = np.abs(r0).max() * np.expm1(growth) + a * M[:, 1] * np.exp(growth)
-                    exact = curvature.deviation_field(F, H, r0, a, 2, mode).exact
+                    exact = curvature.deviation_field(F, H, r0, a, 2, mode)
                     assert np.all(np.abs(exact).max(axis=1) <= bound)
 
     @settings(max_examples=40, deadline=None)
@@ -685,7 +682,7 @@ class TestEstimateLinf:
 
         def brute(g):
             F, H = make_sampler(spec, g).sample_block(seed, range(n))
-            exact = curvature.deviation_field(F, H, r0, a, 2, mode).exact
+            exact = curvature.deviation_field(F, H, r0, a, 2, mode)
             return int((np.abs(exact).max(axis=1) > u).sum())
 
         r = ex.estimate_linf(spec, a, u, grid, n, seed, mode=mode, refine=refine)

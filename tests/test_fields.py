@@ -189,7 +189,6 @@ def test_torus_sampler_variance_and_translation():
     rt = RandomFieldSpec(t1, ex, FieldKind.H)
     vs = fl.variance_summary(rt, torus_grid(8))
     assert vs.sigma2_sup == pytest.approx(1.0 / math.pi**2, rel=1e-14)
-    assert vs.is_constant
     # translation invariance: same displacement, different base points
     pts = np.array([[0.3, 1.0], [0.8, 1.7], [4.0, 2.2], [4.5, 2.9]])
     smp = fl.TorusSampler(rt, pts)
@@ -254,7 +253,7 @@ def test_variance_summary_fields(sphere12, norm8, h_spec):
     g = fibonacci_sphere(50)
     vs = fl.variance_summary(h_spec, g)
     assert vs.sigma2_sup == pytest.approx(norm8.truncated_sum, rel=1e-13)
-    assert vs.is_constant
+    np.testing.assert_array_equal(fl.diagonal_variance(h_spec, g), np.full(50, vs.sigma2_sup))
     v_spec = RandomFieldSpec(sphere12, norm8, FieldKind.V, reference_curvature=2.0)
     assert fl.variance_summary(v_spec, g).sigma2_sup == pytest.approx(
         norm8.truncated_sum / 4.0, rel=1e-13
@@ -269,21 +268,19 @@ def test_variance_summary_reads_an_angle_tuple_as_points(h_spec):
     # (theta, phi) is one point per entry, as the samplers read it
     theta = np.array([0.3, 1.0, 1.7, 2.4, 3.0])
     phi = np.array([0.1, 2.0, 4.0, 5.5, 1.2])
-    assert fl.diagonal_variance(h_spec, (theta, phi)).shape == (5,)
-    vs = fl.variance_summary(h_spec, (theta, phi))
-    assert vs.argmax_point.shape == (3,)
-    want = [math.sin(theta[vs.argmax_index]) * math.cos(phi[vs.argmax_index]),
-            math.sin(theta[vs.argmax_index]) * math.sin(phi[vs.argmax_index]),
-            math.cos(theta[vs.argmax_index])]
-    np.testing.assert_allclose(vs.argmax_point, want, atol=1e-15)
+    diag = fl.diagonal_variance(h_spec, (theta, phi))
+    assert diag.shape == (5,)
+    assert fl.variance_summary(h_spec, (theta, phi)).sigma2_sup == diag.max()
+    # the samplers reject angle arrays of unequal length, and so does the summary
+    with pytest.raises(ValueError, match="equal length"):
+        fl.variance_summary(h_spec, (theta, phi[:4]))
     torus = RandomFieldSpec(sp.torus2_spectrum(1), sp.make_explicit([1.0]), FieldKind.H)
     pts = np.array([[0.3, 1.0], [0.8, 1.7], [4.0, 2.2]])
     assert fl.diagonal_variance(torus, pts).shape == (3,)
-    assert np.array_equal(fl.variance_summary(torus, pts).argmax_point, pts[0])
 
 
-def test_variance_summary_user_supplied_argmax():
-    # two points with unequal diagonal: argmax at the larger one
+def test_variance_summary_user_supplied_pointwise():
+    # two points with unequal diagonal: the sup is the larger one
     model = sp.SpectrumModel(
         geometry=Geometry.USER_SUPPLIED,
         dimension=2,
@@ -294,10 +291,42 @@ def test_variance_summary_user_supplied_argmax():
         eigenfunctions=np.array([[0.5, 2.0]]),
     )
     spec = RandomFieldSpec(model, sp.make_explicit([1.0], indexing=Indexing.PER_EIGENFUNCTION), FieldKind.H)
-    vs = fl.variance_summary(spec, None)
-    assert vs.argmax_index == 1
-    assert not vs.is_constant
-    assert vs.sigma2_sup == pytest.approx((2.0 * 2.0) ** 2)
+    # h weight -lambda c = -2 against the values (0.5, 2.0)
+    np.testing.assert_allclose(fl.diagonal_variance(spec, None), [1.0, 16.0], rtol=1e-15)
+    assert fl.variance_summary(spec, None).sigma2_sup == pytest.approx((2.0 * 2.0) ** 2)
+
+
+@pytest.mark.parametrize("geometry", ["sphere", "torus"])
+def test_variance_summary_rejects_a_gridded_reference_of_another_length(
+    sphere12, norm8, geometry
+):
+    if geometry == "sphere":
+        model, scheme, grid = sphere12, norm8, fibonacci_sphere(16)
+    else:
+        model, scheme, grid = sp.torus2_spectrum(3), sp.make_explicit([0.9, 0.4, 0.25]), torus_grid(4)
+    for which in (FieldKind.V, FieldKind.W):
+        for size in (grid.n_points - 1, grid.n_points + 1):
+            spec = RandomFieldSpec(model, scheme, which, reference_curvature=np.ones(size))
+            with pytest.raises(ValueError):
+                fl.variance_summary(spec, grid)
+
+
+def test_variance_summary_rejects_an_empty_torus_point_set():
+    spec = RandomFieldSpec(sp.torus2_spectrum(1), sp.make_explicit([1.0]), FieldKind.H)
+    with pytest.raises(ValueError, match="nonempty"):
+        fl.variance_summary(spec, np.empty((0, 2)))
+
+
+def test_variance_summary_sup_of_a_gridded_w_reference(sphere12, norm8):
+    # var w(x) = sum over levels of N_m (beta_m + R0(x) alpha_m)^2 / volume
+    g = fibonacci_sphere(16)
+    r0 = np.linspace(-0.8, 1.3, g.n_points)
+    spec = RandomFieldSpec(sphere12, norm8, FieldKind.W, reference_curvature=r0)
+    lw = fl.level_weights(spec)
+    N = sphere12.multiplicities[: norm8.truncation]
+    want = ((lw.beta[None, :] + r0[:, None] * lw.alpha[None, :]) ** 2 @ N) / sphere12.volume
+    np.testing.assert_allclose(fl.diagonal_variance(spec, g), want, rtol=1e-12)
+    assert fl.variance_summary(spec, g).sigma2_sup == pytest.approx(want.max(), rel=1e-12)
 
 
 def test_w_identity_through_sampler(h_spec, sphere12, norm8):
@@ -313,7 +342,6 @@ def test_w_identity_through_sampler(h_spec, sphere12, norm8):
 
 def test_heat_variance_sphere_asymptotics(sphere12):
     hv = fl.heat_variance(sphere12, 0.01)
-    assert hv.is_constant
     assert 4 * math.pi * 0.01 * hv.sup == pytest.approx(1.0, abs=0.05)
     hv6 = fl.heat_variance(sphere12, 6.0)
     assert hv6.sup / ((3 / (4 * math.pi)) * math.exp(-12.0)) == pytest.approx(1.0, abs=0.01)
@@ -511,7 +539,6 @@ def lattice_heat_sum(T):
 def test_heat_variance_torus_matches_lattice_sum(T):
     model = sp.torus2_spectrum(3)
     hv = fl.heat_variance(model, T)
-    assert hv.is_constant
     assert hv.sup == pytest.approx(lattice_heat_sum(T) / model.volume, rel=1e-14)
 
 
