@@ -29,7 +29,7 @@ from . import fields
 from .bounds import gaussian_tail, linf_regime_ok
 from .curvature import DeviationMode, deviation_field, exponent_factor
 from .fields import FieldKind, RandomFieldSpec, make_sampler, variance_summary
-from .grids import _closed_triangulation, icosphere
+from .grids import _closed_triangulation, _faces_around, icosphere
 from .spectral import SPHERE2_VOLUME, CoefficientScheme, Indexing
 
 __all__ = [
@@ -127,10 +127,12 @@ def _run_in_worker(kernel, j0: int, j1: int):
 def map_chunks(kernel, ctx, n: int, chunk: int, workers: int = 1) -> list:
     """[kernel(ctx, j0, j1) for the chunks [j0, j1) of range(n)], in chunk
     order.  The chunks depend on n and chunk only, so results reduced by
-    integer or fsum addition do not depend on the worker count.  With
+    integer or fsum addition do not depend on the worker count.  At most one
+    worker process is started per chunk, and none for a single chunk.  With
     workers > 1 the kernel must be a module-level function."""
     starts = range(0, n, chunk)
     ends = [min(j0 + chunk, n) for j0 in starts]
+    workers = min(workers, len(starts))
     if workers <= 1:
         return [kernel(ctx, j0, j1) for j0, j1 in zip(starts, ends)]
     with ProcessPoolExecutor(
@@ -319,10 +321,13 @@ def estimate_linf(
 # Euler characteristics of super-level sets
 
 
-def _euler_counts(values: np.ndarray, thresholds: np.ndarray, faces) -> np.ndarray:
+def _euler_counts(
+    values: np.ndarray, thresholds: np.ndarray, faces: np.ndarray, vertex_faces: np.ndarray
+) -> np.ndarray:
     """Euler characteristics chi[b, k] = #V - #E + #F of {values[b] >= thresholds[k]}
     for a block of vertex values (B, n_vertices) on a closed triangulation
-    whose face rows are sorted (_closed_triangulation).
+    whose face rows are sorted (_closed_triangulation), with its table of the
+    faces around each vertex, padded with len(faces) (_faces_around).
 
     Order the vertices by (value, index).  A cell lies in {h >= u} iff its
     lowest vertex value is >= u, so chi(u) = sum over vertices v with
@@ -335,33 +340,50 @@ def _euler_counts(values: np.ndarray, thresholds: np.ndarray, faces) -> np.ndarr
     when v is the middle vertex of the face (v, p, q), so
     c(v) = 1 - mid(v) / 2 with mid(v) the number of faces whose middle vertex
     is v.  With f0 < f1 < f2 the tests a_i <= a_j break ties by index.
-    mid(v) is counted once per sample, and only the few vertices with
-    mid(v) != 2 (the PL critical points) meet the thresholds.
+
+    Only the vertices S with h(v) >= min(thresholds) reach a threshold, and a
+    face whose middle vertex is v contains v, so mid(v) for v in S is counted
+    on the faces around S alone: they are marked through the table (the pad
+    marks a spare slot), and mid is read at S only.  When S holds half the
+    vertices or more, marking costs more than it saves and every face is
+    visited.  Only the few vertices of S with mid(v) != 2 (the PL critical
+    points) meet the thresholds.
     Values and thresholds must be finite: a NaN would be mis-attributed.
     """
     B, n_vertices = values.shape
+    n_faces = faces.shape[0]
+    order = np.argsort(thresholds, kind="stable")
+    ts = thresholds[order]
     f0, f1, f2 = np.ascontiguousarray(faces.T)
     rows, levels, weights = [], [], []
     for b, h in enumerate(values):
-        a0, a1, a2 = h[f0], h[f1], h[f2]
+        in_S = h >= ts[0]
+        if 2 * np.count_nonzero(in_S) >= n_vertices:
+            g0, g1, g2 = f0, f1, f2
+        else:
+            marked = np.zeros(n_faces + 1, dtype=bool)
+            # np.take gathers the rows several times faster than indexing
+            marked[np.take(vertex_faces, np.flatnonzero(in_S), axis=0)] = True
+            near = np.flatnonzero(marked[:n_faces])
+            g0, g1, g2 = f0[near], f1[near], f2[near]
+        a0, a1, a2 = h[g0], h[g1], h[g2]
         lt01 = a0 <= a1
         lt02 = a0 <= a2
         lt12 = a1 <= a2
-        mid = np.where(lt01 != lt02, f0, np.where(lt01 == lt12, f1, f2))
+        mid = np.where(lt01 != lt02, g0, np.where(lt01 == lt12, g1, g2))
         k = np.bincount(mid, minlength=n_vertices)
-        crit = np.flatnonzero(k != 2)
+        crit = np.flatnonzero((k != 2) & in_S)
         rows.append(np.full(crit.size, b))
         levels.append(h[crit])
         weights.append(1 - k[crit] // 2)
-    # a critical vertex at level h counts toward every threshold <= h: bin it
-    # by the number of sorted thresholds <= h, then sum the bins from the top
-    order = np.argsort(thresholds, kind="stable")
-    T = thresholds.size
-    above = np.searchsorted(thresholds[order], np.concatenate(levels), side="right")
-    bins = np.zeros((B, T + 1), dtype=np.int64)
+    # a critical vertex at level h lies in S, so at least one threshold is
+    # <= h, and it counts toward each: bin it by the number of sorted
+    # thresholds <= h, less one, then sum the bins from the top
+    above = np.searchsorted(ts, np.concatenate(levels), side="right") - 1
+    bins = np.zeros((B, ts.size), dtype=np.int64)
     np.add.at(bins, (np.concatenate(rows), above), np.concatenate(weights))
-    chi = np.empty((B, T), dtype=np.int64)
-    chi[:, order] = np.cumsum(bins[:, :0:-1], axis=1)[:, ::-1]
+    chi = np.empty((B, ts.size), dtype=np.int64)
+    chi[:, order] = np.cumsum(bins[:, ::-1], axis=1)[:, ::-1]
     return chi
 
 
@@ -376,13 +398,14 @@ def empirical_euler(grid, values, u: float) -> int:
         raise ValueError("values must cover every grid vertex")
     if not (np.all(np.isfinite(vals)) and math.isfinite(u)):
         raise ValueError("vertex values and the threshold must be finite")
-    return int(_euler_counts(vals[None, :], np.array([u], dtype=float), faces)[0, 0])
+    chi = _euler_counts(vals[None, :], np.array([u], dtype=float), faces, _faces_around(grid, faces))
+    return int(chi[0, 0])
 
 
 def _euler_chunk(ctx, j0: int, j1: int):
     """Per threshold, the chunk's sums of chi and chi^2."""
     _, H = ctx.sampler.sample_block(ctx.seed, range(j0, j1), fields=("h",))
-    chi = _euler_counts(H, ctx.thresholds, ctx.faces)
+    chi = _euler_counts(H, ctx.thresholds, ctx.faces, ctx.vertex_faces)
     return chi.sum(axis=0), (chi * chi).sum(axis=0)
 
 
@@ -409,8 +432,9 @@ def euler_curve(
     # the prediction rejects a scheme it does not cover: before any draw
     L2 = SPHERE2_VOLUME * at_metric_constant(spec.coefficients)
     predicted = np.array([predicted_euler(spec.coefficients, u) for u in ts])
+    faces = _closed_triangulation(grid)
     ctx = SimpleNamespace(
-        sampler=make_sampler(spec, grid), faces=_closed_triangulation(grid),
+        sampler=make_sampler(spec, grid), faces=faces, vertex_faces=_faces_around(grid, faces),
         thresholds=ts, seed=int(seed),
     )
     results = map_chunks(_euler_chunk, ctx, n, EULER_CHUNK, workers)

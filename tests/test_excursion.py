@@ -7,6 +7,7 @@ import dataclasses
 import logging
 import math
 import re
+from concurrent.futures import ProcessPoolExecutor
 from types import SimpleNamespace
 
 import numpy as np
@@ -89,6 +90,22 @@ def brute_chi(faces, mask):
     return nv - ne + nf
 
 
+def euler_counts(g, values, thresholds):
+    faces = ex._closed_triangulation(g)
+    return ex._euler_counts(values, thresholds, faces, grids._faces_around(g, faces))
+
+
+def all_faces_chi(faces, h, thresholds):
+    # the middle-vertex rule on every face, c(v) = 1 - mid(v)/2 summed over
+    # every vertex with h(v) >= u
+    f = np.sort(faces, axis=1)
+    a = h[f]
+    lt01, lt02, lt12 = a[:, 0] <= a[:, 1], a[:, 0] <= a[:, 2], a[:, 1] <= a[:, 2]
+    mid = np.where(lt01 != lt02, f[:, 0], np.where(lt01 == lt12, f[:, 1], f[:, 2]))
+    c = 2 - np.bincount(mid, minlength=h.size)
+    return [int(c[h >= u].sum()) // 2 for u in thresholds]
+
+
 class TestEmpiricalEuler:
     def test_every_octahedron_subset_matches_brute_force(self):
         g = octahedron()
@@ -142,10 +159,9 @@ class TestEmpiricalEuler:
     def test_critical_vertex_counts_match_brute_force(self, g, seed, thresholds):
         # small integer values force ties between vertices and with thresholds;
         # thresholds come unsorted, repeated and equal to vertex values
-        faces = ex._closed_triangulation(g)
         values = np.random.default_rng(seed).integers(-2, 3, size=(3, g.n_points)).astype(float)
         ts = np.array(thresholds)
-        got = ex._euler_counts(values, ts, faces)
+        got = euler_counts(g, values, ts)
         for b, h in enumerate(values):
             expect = [brute_chi(g.faces, h >= u) for u in ts]
             assert got[b].tolist() == expect
@@ -159,7 +175,6 @@ class TestEmpiricalEuler:
     def test_other_topologies_match_brute_force(self, g, chi):
         # the middle-vertex weight must hold on every closed triangulation:
         # genus 1, a vertex of degree 12, a vertex whose link is two cycles
-        faces = ex._closed_triangulation(g)
         assert ex.empirical_euler(g, np.zeros(g.n_points), 0.0) == chi
         rng = np.random.default_rng(20261018)
         for values in (
@@ -168,9 +183,38 @@ class TestEmpiricalEuler:
         ):
             # unsorted thresholds, some equal to vertex values
             ts = np.concatenate([[1.0, -1.0, 0.0, 2.0, -3.0], values[0, :4]])
-            got = ex._euler_counts(values, ts, faces)
+            got = euler_counts(g, values, ts)
             for b, h in enumerate(values):
                 assert got[b].tolist() == [brute_chi(g.faces, h >= u) for u in ts]
+
+    @pytest.mark.parametrize(
+        "case", ["normal-above-1", "integer-ties", "empty", "glued", "suspension"]
+    )
+    def test_high_thresholds_visit_only_the_faces_around_the_set(self, case):
+        # fewer than half the vertices reach the lowest threshold, so the
+        # kernel counts on the faces around them alone; every chi must match
+        # brute force and the middle-vertex rule over every face
+        rng = np.random.default_rng(20261019)
+        if case == "normal-above-1":
+            g, values, ts = icosphere(3), rng.standard_normal((6, 642)), [1.5, 1.0, 2.5, 1.0]
+        elif case == "integer-ties":
+            g, values, ts = icosphere(3), rng.integers(-2, 3, size=(6, 642)).astype(float), [2.0, 1.0]
+        elif case == "empty":
+            g, values, ts = icosphere(2), rng.standard_normal((3, 162)), [9.0, 12.0]
+        elif case == "glued":
+            # the pinched vertex 0 alone, with two vertices of its second link, or absent
+            g, values, ts = octahedra_glued_at_a_vertex(), np.zeros((3, 11)), [1.0]
+            values[0, 0] = values[1, [0, 6, 7]] = values[2, 3] = 1.0
+        else:
+            # the two degree-12 apexes pushed above the thresholds
+            g, values, ts = suspended_12gon(), rng.standard_normal((8, 14)), [1.5, 2.0]
+            values[:, 12:] += 3.0
+        ts = np.array(ts)
+        assert all(2 * np.count_nonzero(h >= ts.min()) < g.n_points for h in values)
+        got = euler_counts(g, values, ts)
+        for b, h in enumerate(values):
+            expect = [brute_chi(g.faces, h >= u) for u in ts]
+            assert got[b].tolist() == expect == all_faces_chi(g.faces, h, ts)
 
     def test_closed_triangulation_edges_are_sorted_unique_pairs(self):
         # the kernel reads only the row-sorted faces; their edges are the grid's
@@ -380,6 +424,26 @@ class TestMapChunks:
         want = [(ctx, 0, 3), (ctx, 3, 6), (ctx, 6, 9), (ctx, 9, 10)]
         assert ex.map_chunks(tagged_span, ctx, 10, 3) == want
         assert ex.map_chunks(tagged_span, ctx, 10, 3, workers=2) == want
+
+    def test_starts_at_most_one_worker_per_chunk(self, monkeypatch):
+        pools = []
+
+        def recording_pool(max_workers, **kwargs):
+            pools.append(max_workers)
+            return ProcessPoolExecutor(max_workers=max_workers, **kwargs)
+
+        monkeypatch.setattr(ex, "ProcessPoolExecutor", recording_pool)
+        ctx = {"seed": 3}
+        assert ex.map_chunks(tagged_span, ctx, 3, 3, workers=8) == [(ctx, 0, 3)]
+        assert pools == []
+        assert ex.map_chunks(tagged_span, ctx, 5, 3, workers=8) == [(ctx, 0, 3), (ctx, 3, 5)]
+        assert pools == [2]
+        # one chunk and two chunks give the same estimates at any worker count
+        grid = fibonacci_sphere(64)
+        for n in (ex.P2_CHUNK, ex.P2_CHUNK + 1):
+            runs = [ex.p2_curve(V_SPEC, [0.4], grid, n, 5, workers=w) for w in (1, 2, 8)]
+            assert runs[0] == runs[1] == runs[2]
+        assert pools == [2, 2, 2]
 
 
 SCHEME = make_sphere_normalized(8.0, 12)

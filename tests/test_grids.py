@@ -5,8 +5,10 @@ import pickle
 import numpy as np
 import pytest
 
+from randcurv import grids
 from randcurv.grids import (
     _closed_triangulation,
+    _faces_around,
     _harmonic_design,
     face_edges,
     fibonacci_sphere,
@@ -151,3 +153,34 @@ def test_memo_is_used_only_over_read_only_arrays():
     faces = _closed_triangulation(ico)
     assert faces is not ico._memo["closed_faces"]
     assert np.array_equal(faces, ico._memo["closed_faces"])
+
+
+def test_vertex_face_table_lists_the_faces_around_each_vertex():
+    # icosphere(1): the 12 icosahedron vertices have 5 faces, the others 6
+    g = icosphere(1)
+    faces = _closed_triangulation(g)
+    table = _faces_around(g, faces)
+    assert table.shape == (g.n_points, 6)
+    for v, row in enumerate(table):
+        around = np.flatnonzero((faces == v).any(axis=1))
+        assert sorted(row[row < len(faces)]) == around.tolist()
+        assert np.all(row[len(around):] == len(faces))
+
+
+def test_vertex_face_table_is_memoised_beside_the_checked_faces(monkeypatch):
+    builds = []
+    build = grids._vertex_faces
+    monkeypatch.setattr(grids, "_vertex_faces", lambda faces, n: builds.append(n) or build(faces, n))
+    g = icosphere(2)
+    table = _faces_around(g, _closed_triangulation(g))
+    assert _faces_around(g, _closed_triangulation(g)) is table and len(builds) == 1
+    with pytest.raises(ValueError, match="read-only"):
+        table[0, 0] = 0
+    # a copy with writable faces and an unpickled grid build it on every call
+    writable = dataclasses.replace(g, faces=np.array(g.faces))
+    unpickled = pickle.loads(pickle.dumps(g))
+    for other in (writable, unpickled):
+        faces = _closed_triangulation(other)
+        a, b = _faces_around(other, faces), _faces_around(other, faces)
+        assert a is not b and np.array_equal(a, table) and np.array_equal(b, table)
+    assert len(builds) == 5
