@@ -29,7 +29,7 @@ from . import fields
 from .bounds import gaussian_tail, linf_regime_ok
 from .curvature import DeviationMode, deviation_field, exponent_factor
 from .fields import FieldKind, RandomFieldSpec, make_sampler, variance_summary
-from .grids import _closed_triangulation, _faces_around, icosphere
+from .grids import _closed_triangulation, icosphere
 from .spectral import SPHERE2_VOLUME, CoefficientScheme, Indexing
 
 __all__ = [
@@ -326,8 +326,8 @@ def _euler_counts(
 ) -> np.ndarray:
     """Euler characteristics chi[b, k] = #V - #E + #F of {values[b] >= thresholds[k]}
     for a block of vertex values (B, n_vertices) on a closed triangulation
-    whose face rows are sorted (_closed_triangulation), with its table of the
-    faces around each vertex, padded with len(faces) (_faces_around).
+    whose face rows are sorted, with its table of the faces around each
+    vertex, padded with len(faces) (both from _closed_triangulation).
 
     Order the vertices by (value, index).  A cell lies in {h >= u} iff its
     lowest vertex value is >= u, so chi(u) = sum over vertices v with
@@ -392,13 +392,13 @@ def empirical_euler(grid, values, u: float) -> int:
     triangulation: the vertices, edges and faces whose every vertex value is
     >= u (a vertex exactly at u is included).  Non-finite values or a
     non-finite u are rejected."""
-    faces = _closed_triangulation(grid)
+    faces, vertex_faces = _closed_triangulation(grid)
     vals = np.asarray(values, dtype=float).ravel()
     if vals.size != grid.n_points:
         raise ValueError("values must cover every grid vertex")
     if not (np.all(np.isfinite(vals)) and math.isfinite(u)):
         raise ValueError("vertex values and the threshold must be finite")
-    chi = _euler_counts(vals[None, :], np.array([u], dtype=float), faces, _faces_around(grid, faces))
+    chi = _euler_counts(vals[None, :], np.array([u], dtype=float), faces, vertex_faces)
     return int(chi[0, 0])
 
 
@@ -432,9 +432,9 @@ def euler_curve(
     # the prediction rejects a scheme it does not cover: before any draw
     L2 = SPHERE2_VOLUME * at_metric_constant(spec.coefficients)
     predicted = np.array([predicted_euler(spec.coefficients, u) for u in ts])
-    faces = _closed_triangulation(grid)
+    faces, vertex_faces = _closed_triangulation(grid)
     ctx = SimpleNamespace(
-        sampler=make_sampler(spec, grid), faces=faces, vertex_faces=_faces_around(grid, faces),
+        sampler=make_sampler(spec, grid), faces=faces, vertex_faces=vertex_faces,
         thresholds=ts, seed=int(seed),
     )
     results = map_chunks(_euler_chunk, ctx, n, EULER_CHUNK, workers)

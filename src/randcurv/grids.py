@@ -33,8 +33,8 @@ class SphereGrid:
     neither compared nor shown.  It keeps the harmonic design of the last
     truncation asked for (_harmonic_design) and, for an icosphere, the
     row-sorted faces checked to be a closed triangulation when the mesh was
-    built (_closed_triangulation), with the table of the faces around each
-    vertex once Euler counting asks for it (_faces_around).  The memo is
+    built, with the table of the faces around each vertex once Euler
+    counting first asks for them (_closed_triangulation).  The memo is
     used only while the arrays it derives from are read-only, as the
     builders return them; a grid built by hand with writable arrays, or
     unpickled, derives them on every call.
@@ -116,27 +116,6 @@ def _closed_faces(faces, n_points: int) -> tuple[np.ndarray, np.ndarray]:
     return faces, edges
 
 
-def _mesh_memo(grid) -> dict | None:
-    """The memo of an icosphere whose faces were checked when it was built and
-    are still read-only, else None."""
-    if isinstance(grid, SphereGrid) and "closed_faces" in grid._memo and _frozen(grid.faces):
-        return grid._memo
-    return None
-
-
-def _closed_triangulation(grid) -> np.ndarray:
-    """The row-sorted faces of any grid with faces and n_points, checked by
-    _closed_faces.  An icosphere checked its faces when it was built: while
-    they are read-only, that result is returned from its memo."""
-    faces = getattr(grid, "faces", None)
-    if faces is None:
-        raise ValueError("Euler counting needs a triangulated grid with faces")
-    memo = _mesh_memo(grid)
-    if memo is not None:
-        return memo["closed_faces"]
-    return _closed_faces(faces, grid.n_points)[0]
-
-
 def _vertex_faces(faces: np.ndarray, n_points: int) -> np.ndarray:
     """The (n_points, max degree) table of the indices of the faces around
     each vertex, each row padded with len(faces)."""
@@ -149,16 +128,22 @@ def _vertex_faces(faces: np.ndarray, n_points: int) -> np.ndarray:
     return table
 
 
-def _faces_around(grid, faces: np.ndarray) -> np.ndarray:
-    """_vertex_faces of the faces _closed_triangulation(grid) returned.  An
-    icosphere keeps the table (read-only) in its memo beside the checked
-    faces, under the same rule; any other grid builds it on every call."""
-    memo = _mesh_memo(grid)
-    if memo is None:
-        return _vertex_faces(faces, grid.n_points)
+def _closed_triangulation(grid) -> tuple[np.ndarray, np.ndarray]:
+    """The row-sorted faces of any grid with faces and n_points, checked by
+    _closed_faces, and the table of the faces around each vertex
+    (_vertex_faces) built from them.  An icosphere checked its faces when it
+    was built: while they are read-only, those faces are returned from its
+    memo, with the table built on the first call and kept there read-only."""
+    faces = getattr(grid, "faces", None)
+    if faces is None:
+        raise ValueError("Euler counting needs a triangulated grid with faces")
+    if not (isinstance(grid, SphereGrid) and "closed_faces" in grid._memo and _frozen(faces)):
+        closed = _closed_faces(faces, grid.n_points)[0]
+        return closed, _vertex_faces(closed, grid.n_points)
+    memo = grid._memo
     if "vertex_faces" not in memo:
-        (memo["vertex_faces"],) = _read_only(_vertex_faces(faces, grid.n_points))
-    return memo["vertex_faces"]
+        (memo["vertex_faces"],) = _read_only(_vertex_faces(memo["closed_faces"], grid.n_points))
+    return memo["closed_faces"], memo["vertex_faces"]
 
 
 def _angles(xyz: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

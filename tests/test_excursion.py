@@ -91,8 +91,7 @@ def brute_chi(faces, mask):
 
 
 def euler_counts(g, values, thresholds):
-    faces = ex._closed_triangulation(g)
-    return ex._euler_counts(values, thresholds, faces, grids._faces_around(g, faces))
+    return ex._euler_counts(values, thresholds, *ex._closed_triangulation(g))
 
 
 def all_faces_chi(faces, h, thresholds):
@@ -219,7 +218,7 @@ class TestEmpiricalEuler:
     def test_closed_triangulation_edges_are_sorted_unique_pairs(self):
         # the kernel reads only the row-sorted faces; their edges are the grid's
         g = icosphere(3)
-        faces = ex._closed_triangulation(g)
+        faces, _ = ex._closed_triangulation(g)
         assert np.array_equal(faces, np.sort(g.faces, axis=1))
         edges, counts = face_edges(faces)
         assert np.array_equal(edges, g.edges)

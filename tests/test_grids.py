@@ -8,7 +8,6 @@ import pytest
 from randcurv import grids
 from randcurv.grids import (
     _closed_triangulation,
-    _faces_around,
     _harmonic_design,
     face_edges,
     fibonacci_sphere,
@@ -124,10 +123,11 @@ def test_builders_return_read_only_arrays(grid, names):
 
 def test_icosphere_carries_its_checked_sorted_faces():
     g = icosphere(3)
-    faces = _closed_triangulation(g)
-    assert faces is _closed_triangulation(g)
+    faces, table = _closed_triangulation(g)
+    again = _closed_triangulation(g)
+    assert again[0] is faces and again[1] is table
     assert np.array_equal(faces, np.sort(g.faces, axis=1))
-    assert not faces.flags.writeable
+    assert not faces.flags.writeable and not table.flags.writeable
     # the memo is private: not shown, not compared
     assert "_memo" not in repr(g)
     assert g == dataclasses.replace(g)
@@ -150,7 +150,7 @@ def test_memo_is_used_only_over_read_only_arrays():
     # an unpickled grid's arrays are writable, so its faces are checked again
     ico = pickle.loads(pickle.dumps(icosphere(2)))
     assert ico.faces.flags.writeable
-    faces = _closed_triangulation(ico)
+    faces, _ = _closed_triangulation(ico)
     assert faces is not ico._memo["closed_faces"]
     assert np.array_equal(faces, ico._memo["closed_faces"])
 
@@ -158,8 +158,7 @@ def test_memo_is_used_only_over_read_only_arrays():
 def test_vertex_face_table_lists_the_faces_around_each_vertex():
     # icosphere(1): the 12 icosahedron vertices have 5 faces, the others 6
     g = icosphere(1)
-    faces = _closed_triangulation(g)
-    table = _faces_around(g, faces)
+    faces, table = _closed_triangulation(g)
     assert table.shape == (g.n_points, 6)
     for v, row in enumerate(table):
         around = np.flatnonzero((faces == v).any(axis=1))
@@ -172,15 +171,14 @@ def test_vertex_face_table_is_memoised_beside_the_checked_faces(monkeypatch):
     build = grids._vertex_faces
     monkeypatch.setattr(grids, "_vertex_faces", lambda faces, n: builds.append(n) or build(faces, n))
     g = icosphere(2)
-    table = _faces_around(g, _closed_triangulation(g))
-    assert _faces_around(g, _closed_triangulation(g)) is table and len(builds) == 1
+    _, table = _closed_triangulation(g)
+    assert _closed_triangulation(g)[1] is table and len(builds) == 1
     with pytest.raises(ValueError, match="read-only"):
         table[0, 0] = 0
     # a copy with writable faces and an unpickled grid build it on every call
     writable = dataclasses.replace(g, faces=np.array(g.faces))
     unpickled = pickle.loads(pickle.dumps(g))
     for other in (writable, unpickled):
-        faces = _closed_triangulation(other)
-        a, b = _faces_around(other, faces), _faces_around(other, faces)
+        a, b = _closed_triangulation(other)[1], _closed_triangulation(other)[1]
         assert a is not b and np.array_equal(a, table) and np.array_equal(b, table)
     assert len(builds) == 5
