@@ -164,11 +164,20 @@ def _samplers(spec, grid, refine: bool) -> list:
     return samplers
 
 
+def _sup_v(H, r0):
+    """Per row of H the max of v = H / R0.  A constant R0 divides only the
+    row's max (R0 > 0) or min (R0 < 0): correctly rounded division is
+    monotone, so that is the same number."""
+    if np.ndim(r0):
+        return (H / r0).max(axis=1)
+    return (H.max(axis=1) if r0 > 0 else H.min(axis=1)) / r0
+
+
 def _p2_chunk(ctx, j0: int, j1: int):
     """Exceedance counts per sampler and amplitude and the sum of the
     per-draw suprema of v on the coarse grid."""
     sups = [
-        (smp.sample_block(ctx.seed, range(j0, j1), fields=("h",))[1] / ctx.r0).max(axis=1)
+        _sup_v(smp.sample_block(ctx.seed, range(j0, j1), fields=("h",))[1], ctx.r0)
         for smp in ctx.samplers
     ]
     counts = np.array([(sup[None, :] > (1.0 / ctx.a)[:, None]).sum(axis=1) for sup in sups])
@@ -228,29 +237,36 @@ _SCREEN_MARGIN = 1e-12
 
 
 def _linf_screen(sampler):
-    """Per active column the pair (|wf| c, |wh| c) with c_k = max_x
-    |design[x, k]| the grid sup-norm of the design column, so |A| @ screen
-    bounds (max |f|, max |h|) of every draw row A of the active columns.
-    They are raised by the margin; as expm1 is convex through 0, that raises
-    the deviation bound by at least the same ratio, and the exponent by
-    enough where e^{r max|f|} is large."""
+    """(groups, screen) for the active columns: groups is the one-hot
+    (active, G) matrix of the groups of equal (wf, wh), one per level on the
+    built-in spectra, and screen[g] = (|wf_g| c_g, |wh_g| c_g) with
+    c_g = max_x ||design[x, g]||_2.  By Cauchy-Schwarz in each group,
+    sqrt((A * A) @ groups) @ screen bounds (max |f|, max |h|) of every draw
+    row A of the active columns.  The screen is raised by the margin; as
+    expm1 is convex through 0, that raises the deviation bound by at least
+    the same ratio, and the exponent by enough where e^{r max|f|} is large."""
     k = sampler.active
-    c = np.abs(sampler.design).max(axis=0)[k]
-    screen = np.stack([np.abs(sampler.wf[k]) * c, np.abs(sampler.wh[k]) * c], axis=1)
-    return screen * (1.0 + _SCREEN_MARGIN)
+    weights, group = np.unique(
+        np.stack([sampler.wf[k], sampler.wh[k]], axis=1), axis=0, return_inverse=True
+    )
+    groups = (group.reshape(-1, 1) == np.arange(len(weights))).astype(float)
+    c = np.sqrt((sampler.design[:, k] ** 2 @ groups).max(axis=0))
+    return groups, np.abs(weights) * c[:, None] * (1.0 + _SCREEN_MARGIN)
 
 
-def _linf_count(ctx, sampler, screen, A) -> tuple[int, int]:
-    """(events, screen survivors) among the draws with rows A.
+def _linf_count(ctx, sampler, groups, screen, A) -> tuple[int, int]:
+    """(events, screen survivors) among the draws with rows A, for the
+    sampler's groups and screen from _linf_screen.
 
-    Since |f| <= Mf and |h| <= Mh on the grid (Mf, Mh = |A| @ screen),
+    Since |f| <= Mf and |h| <= Mh on the grid
+    (Mf, Mh = sqrt((A * A) @ groups) @ screen),
     |R0 expm1(-r f) - a h e^{-r f}| <= rho expm1(r Mf) + a Mh e^{r Mf}
     (rho = max |R0|); a draw whose bound is <= u cannot be an event.  The
     survivors' fields are evaluated from their own rows of A, bit-identical to
     sample_block on their draw indices, and decided on the exact deviation
     field, so the count does not change.
     """
-    M = np.abs(A) @ screen
+    M = np.sqrt((A * A) @ groups) @ screen
     growth = ctx.rate * M[:, 0]
     bound = ctx.rho * np.expm1(growth) + ctx.a * M[:, 1] * np.exp(growth)
     hit = np.flatnonzero(bound > ctx.u)
@@ -265,7 +281,7 @@ def _linf_chunk(ctx, j0: int, j1: int):
     which are the same on both grids."""
     # looked up through the module, where profilers wrap the draw layer
     A = fields.gaussian_draw_block(ctx.seed, range(j0, j1), ctx.screened[0][0].active)
-    return [_linf_count(ctx, smp, screen, A) for smp, screen in ctx.screened]
+    return [_linf_count(ctx, smp, groups, screen, A) for smp, groups, screen in ctx.screened]
 
 
 def estimate_linf(
@@ -292,7 +308,7 @@ def estimate_linf(
         raise ValueError("need at least one sample")
     warning = None if linf_regime_ok(u, a) else "the log-asymptote needs u < 0.5 and u/a > 3"
     ctx = SimpleNamespace(
-        screened=[(smp, _linf_screen(smp)) for smp in _samplers(spec, grid, refine)],
+        screened=[(smp, *_linf_screen(smp)) for smp in _samplers(spec, grid, refine)],
         reference=spec.reference_curvature,
         rho=float(np.abs(np.asarray(spec.reference_curvature, dtype=float)).max()),
         rate=rate, dim=spec.spectrum.dimension, a=float(a), u=float(u), mode=mode,

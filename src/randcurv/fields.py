@@ -40,7 +40,7 @@ from enum import Enum
 
 import numpy as np
 
-from .grids import SphereGrid, TorusGrid, _harmonic_design
+from .grids import SphereGrid, TorusGrid, _harmonic_design, _torus_design
 from .harmonics import SphereHarmonicBasis, legendre_all
 from .spectral import CoefficientScheme, Geometry, Indexing, SpectrumModel
 
@@ -404,7 +404,10 @@ class TorusSampler(LinearSampler):
 
     Mode columns are ordered level-major, within a level by the sorted
     half-lattice representatives, cosine before sine; all modes are the
-    orthonormal cos(k.x)/(pi sqrt 2), sin(k.x)/(pi sqrt 2).
+    orthonormal cos(k.x)/(pi sqrt 2), sin(k.x)/(pi sqrt 2).  A TorusGrid
+    from torus_grid keeps the (read-only) design of the last truncation and
+    mode set asked for, so repeated samplers on that grid object share one
+    design; other point sets build theirs on every call.
     """
 
     # perfbench's tracer wraps these per class, read from the class namespace
@@ -414,13 +417,12 @@ class TorusSampler(LinearSampler):
         if spec.spectrum.geometry is not Geometry.FLAT_TORUS2:
             raise ValueError("torus sampler needs the FlatTorus2 geometry")
         pts, grid = _torus_points_of(grid)
-        norm = 1.0 / (math.pi * math.sqrt(2.0))
-        cols = []
-        for reps in spec.spectrum.torus_modes[: spec.coefficients.truncation]:
-            phase = pts @ reps.T          # (npts, n_reps)
-            cos_sin = np.stack([np.cos(phase), np.sin(phase)], axis=2)
-            cols.append(cos_sin.reshape(len(pts), -1) * norm)
-        super().__init__(spec, np.concatenate(cols, axis=1), grid)
+        M, modes = spec.coefficients.truncation, spec.spectrum.torus_modes
+        if isinstance(grid, TorusGrid):
+            design = _harmonic_design(grid, M, modes)
+        else:
+            design = _torus_design(pts, modes[:M])
+        super().__init__(spec, design, grid)
 
 
 class UserSampler(LinearSampler):
