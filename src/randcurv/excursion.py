@@ -246,12 +246,14 @@ def _linf_screen(sampler):
     expm1 is convex through 0, that raises the deviation bound by at least
     the same ratio, and the exponent by enough where e^{r max|f|} is large."""
     k = sampler.active
-    weights, group = np.unique(
-        np.stack([sampler.wf[k], sampler.wh[k]], axis=1), axis=0, return_inverse=True
-    )
-    groups = (group.reshape(-1, 1) == np.arange(len(weights))).astype(float)
+    # np.unique orders complex values by real, then imaginary part, so one
+    # 1-D unique of wf + i wh groups equal (wf, wh) as a row unique would,
+    # at a quarter of its cost
+    pairs, group = np.unique(sampler.wf[k] + 1j * sampler.wh[k], return_inverse=True)
+    groups = (group.reshape(-1, 1) == np.arange(len(pairs))).astype(float)
     c = np.sqrt((sampler.design[:, k] ** 2 @ groups).max(axis=0))
-    return groups, np.abs(weights) * c[:, None] * (1.0 + _SCREEN_MARGIN)
+    weights = np.abs(np.stack([pairs.real, pairs.imag], axis=1))
+    return groups, weights * c[:, None] * (1.0 + _SCREEN_MARGIN)
 
 
 def _linf_count(ctx, sampler, groups, screen, A) -> tuple[int, int]:

@@ -404,10 +404,7 @@ class TorusSampler(LinearSampler):
 
     Mode columns are ordered level-major, within a level by the sorted
     half-lattice representatives, cosine before sine; all modes are the
-    orthonormal cos(k.x)/(pi sqrt 2), sin(k.x)/(pi sqrt 2).  A TorusGrid
-    from torus_grid keeps the (read-only) design of the last truncation and
-    mode set asked for, so repeated samplers on that grid object share one
-    design; other point sets build theirs on every call.
+    orthonormal cos(k.x)/(pi sqrt 2), sin(k.x)/(pi sqrt 2).
     """
 
     # perfbench's tracer wraps these per class, read from the class namespace
@@ -417,12 +414,8 @@ class TorusSampler(LinearSampler):
         if spec.spectrum.geometry is not Geometry.FLAT_TORUS2:
             raise ValueError("torus sampler needs the FlatTorus2 geometry")
         pts, grid = _torus_points_of(grid)
-        M, modes = spec.coefficients.truncation, spec.spectrum.torus_modes
-        if isinstance(grid, TorusGrid):
-            design = _harmonic_design(grid, M, modes)
-        else:
-            design = _torus_design(pts, modes[:M])
-        super().__init__(spec, design, grid)
+        modes = spec.spectrum.torus_modes[: spec.coefficients.truncation]
+        super().__init__(spec, _torus_design(pts, modes), grid)
 
 
 class UserSampler(LinearSampler):

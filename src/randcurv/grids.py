@@ -5,10 +5,9 @@ Each grid knows how to produce its canonical refinement (used for the
 grid-convergence diagnostics): the Fibonacci set doubles its point count, the
 mesh subdivides once more, the torus lattice doubles each axis.
 
-The builders return read-only arrays.  Each grid memoises what it derives
-from them (see SphereGrid and TorusGrid), so repeated samplers and Euler
-counts on one grid object share that work; only this module reads or writes
-the memo.
+The builders return read-only arrays.  A SphereGrid memoises what it
+derives from them (see SphereGrid), so repeated samplers and Euler counts on
+one grid object share that work; only this module reads or writes the memo.
 """
 
 from __future__ import annotations
@@ -64,20 +63,9 @@ class SphereGrid:
 
 @dataclass(frozen=True)
 class TorusGrid:
-    """A regular lattice on the square torus [0, 2 pi)^2.
-
-    Its arrays must not be changed after construction: the private memo
-    keeps the Fourier design of the last truncation and mode set asked for
-    (_harmonic_design), is neither compared nor shown, and is used only
-    while the points are read-only, as torus_grid returns them; a grid with
-    writable points, or unpickled, builds its design on every call.
-    dataclasses.replace starts a new grid with an empty memo.
-    """
-
     points: np.ndarray              # (n^2, 2) in [0, 2 pi)^2, row-major
     n_per_axis: int
     weights: np.ndarray
-    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def n_points(self) -> int:
@@ -101,39 +89,24 @@ def _torus_design(points: np.ndarray, modes) -> np.ndarray:
     """The orthonormal torus modes cos(k.x)/(pi sqrt 2), sin(k.x)/(pi sqrt 2)
     at the points, one pair per half-lattice representative k, level-major
     over the levels' (n_reps, 2) representatives `modes`, cosine before
-    sine."""
+    sine.  All levels share one phase product and one cos and sin call."""
     norm = 1.0 / (math.pi * math.sqrt(2.0))
-    cols = []
-    for reps in modes:
-        phase = points @ reps.T          # (npts, n_reps)
-        cos_sin = np.stack([np.cos(phase), np.sin(phase)], axis=2)
-        cols.append(cos_sin.reshape(len(points), -1) * norm)
-    return np.concatenate(cols, axis=1)
+    phase = points @ np.concatenate(modes).T          # (npts, total reps)
+    cos_sin = np.stack([np.cos(phase), np.sin(phase)], axis=2)
+    return cos_sin.reshape(len(points), -1) * norm
 
 
-def _harmonic_design(grid, M: int, modes=None) -> np.ndarray:
-    """The eigenfunctions of the first M levels at the grid's points: on a
-    SphereGrid the real spherical harmonics of degrees 1..M,
-    SphereHarmonicBasis(M, theta, phi).Y; on a TorusGrid the Fourier modes
-    of the half-lattice representatives modes[:M] (_torus_design).  The last
-    design built stays in the memo (read-only), keyed by M and those
-    representatives compared by value, while the points are read-only."""
-    if isinstance(grid, TorusGrid):
-        points, reps = (grid.points,), np.concatenate(modes[:M])
-    else:
-        points, reps = (grid.theta, grid.phi), None
-    memoised = _frozen(*points)
-    if memoised:
-        (level, known), Y = grid._memo.get("design", ((None, None), None))
-        if level == M and (reps is None or np.array_equal(known, reps)):
-            return Y
-    if reps is None:
+def _harmonic_design(grid: SphereGrid, M: int) -> np.ndarray:
+    """The real spherical harmonics of degrees 1..M at the grid's points,
+    SphereHarmonicBasis(M, theta, phi).Y; the last M built stays in the memo
+    (read-only) while theta and phi are read-only."""
+    if not _frozen(grid.theta, grid.phi):
+        return SphereHarmonicBasis(M, grid.theta, grid.phi).Y
+    level, Y = grid._memo.get("design", (None, None))
+    if level != M:
         Y = SphereHarmonicBasis(M, grid.theta, grid.phi).Y
-    else:
-        Y = _torus_design(grid.points, modes[:M])
-    if memoised:
         Y.flags.writeable = False
-        grid._memo["design"] = ((M, reps), Y)
+        grid._memo["design"] = (M, Y)
     return Y
 
 

@@ -6,20 +6,16 @@ import numpy as np
 import pytest
 
 from randcurv import grids
-from randcurv.fields import FieldKind, RandomFieldSpec, TorusSampler, make_sampler
 from randcurv.grids import (
     _closed_triangulation,
     _harmonic_design,
-    _torus_design,
     face_edges,
     fibonacci_sphere,
     icosphere,
     sphere_distance,
     torus_grid,
 )
-from randcurv.spectral import make_explicit, torus2_spectrum
-
-TORUS_MODES = torus2_spectrum(11).torus_modes
+from randcurv.spectral import torus2_spectrum
 
 
 def test_fibonacci_basics():
@@ -110,6 +106,20 @@ def test_torus_grid_layout():
     assert g.refine().n_per_axis == 16
 
 
+def test_torus_design_equals_the_per_level_loop():
+    # one phase product and one cos and sin call over all levels give the
+    # bits of the per-level loop they replaced, on the lattice and off it
+    norm = 1.0 / (math.pi * math.sqrt(2.0))
+    modes = torus2_spectrum(11).torus_modes
+    off_lattice = np.random.default_rng(3).uniform(0.0, 2.0 * math.pi, (37, 2))
+    for pts in (torus_grid(16).points, off_lattice):
+        loop = [
+            np.stack([np.cos(pts @ reps.T), np.sin(pts @ reps.T)], axis=2).reshape(len(pts), -1) * norm
+            for reps in modes
+        ]
+        assert np.array_equal(grids._torus_design(pts, modes), np.concatenate(loop, axis=1))
+
+
 @pytest.mark.parametrize(
     "grid, names",
     [
@@ -158,55 +168,6 @@ def test_memo_is_used_only_over_read_only_arrays():
     faces, _ = _closed_triangulation(ico)
     assert faces is not ico._memo["closed_faces"]
     assert np.array_equal(faces, ico._memo["closed_faces"])
-
-
-def test_torus_grid_memoises_its_design_privately():
-    g = torus_grid(8)
-    Y = _harmonic_design(g, 11, TORUS_MODES)
-    assert _harmonic_design(g, 11, TORUS_MODES) is Y
-    # the memo is private: not shown, not compared
-    assert "_memo" not in repr(g)
-    assert g == dataclasses.replace(g)
-    g2 = dataclasses.replace(g, points=g.points[::-1])
-    assert g2._memo == {} and g2._memo is not g._memo
-    assert "design" in g._memo
-
-
-def test_torus_design_is_read_only_and_equal_on_every_route():
-    g = torus_grid(8)
-    spec = RandomFieldSpec(torus2_spectrum(11), make_explicit(np.ones(11)), FieldKind.H)
-    Y = make_sampler(spec, g).design
-    assert Y is _harmonic_design(g, 11, TORUS_MODES) and not Y.flags.writeable
-    assert np.array_equal(Y, _torus_design(g.points, TORUS_MODES))
-    assert np.array_equal(Y, TorusSampler(spec, np.array(g.points)).design)
-
-
-def test_torus_memo_is_used_only_over_read_only_points():
-    g = torus_grid(8)
-    Y = _harmonic_design(g, 11, TORUS_MODES)
-    # writable points, and an unpickled grid's, build the design on every call
-    writable = dataclasses.replace(g, points=np.array(g.points))
-    unpickled = pickle.loads(pickle.dumps(g))
-    assert unpickled.points.flags.writeable
-    for other in (writable, unpickled):
-        a, b = _harmonic_design(other, 11, TORUS_MODES), _harmonic_design(other, 11, TORUS_MODES)
-        assert a is not b and np.array_equal(a, Y) and np.array_equal(b, Y)
-    assert writable._memo == {}
-    assert a is not unpickled._memo["design"][1]
-
-
-def test_torus_memo_never_returns_a_stale_design():
-    # the key is the truncation and the representatives, compared by value
-    g = torus_grid(8)
-    for M in (11, 3, 11):
-        fresh = _torus_design(g.points, TORUS_MODES[:M])
-        assert np.array_equal(_harmonic_design(g, M, TORUS_MODES), fresh)
-    # a mode set of the same shapes with other values
-    flipped = tuple(reps[:, ::-1].copy() for reps in TORUS_MODES)
-    Y = _harmonic_design(g, 11, flipped)
-    assert np.array_equal(Y, _torus_design(g.points, flipped))
-    assert not np.array_equal(Y, fresh)
-    assert np.array_equal(_harmonic_design(g, 11, TORUS_MODES), fresh)
 
 
 def test_vertex_face_table_lists_the_faces_around_each_vertex():
