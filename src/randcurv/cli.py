@@ -40,7 +40,7 @@ from .excursion import (
 from .fields import (
     FieldKind,
     RandomFieldSpec,
-    level_weights,
+    _isotropic_variances,
     make_sampler,
     variance_summary,
 )
@@ -78,30 +78,19 @@ def _build_scheme(cfg: ExperimentConfig, model):
         return make_power_law(cfg.s, model, cfg.truncation)
     if cfg.scheme == "heat":
         return make_heat_kernel(cfg.heat_time, model, cfg.truncation)
-    if len(cfg.values) > cfg.truncation:
-        raise ValueError("explicit values list exceeds the spectrum truncation")
     return make_explicit(cfg.values, indexing=Indexing(cfg.indexing))
 
 
-def _build_grid(cfg: ExperimentConfig):
+def _build_field(cfg: ExperimentConfig, which: FieldKind):
+    """(spec, grid) of a command that samples: the configured spectrum and
+    scheme with the reference curvature, and the configured grid."""
+    model = _build_spectrum(cfg)
+    spec = RandomFieldSpec(
+        model, _build_scheme(cfg, model), which, reference_curvature=cfg.reference
+    )
     kind, size = parse_grid(cfg.grid)
-    if cfg.geometry == "torus" and kind != "torus":
-        raise ValueError("torus geometry needs a torus:<n> grid")
-    if cfg.geometry == "sphere" and kind == "torus":
-        raise ValueError("sphere geometry needs a fibonacci:<n> or icosphere:<depth> grid")
-    if kind == "fibonacci":
-        return fibonacci_sphere(size)
-    if kind == "icosphere":
-        return icosphere(size)
-    return torus_grid(size)
-
-
-def _require_sampled_geometry(cfg: ExperimentConfig) -> None:
-    if cfg.geometry == "s4":
-        raise ValueError(
-            f"{cfg.command} needs a pointwise sampler; the 4-sphere model is "
-            "spectrum-only (use qsign or bounds for it)"
-        )
+    build = {"fibonacci": fibonacci_sphere, "icosphere": icosphere, "torus": torus_grid}[kind]
+    return spec, build(size)
 
 
 def _base_metadata(cfg: ExperimentConfig) -> dict:
@@ -149,11 +138,8 @@ def _write_tables(cfg: ExperimentConfig, meta: dict, tables: dict) -> RunRecord:
 
 
 def cmd_sample(cfg: ExperimentConfig) -> RunRecord:
-    _require_sampled_geometry(cfg)
-    model = _build_spectrum(cfg)
-    scheme = _build_scheme(cfg, model)
-    grid = _build_grid(cfg)
-    spec = RandomFieldSpec(model, scheme, FieldKind.H)
+    spec, grid = _build_field(cfg, FieldKind.H)
+    scheme = spec.coefficients
     sampler = make_sampler(spec, grid)
     if cfg.geometry == "sphere":
         coords = np.asarray(grid.xyz)
@@ -202,13 +188,8 @@ def cmd_sample(cfg: ExperimentConfig) -> RunRecord:
 
 
 def cmd_p2(cfg: ExperimentConfig) -> RunRecord:
-    _require_sampled_geometry(cfg)
-    model = _build_spectrum(cfg)
-    scheme = _build_scheme(cfg, model)
-    grid = _build_grid(cfg)
-    spec = RandomFieldSpec(
-        model, scheme, FieldKind.V, reference_curvature=cfg.reference
-    )
+    spec, grid = _build_field(cfg, FieldKind.V)
+    scheme = spec.coefficients
     study = p2_curve(
         spec,
         list(cfg.amplitudes),
@@ -250,21 +231,14 @@ def cmd_p2(cfg: ExperimentConfig) -> RunRecord:
 
 
 def cmd_euler(cfg: ExperimentConfig) -> RunRecord:
-    if cfg.geometry != "sphere":
-        raise ValueError("euler needs sphere geometry")
-    if parse_grid(cfg.grid)[0] != "icosphere":
-        raise ValueError("euler needs an icosphere:<depth> grid (triangulation)")
-    model = _build_spectrum(cfg)
-    scheme = _build_scheme(cfg, model)
-    grid = _build_grid(cfg)
-    spec = RandomFieldSpec(model, scheme, FieldKind.H)
+    spec, grid = _build_field(cfg, FieldKind.H)
     curve = euler_curve(
         spec, list(cfg.thresholds), cfg.n_samples, cfg.seed,
         grid=grid, workers=cfg.workers,
     )
     meta = _base_metadata(cfg)
     meta["n_samples"] = cfg.n_samples
-    meta["at_constant"] = at_metric_constant(scheme)
+    meta["at_constant"] = at_metric_constant(spec.coefficients)
     meta["lk_l0"], meta["lk_l1"], meta["lk_l2"] = curve.lipschitz_killing
     header = ["u", "empirical_mean", "standard_error", "predicted"]
     table = [
@@ -277,17 +251,8 @@ def cmd_euler(cfg: ExperimentConfig) -> RunRecord:
 
 
 def cmd_linf(cfg: ExperimentConfig) -> RunRecord:
-    _require_sampled_geometry(cfg)
-    model = _build_spectrum(cfg)
-    scheme = _build_scheme(cfg, model)
-    grid = _build_grid(cfg)
-    spec = RandomFieldSpec(
-        model, scheme, FieldKind.H, reference_curvature=cfg.reference
-    )
-    w_spec = RandomFieldSpec(
-        model, scheme, FieldKind.W, reference_curvature=cfg.reference
-    )
-    sigma_w = math.sqrt(variance_summary(w_spec, grid).sigma2_sup)
+    spec, grid = _build_field(cfg, FieldKind.H)
+    sigma_w = math.sqrt(variance_summary(replace(spec, which=FieldKind.W), grid).sigma2_sup)
     meta = _base_metadata(cfg)
     meta["n_samples"] = cfg.n_samples
     meta["sigma_w"] = sigma_w
@@ -380,16 +345,8 @@ def cmd_bounds(cfg: ExperimentConfig) -> RunRecord:
 
 
 def cmd_qsign(cfg: ExperimentConfig) -> RunRecord:
-    if cfg.geometry != "s4":
-        raise ValueError("qsign runs on the round 4-sphere model (geometry = s4)")
     model = _build_spectrum(cfg)
-    scheme = _build_scheme(cfg, model)
-    h_spec = RandomFieldSpec(model, scheme, FieldKind.H)
-    weights = level_weights(h_spec)
-    M = scheme.truncation
-    var_h = float(
-        np.sum(weights.beta**2 * model.multiplicities[:M]) / model.volume
-    )
+    _, var_h, _ = _isotropic_variances(RandomFieldSpec(model, _build_scheme(cfg, model)))
     sigma_v = math.sqrt(var_h) / abs(cfg.reference)
     meta = _base_metadata(cfg)
     meta["q0"] = cfg.reference

@@ -38,6 +38,8 @@ SCHEMES = ("normalized", "power", "heat", "explicit")
 GRID_KINDS = ("fibonacci", "icosphere", "torus")
 INDEXINGS = tuple(i.value for i in Indexing)
 
+# the commands that sample a field on a grid
+_GRIDDED = ("sample", "p2", "euler", "linf")
 # fields whose values never influence the computed numbers
 _UNHASHED = ("workers", "out")
 
@@ -186,8 +188,8 @@ def _validate(cfg: ExperimentConfig) -> None:
         raise ValueError("explicit scheme needs a nonempty values list")
     if cfg.scheme == "normalized" and cfg.geometry != "sphere":
         raise ValueError("the normalized scheme is defined on the sphere")
-    if cfg.command in ("sample", "p2", "euler", "linf"):
-        parse_grid(cfg.grid)
+    if cfg.command in _GRIDDED:
+        kind = parse_grid(cfg.grid)[0]
     if cfg.command in ("p2", "qsign"):
         if not cfg.amplitudes:
             raise ValueError(f"{cfg.command} needs a nonempty amplitudes list")
@@ -218,6 +220,25 @@ def _validate(cfg: ExperimentConfig) -> None:
             raise ValueError("sample amplitude must be nonnegative")
         if cfg.n_samples > 256:
             raise ValueError("sample writes one file per draw; use n_samples <= 256")
+    # what each command can run on: a command that samples needs a sampler
+    # for its geometry and a grid of that geometry; qsign is spectrum-only
+    if cfg.command in _GRIDDED:
+        if cfg.command == "euler":
+            if cfg.geometry != "sphere":
+                raise ValueError("euler needs sphere geometry")
+            if kind != "icosphere":
+                raise ValueError("euler needs an icosphere:<depth> grid (triangulation)")
+        if cfg.geometry == "s4":
+            raise ValueError(
+                f"{cfg.command} needs a pointwise sampler; the 4-sphere model is "
+                "spectrum-only (use qsign or bounds for it)"
+            )
+        if cfg.geometry == "torus" and kind != "torus":
+            raise ValueError("torus geometry needs a torus:<n> grid")
+        if cfg.geometry == "sphere" and kind == "torus":
+            raise ValueError("sphere geometry needs a fibonacci:<n> or icosphere:<depth> grid")
+    if cfg.command == "qsign" and cfg.geometry != "s4":
+        raise ValueError("qsign runs on the round 4-sphere model (geometry = s4)")
 
 
 def load_config(

@@ -103,9 +103,27 @@ class EulerCurve:
     seed: int
 
 
-def _se(count: int, n: int) -> tuple[float, float]:
-    p = count / n
-    return p, math.sqrt(p * (1.0 - p) / n)
+def _reports(counts, n, thresholds, amplitudes, n_points, seed, refine, warnings=None):
+    """One ExcursionReport per (threshold, amplitude) pair from its event
+    counts over n draws: counts[0] on the grid and, if refine, counts[1] on
+    the refined grid, one column per pair."""
+    reports = []
+    for i, (u, a) in enumerate(zip(thresholds, amplitudes, strict=True)):
+        p = int(counts[0][i]) / n
+        reports.append(
+            ExcursionReport(
+                estimate=p,
+                standard_error=math.sqrt(p * (1.0 - p) / n),
+                n_samples=n,
+                threshold=u,
+                amplitude=a,
+                n_grid_points=n_points,
+                seed=seed,
+                refinement_delta=int(counts[1][i]) / n - p if refine else None,
+                regime_warning=None if warnings is None else warnings[i],
+            )
+        )
+    return tuple(reports)
 
 
 # ---------------------------------------------------------------------------
@@ -209,23 +227,10 @@ def p2_curve(
     ctx = SimpleNamespace(samplers=_samplers(spec, grid, refine), r0=r, a=a_arr, seed=int(seed))
     results = map_chunks(_p2_chunk, ctx, n, P2_CHUNK, workers)
     counts = sum(c for c, _ in results)
-    reports = []
-    for i, a in enumerate(a_arr):
-        p, se = _se(int(counts[0, i]), n)
-        reports.append(
-            ExcursionReport(
-                estimate=p,
-                standard_error=se,
-                n_samples=n,
-                threshold=1.0 / a,
-                amplitude=float(a),
-                n_grid_points=ctx.samplers[0].n_points,
-                seed=int(seed),
-                refinement_delta=int(counts[1, i]) / n - p if refine else None,
-            )
-        )
     return P2Study(
-        reports=tuple(reports),
+        reports=_reports(
+            counts, n, 1.0 / a_arr, a_arr.tolist(), ctx.samplers[0].n_points, ctx.seed, refine
+        ),
         e_sup=math.fsum(t for _, t in results) / n,
         sigma_v=math.sqrt(variance_summary(spec, grid).sigma2_sup),
     )
@@ -320,19 +325,10 @@ def estimate_linf(
     counts, passed = np.array(results, dtype=np.int64).sum(axis=0).T
     for label, k in zip(("grid", "refined grid"), passed):
         logger.info("linf screen (%s): %d of %d draws passed", label, k, n)
-    p, se = _se(int(counts[0]), n)
-    delta = int(counts[1]) / n - p if refine else None
-    return ExcursionReport(
-        estimate=p,
-        standard_error=se,
-        n_samples=n,
-        threshold=float(u),
-        amplitude=float(a),
-        n_grid_points=ctx.screened[0][0].n_points,
-        seed=int(seed),
-        refinement_delta=delta,
-        regime_warning=warning,
-    )
+    return _reports(
+        counts[:, None], n, [ctx.u], [ctx.a], ctx.screened[0][0].n_points, ctx.seed, refine,
+        [warning],
+    )[0]
 
 
 # ---------------------------------------------------------------------------
@@ -530,7 +526,7 @@ def sphere_p2_prediction(scheme: CoefficientScheme, a: float) -> P2Prediction:
     total = float(np.sum(c))
     if abs(total - 1.0) > 1e-6:
         warnings.append(f"scheme is not unit-variance (weights sum to {total:.8f})")
-    if not np.any(c[0::2] > 0.0):
+    if not degeneracy_check(scheme):
         warnings.append("no odd-degree weight is positive: antipodally degenerate covariance")
     c2 = float(np.sum(c * eig)) / math.sqrt(2.0 * math.pi)
     value = 2.0 * gaussian_tail(1.0 / a) + (c2 / a) * math.exp(-1.0 / (2.0 * a * a))

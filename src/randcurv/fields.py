@@ -414,8 +414,10 @@ class TorusSampler(LinearSampler):
         if spec.spectrum.geometry is not Geometry.FLAT_TORUS2:
             raise ValueError("torus sampler needs the FlatTorus2 geometry")
         pts, grid = _torus_points_of(grid)
-        modes = spec.spectrum.torus_modes[: spec.coefficients.truncation]
-        super().__init__(spec, _torus_design(pts, modes), grid)
+        M = spec.coefficients.truncation
+        if M < 1:
+            raise ValueError("empty coefficient scheme")
+        super().__init__(spec, _torus_design(pts, spec.spectrum.torus_modes[:M]), grid)
 
 
 class UserSampler(LinearSampler):
@@ -555,6 +557,19 @@ def _n_points(geometry: Geometry, grid) -> int:
     return len(np.asarray(grid))
 
 
+def _isotropic_variances(spec: RandomFieldSpec) -> tuple[float, float, float]:
+    """(var f, var h, cov fh) at every point of a built-in (homogeneous)
+    geometry: the per-level products of the weights, summed with the
+    multiplicities over the volume."""
+    model = spec.spectrum
+    lw = level_weights(spec)
+    N = model.multiplicities[: spec.coefficients.truncation].astype(float)
+    return tuple(
+        float(np.sum(w * N) / model.volume)
+        for w in (lw.alpha**2, lw.beta**2, lw.alpha * lw.beta)
+    )
+
+
 def diagonal_variance(spec: RandomFieldSpec, grid) -> np.ndarray:
     """Pointwise variance of the selected field at the grid points, or at
     the stored points of a user-supplied model (which ignores the grid)."""
@@ -564,14 +579,9 @@ def diagonal_variance(spec: RandomFieldSpec, grid) -> np.ndarray:
         wf, wh = smp.wf, smp.wh
         var_f, var_h, cov_fh = (smp.design**2 @ np.stack([wf * wf, wh * wh, wf * wh], axis=1)).T
     else:
-        # isotropic: constants across the grid, summed per level
+        # isotropic: constants across the grid
         n = _n_points(model.geometry, grid)
-        lw = level_weights(spec)
-        M = spec.coefficients.truncation
-        N = model.multiplicities[:M].astype(float)
-        var_f = np.full(n, float(np.sum(lw.alpha**2 * N) / model.volume))
-        var_h = np.full(n, float(np.sum(lw.beta**2 * N) / model.volume))
-        cov_fh = np.full(n, float(np.sum(lw.alpha * lw.beta * N) / model.volume))
+        var_f, var_h, cov_fh = (np.full(n, v) for v in _isotropic_variances(spec))
     npts = var_h.size
     if npts == 0:
         raise ValueError("variance_summary needs a nonempty grid")

@@ -297,6 +297,16 @@ class TestP2:
         assert "'amplitudes'" in capsys.readouterr().err
         assert not csvs(out)
 
+    def test_explicit_values_beyond_the_truncation_exit_2(self, tmp_path, capsys):
+        ini, out = write_ini(
+            tmp_path,
+            "[common]\nout = {out}\n[p2]\nscheme = explicit\nvalues = 0.5, 0.5\n"
+            "truncation = 1\ngrid = fibonacci:16\namplitudes = 0.4\n",
+        )
+        assert main(["p2", "--config", ini]) == 2
+        assert "truncation exceeds" in capsys.readouterr().err
+        assert not csvs(out)
+
     def test_worker_count_leaves_payload_identical(self, tmp_path):
         ini, out = write_ini(tmp_path)
         run_ok(["p2", "--config", ini, "--workers", "1"])

@@ -2,6 +2,7 @@
 and hash stability."""
 
 import os
+import re
 import tempfile
 
 import pytest
@@ -168,6 +169,31 @@ class TestValidation:
             load_config("bounds", path)
         with pytest.raises(ValueError, match="unknown command"):
             load_config("frobnicate", None)
+
+    @pytest.mark.parametrize("command, setting, message", [
+        *((command, "geometry = s4",
+           f"{command} needs a pointwise sampler; the 4-sphere model is "
+           "spectrum-only (use qsign or bounds for it)")
+          for command in ("sample", "p2", "linf")),
+        ("euler", "geometry = s4", "euler needs sphere geometry"),
+        ("euler", "geometry = torus", "euler needs sphere geometry"),
+        ("euler", "grid = fibonacci:16", "euler needs an icosphere:<depth> grid (triangulation)"),
+        ("sample", "geometry = torus\ngrid = fibonacci:16", "torus geometry needs a torus:<n> grid"),
+        ("linf", "geometry = torus\ngrid = icosphere:2", "torus geometry needs a torus:<n> grid"),
+        ("p2", "grid = torus:8",
+         "sphere geometry needs a fibonacci:<n> or icosphere:<depth> grid"),
+        ("qsign", "geometry = sphere", "qsign runs on the round 4-sphere model (geometry = s4)"),
+        ("qsign", "geometry = torus", "qsign runs on the round 4-sphere model (geometry = s4)"),
+    ])
+    def test_command_geometry_grid_mismatch_rejected(self, tmp_path, command, setting, message):
+        # rejected by load_config, before any spectrum or grid is built
+        path = write(
+            tmp_path,
+            "[common]\nscheme = explicit\nvalues = 1.0\namplitudes = 0.1\nn_samples = 4\n"
+            f"thresholds = 1.0\ngrid = icosphere:2\n[{command}]\n{setting}\n",
+        )
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            load_config(command, path)
 
 
 class TestGrid:

@@ -119,6 +119,16 @@ def test_linear_sampler_rejects_a_design_of_the_wrong_width(h_spec):
         fl.LinearSampler(h_spec, smp.design[:, 1:], smp.grid)
 
 
+@pytest.mark.parametrize("sampler, spectrum, grid", [
+    (fl.SphereSampler, sp.sphere2_spectrum(3), fibonacci_sphere(8)),
+    (fl.TorusSampler, sp.torus2_spectrum(3), torus_grid(4)),
+])
+def test_empty_scheme_rejected_before_the_design(sampler, spectrum, grid):
+    spec = RandomFieldSpec(spectrum, sp.make_explicit([]), FieldKind.H)
+    with pytest.raises(ValueError, match="empty coefficient scheme"):
+        sampler(spec, grid)
+
+
 def test_evaluate_on_block_draws_is_sample_block(h_spec):
     smp = fl.SphereSampler(h_spec, fibonacci_sphere(16))
     A = fl.gaussian_draw_block(5, range(7), smp.n_gaussians)
