@@ -228,6 +228,12 @@ def _validate(cfg: ExperimentConfig) -> None:
                 raise ValueError("euler needs sphere geometry")
             if kind != "icosphere":
                 raise ValueError("euler needs an icosphere:<depth> grid (triangulation)")
+            # the expected-EC prediction reads per-eigenspace variance weights;
+            # indexing applies to explicit values only
+            if cfg.scheme == "explicit" and cfg.indexing != Indexing.PER_EIGENSPACE.value:
+                raise ValueError(
+                    "the prediction needs the per-eigenspace (variance weight) convention"
+                )
         if cfg.geometry == "s4":
             raise ValueError(
                 f"{cfg.command} needs a pointwise sampler; the 4-sphere model is "
@@ -257,18 +263,26 @@ def load_config(
     merged: dict = {}
     if path is not None:
         parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
-        read = parser.read(path)
+        try:
+            read = parser.read(path)
+            sections = {
+                section: parser.items(section)
+                for section in ("common", command)
+                if parser.has_section(section)
+            }
+        except configparser.Error as err:
+            # duplicate keys, a missing section header, a bad % interpolation
+            raise ValueError(f"cannot parse config file {path}: {err}") from err
         if not read:
             raise ValueError(f"config file not found: {path}")
-        for section in ("common", command):
-            if parser.has_section(section):
-                for key, raw in parser.items(section):
-                    if key not in _CONVERTERS:
-                        raise ValueError(f"unknown configuration key {key!r} in [{section}]")
-                    try:
-                        merged[key] = _CONVERTERS[key](raw)
-                    except ValueError as err:
-                        raise ValueError(f"bad value for {key!r}: {err}") from err
+        for section, items in sections.items():
+            for key, raw in items:
+                if key not in _CONVERTERS:
+                    raise ValueError(f"unknown configuration key {key!r} in [{section}]")
+                try:
+                    merged[key] = _CONVERTERS[key](raw)
+                except ValueError as err:
+                    raise ValueError(f"bad value for {key!r}: {err}") from err
     if seed is not None:
         merged["seed"] = _parse_seed(seed)
     if workers is not None:

@@ -250,40 +250,72 @@ def _column_array(columns) -> np.ndarray:
     return cols
 
 
-def _draws(seed: int, j: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """Stream v2 normals, shape (j.size, cols.size), for checked inputs.
+def _block_plan(idx):
+    """(n, plan) for n draws: plan yields (b, r1, dest, keep) per block b
+    the draws touch.  Rows 0..r1 of block b are generated, and their rows
+    `keep` (all of them when keep is None) fill draw positions `dest`.
+
+    A range of step 1 is planned from its two ends by block arithmetic, with
+    dest a slice; any other sequence is grouped by block through a sort.
+    """
+    if isinstance(idx, range) and idx.step == 1:
+        if not idx:
+            return 0, ()
+        if idx.start < 0 or idx.stop > 2**128:
+            raise ValueError("draw_index must lie in [0, 2**128)")
+        return len(idx), _range_plan(idx.start, idx.stop)
+    j = _index_array(idx)
+    return j.size, _index_plan(j)
+
+
+def _range_plan(start: int, stop: int):
+    for b in range(start // DRAW_BLOCK, (stop - 1) // DRAW_BLOCK + 1):
+        r0 = max(start - b * DRAW_BLOCK, 0)
+        r1 = min(stop - b * DRAW_BLOCK, DRAW_BLOCK)
+        pos = b * DRAW_BLOCK + r0 - start
+        yield b, r1, slice(pos, pos + r1 - r0), (slice(r0, None) if r0 else None)
+
+
+def _index_plan(j: np.ndarray):
+    rows = (j % DRAW_BLOCK).astype(np.intp)
+    blocks = j // DRAW_BLOCK
+    # runs of equal blocks in sorted order
+    order = np.argsort(blocks, kind="stable")
+    ordered = blocks[order]
+    for sel in np.split(order, np.flatnonzero(ordered[1:] != ordered[:-1]) + 1):
+        r = rows[sel]
+        yield int(blocks[sel[0]]), int(r.max()) + 1, sel, r
+
+
+def _draws(seed: int, draw_indices, cols: np.ndarray) -> np.ndarray:
+    """Stream v2 normals, shape (n draws, cols.size), for a checked seed and
+    columns; the draw indices are checked by _block_plan.
 
     One Philox bit generator, Generator and state dict serve every stream:
     per (block, column) only counter words 1-3 change, and only the rows up
     to the largest one the block needs are generated.  The result is the
-    transpose of a (cols.size, j.size) array, so a chunk that is the start
-    of one block is generated in place, one column at a time.
+    transpose of a (cols.size, n) array, so the part of a range that starts
+    a block is generated in place, one column at a time.
     """
-    out = np.empty((cols.size, j.size))
+    n, plan = _block_plan(draw_indices)
+    out = np.empty((cols.size, n))
     if not out.size:
         return out.T
     bg = np.random.Philox(key=seed)
     gen = np.random.Generator(bg)
     state = bg.state  # a fresh state: zero counter, empty buffer
     counter = state["state"]["counter"]
-    rows = (j % DRAW_BLOCK).astype(np.intp)
-    blocks = j // DRAW_BLOCK
-    # the draws grouped by block: runs of equal blocks in sorted order
-    order = np.argsort(blocks, kind="stable")
-    ordered = blocks[order]
-    for sel in np.split(order, np.flatnonzero(ordered[1:] != ordered[:-1]) + 1):
-        r = rows[sel]
-        in_place = sel.size == j.size and np.array_equal(r, np.arange(sel.size))
-        buf = out if in_place else np.empty((cols.size, int(r.max()) + 1))
-        b = int(blocks[sel[0]])
+    ks = cols.tolist()
+    for b, r1, dest, keep in plan:
+        buf = out[:, dest] if keep is None else np.empty((cols.size, r1))
         counter[1] = b & _U64
         counter[3] = b >> 64
-        for c, k in enumerate(cols.tolist()):
+        for c, k in enumerate(ks):
             counter[2] = k
             bg.state = state
             gen.standard_normal(out=buf[c])
-        if not in_place:
-            out[:, sel] = buf[:, r]
+        if keep is not None:
+            out[:, dest] = buf[:, keep]
     return out.T
 
 
@@ -297,7 +329,7 @@ def gaussian_draws(seed: int, draw_index: int, columns) -> np.ndarray:
     TypeError instead of aliasing another draw.
     """
     seed, draw_index = _check_seed(seed), operator.index(draw_index)
-    return _draws(seed, _index_array([draw_index]), _column_array(columns))[0]
+    return _draws(seed, range(draw_index, draw_index + 1), _column_array(columns))[0]
 
 
 def gaussian_draw_block(seed: int, draw_indices, columns) -> np.ndarray:
@@ -305,9 +337,11 @@ def gaussian_draw_block(seed: int, draw_indices, columns) -> np.ndarray:
 
     Column k of draw j depends on (seed, j, k) alone, so any subset of the
     columns equals those columns of the full draw.  A block of consecutive
-    draws inside one DRAW_BLOCK costs one Philox state set per column.
+    draws inside one DRAW_BLOCK costs one Philox state set per column.  A
+    range of step 1 is planned by arithmetic on its two ends; any other
+    sequence is first made an index array and sorted by block.
     """
-    return _draws(_check_seed(seed), _index_array(draw_indices), _column_array(columns))
+    return _draws(_check_seed(seed), draw_indices, _column_array(columns))
 
 
 # ---------------------------------------------------------------------------
@@ -349,7 +383,7 @@ class LinearSampler:
 
     def sample(self, seed: int, draw_index: int) -> FieldSample:
         """Row 0 of sample_block(seed, [draw_index]), with its draws."""
-        A = gaussian_draw_block(seed, [draw_index], self.active)
+        A = gaussian_draw_block(seed, range(draw_index, draw_index + 1), self.active)
         F, H = self.evaluate(A)
         a = np.zeros(self.n_gaussians)
         a[self.active] = A[0]

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from helpers import two_wave_sup_tail
 from randcurv import bounds as bd
 from randcurv import fields as fl
 from randcurv import spectral as sp
@@ -198,6 +199,19 @@ def test_linf_log_asymptote():
     assert not bd.linf_regime_ok(0.5, 0.1)
     with pytest.raises(ValueError):
         bd.linf_log_asymptote(0.0, 0.1, 1.0)
+
+
+def test_exact_two_wave_log_ratios_rise_toward_one():
+    # criterion 7's spec at u = 0.1: its one level has h-variance 0.5, and
+    # the exact law's polynomial prefactor keeps log P / asymptote below 1,
+    # closing in as u/a grows
+    u, sigma_h = 0.1, math.sqrt(0.5)
+    ratios = [
+        math.log(two_wave_sup_tail(u, u / k)) / bd.linf_log_asymptote(u, u / k, sigma_h)
+        for k in (3.0, 4.0, 5.0, 6.0)
+    ]
+    assert ratios == pytest.approx([0.804, 0.867, 0.902, 0.924], abs=6e-4)
+    assert all(x < y < 1.0 for x, y in zip(ratios, ratios[1:]))
 
 
 def test_linf_sigma_w_spectral_vs_mc():

@@ -118,6 +118,12 @@ class TestArtifacts:
         assert main(["bounds", "--config", str(tmp_path / "nope.ini")]) == 2
         assert "not found" in capsys.readouterr().err
 
+    def test_unparsable_config_exits_2(self, tmp_path, capsys):
+        ini = tmp_path / "dup.ini"
+        ini.write_text("[common]\nseed = 1\nseed = 2\n")
+        assert main(["bounds", "--config", str(ini)]) == 2
+        assert capsys.readouterr().err.startswith("error: cannot parse config file")
+
 
 GOLDEN = {
     "sample": (

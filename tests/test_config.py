@@ -76,6 +76,16 @@ class TestLoading:
         with pytest.raises(ValueError, match="refine"):
             load_config("bounds", path)
 
+    @pytest.mark.parametrize("text", [
+        "[common]\nseed = 1\nseed = 2\n",  # duplicate option
+        "seed = 1\n[common]\nn_samples = 3\n",  # no section header
+        "[common]\nseed = 1\nout = a%b\n",  # bad interpolation
+    ])
+    def test_unparsable_file_raises_value_error(self, tmp_path, text):
+        path = write(tmp_path, text)
+        with pytest.raises(ValueError, match="^cannot parse config file .*exp.ini: "):
+            load_config("bounds", path)
+
 
 class TestSeedRange:
     @pytest.mark.parametrize("bad", [-1, 2**64])
@@ -119,6 +129,14 @@ class TestValidation:
     def test_euler_needs_thresholds(self):
         with pytest.raises(ValueError, match="thresholds"):
             load_config("euler", None)
+
+    def test_euler_indexing_applies_to_explicit_values_only(self, tmp_path):
+        # the normalized scheme is per-eigenspace whatever the indexing key says
+        path = write(
+            tmp_path,
+            "[euler]\nindexing = per_eigenfunction\nthresholds = 1.0\ngrid = icosphere:2\n",
+        )
+        assert load_config("euler", path).scheme == "normalized"
 
     def test_bounds_needs_high_dimension(self, tmp_path):
         path = write(tmp_path, "[bounds]\nn_dim = 2\n")
@@ -178,6 +196,8 @@ class TestValidation:
         ("euler", "geometry = s4", "euler needs sphere geometry"),
         ("euler", "geometry = torus", "euler needs sphere geometry"),
         ("euler", "grid = fibonacci:16", "euler needs an icosphere:<depth> grid (triangulation)"),
+        ("euler", "indexing = per_eigenfunction",
+         "the prediction needs the per-eigenspace (variance weight) convention"),
         ("sample", "geometry = torus\ngrid = fibonacci:16", "torus geometry needs a torus:<n> grid"),
         ("linf", "geometry = torus\ngrid = icosphere:2", "torus geometry needs a torus:<n> grid"),
         ("p2", "grid = torus:8",

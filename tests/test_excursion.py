@@ -627,6 +627,14 @@ class TestEstimateLinf:
         r = ex.estimate_linf(TORUS_SPEC, a, u, torus_grid(64), 1_000_000, 77)
         assert abs(r.estimate - exact) <= 3.0 * r.standard_error
 
+    def test_coarse_grid_estimate_does_not_exceed_the_exact_two_wave_law(self):
+        # a grid's sup never exceeds the continuum sup, so on criterion 7's
+        # torus:16 the estimate may fall short of the law (its grid misses
+        # the crest) but not exceed it.  Seed 2026, 1e6 draws, u/a = 3.
+        a, u = 0.1 / 3.0, 0.1
+        r = ex.estimate_linf(TORUS_SPEC, a, u, torus_grid(16), 1_000_000, 2026)
+        assert r.estimate - two_wave_sup_tail(u, a) <= 3.0 * r.standard_error
+
     def test_refinement_shift_is_small(self):
         r = ex.estimate_linf(
             TORUS_SPEC, 0.05 / 3.0, 0.05, torus_grid(16), 20000, 2026, refine=True

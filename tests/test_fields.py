@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import oracle_harmonic_columns, slow_sphere_field
@@ -439,12 +439,55 @@ def test_block_rows_equal_single_draws(seed, idx, n):
         assert np.array_equal(B[r], fl.gaussian_draws(seed, j, n))
 
 
-@settings(max_examples=20, deadline=None)
-@given(seed=_seeds, start=st.integers(0, 3 * 2048), length=st.integers(0, 2 * 2048))
-def test_range_and_integer_array_indices_agree(seed, start, length):
-    by_range = fl.gaussian_draw_block(seed, range(start, start + length), 2)
-    reversed_ = np.arange(start, start + length, dtype=np.uint64)[::-1]
-    assert np.array_equal(fl.gaussian_draw_block(seed, reversed_, 2)[::-1], by_range)
+# range starts at the bottom, around block 2**64 (counter word 3 turns
+# over) and at the top of the index range
+_range_starts = st.one_of(
+    st.integers(0, 3 * 2048),
+    st.integers(2**64 * 2048 - 3 * 2048, 2**64 * 2048 + 3 * 2048),
+    st.integers(2**128 - 3 * 2048, 2**128 - 1),
+)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=_seeds,
+    start=_range_starts,
+    length=st.integers(-3, 5 * 2048),
+    step=st.integers(2, 2 * 2048 + 1),
+)
+# four blocks across the turnover of counter word 3, the last rows of the
+# index range, and two empty ranges
+@example(seed=1, start=2**64 * 2048 - 5, length=3 * 2048 + 10, step=2049)
+@example(seed=2, start=2**128 - 2 * 2048 - 7, length=3 * 2048, step=3)
+@example(seed=3, start=7, length=0, step=2)
+@example(seed=3, start=7, length=-3, step=2)
+def test_range_and_integer_array_indices_agree(seed, start, length, step):
+    # a range of step 1 is planned by block arithmetic; every other sequence,
+    # stepped and reversed ranges too, is grouped by sorting its indices
+    stop = min(start + length, 2**128)
+    by_range = fl.gaussian_draw_block(seed, range(start, stop), 2)
+    assert by_range.shape == (max(stop - start, 0), 2)
+    if stop < 2**63:
+        reversed_ = np.arange(start, stop, dtype=np.uint64)[::-1]
+        assert np.array_equal(fl.gaussian_draw_block(seed, reversed_, 2)[::-1], by_range)
+    as_list = list(range(start, stop))
+    assert np.array_equal(fl.gaussian_draw_block(seed, as_list, 2), by_range)
+    for r, rows in ((range(start, stop, step), by_range[::step]),
+                    (range(stop - 1, start - 1, -1), by_range[::-1])):
+        by_steps = fl.gaussian_draw_block(seed, r, 2)
+        assert np.array_equal(by_steps, rows)
+        assert np.array_equal(by_steps, fl.gaussian_draw_block(seed, list(r), 2))
+
+
+@pytest.mark.parametrize("r", [
+    range(-1, 5), range(-5000, -4990), range(2**128 - 2, 2**128 + 1), range(2**128, 2**128 + 3),
+])
+def test_out_of_range_draw_range_rejected_as_its_list(r):
+    with pytest.raises(ValueError, match=r"^draw_index must lie in \[0, 2\*\*128\)$") as by_list:
+        fl.gaussian_draw_block(0, list(r), 3)
+    with pytest.raises(ValueError) as by_range:
+        fl.gaussian_draw_block(0, r, 3)
+    assert str(by_range.value) == str(by_list.value)
 
 
 @settings(max_examples=30, deadline=None)
