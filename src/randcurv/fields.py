@@ -41,7 +41,7 @@ from enum import Enum
 import numpy as np
 
 from .grids import SphereGrid, TorusGrid, _harmonic_design, _torus_design
-from .harmonics import SphereHarmonicBasis, legendre_all
+from .harmonics import SphereHarmonicBasis, legendre_all, n_columns
 from .spectral import CoefficientScheme, Geometry, Indexing, SpectrumModel
 
 __all__ = [
@@ -213,33 +213,6 @@ def _check_seed(seed) -> int:
     return seed
 
 
-def _index_array(draw_indices) -> np.ndarray:
-    """The draw indices as a 1-D integer array, each in [0, 2^128).
-
-    A range or an integer array is checked as a whole; anything else goes
-    through operator.index one value at a time, which keeps Python ints
-    beyond 64 bits (as an object array) and rejects a fractional index with
-    TypeError instead of aliasing another draw.
-    """
-    idx = draw_indices
-    if isinstance(idx, range):
-        if -(2**63) <= min(idx.start, idx.stop) and max(idx.start, idx.stop) < 2**63:
-            idx = np.arange(idx.start, idx.stop, idx.step, dtype=np.int64)
-        else:
-            idx = list(idx)
-    j = np.asarray(idx)
-    if j.size and j.dtype.kind not in "iu":
-        # Python ints beyond 64 bits, or values that are not integers
-        j = np.array([operator.index(x) for x in idx], dtype=object)
-    if j.ndim != 1:
-        raise ValueError("draw indices must form a one-dimensional sequence")
-    if not j.size:
-        return np.zeros(0, dtype=np.int64)
-    if j.min() < 0 or (j.dtype == object and j.max() >= 2**128):
-        raise ValueError("draw_index must lie in [0, 2**128)")
-    return j if j.dtype == object else j.astype(np.uint64, copy=False)
-
-
 def _column_array(columns) -> np.ndarray:
     """Column indices: range(columns) for an int, else the given integers."""
     if np.ndim(columns) == 0:
@@ -250,55 +223,23 @@ def _column_array(columns) -> np.ndarray:
     return cols
 
 
-def _block_plan(idx):
-    """(n, plan) for n draws: plan yields (b, r1, dest, keep) per block b
-    the draws touch.  Rows 0..r1 of block b are generated, and their rows
-    `keep` (all of them when keep is None) fill draw positions `dest`.
-
-    A range of step 1 is planned from its two ends by block arithmetic, with
-    dest a slice; any other sequence is grouped by block through a sort.
-    """
-    if isinstance(idx, range) and idx.step == 1:
-        if not idx:
-            return 0, ()
-        if idx.start < 0 or idx.stop > 2**128:
-            raise ValueError("draw_index must lie in [0, 2**128)")
-        return len(idx), _range_plan(idx.start, idx.stop)
-    j = _index_array(idx)
-    return j.size, _index_plan(j)
-
-
-def _range_plan(start: int, stop: int):
-    for b in range(start // DRAW_BLOCK, (stop - 1) // DRAW_BLOCK + 1):
-        r0 = max(start - b * DRAW_BLOCK, 0)
-        r1 = min(stop - b * DRAW_BLOCK, DRAW_BLOCK)
-        pos = b * DRAW_BLOCK + r0 - start
-        yield b, r1, slice(pos, pos + r1 - r0), (slice(r0, None) if r0 else None)
-
-
-def _index_plan(j: np.ndarray):
-    rows = (j % DRAW_BLOCK).astype(np.intp)
-    blocks = j // DRAW_BLOCK
-    # runs of equal blocks in sorted order
-    order = np.argsort(blocks, kind="stable")
-    ordered = blocks[order]
-    for sel in np.split(order, np.flatnonzero(ordered[1:] != ordered[:-1]) + 1):
-        r = rows[sel]
-        yield int(blocks[sel[0]]), int(r.max()) + 1, sel, r
-
-
-def _draws(seed: int, draw_indices, cols: np.ndarray) -> np.ndarray:
-    """Stream v2 normals, shape (n draws, cols.size), for a checked seed and
-    columns; the draw indices are checked by _block_plan.
+def _draws(seed: int, draw_indices: range, cols: np.ndarray) -> np.ndarray:
+    """Stream v2 normals, shape (len(draw_indices), cols.size), for a checked
+    seed and columns; draw_indices must be a range of step 1 in [0, 2^128).
 
     One Philox bit generator, Generator and state dict serve every stream:
-    per (block, column) only counter words 1-3 change, and only the rows up
-    to the largest one the block needs are generated.  The result is the
-    transpose of a (cols.size, n) array, so the part of a range that starts
-    a block is generated in place, one column at a time.
+    per (block, column) only counter words 1-3 change.  Per block b the range
+    touches, rows r0..r1 of the block fill one slice of the result, and only
+    rows 0..r1 are generated.  The result is the transpose of a
+    (cols.size, n) array, so a block whose rows start at 0 is generated in
+    place, one column at a time; any other block goes through a buffer.
     """
-    n, plan = _block_plan(draw_indices)
-    out = np.empty((cols.size, n))
+    if not isinstance(draw_indices, range) or draw_indices.step != 1:
+        raise TypeError("draw indices must be a range of step 1")
+    start, stop = draw_indices.start, draw_indices.stop
+    if draw_indices and (start < 0 or stop > 2**128):
+        raise ValueError("draw_index must lie in [0, 2**128)")
+    out = np.empty((cols.size, len(draw_indices)))
     if not out.size:
         return out.T
     bg = np.random.Philox(key=seed)
@@ -306,23 +247,26 @@ def _draws(seed: int, draw_indices, cols: np.ndarray) -> np.ndarray:
     state = bg.state  # a fresh state: zero counter, empty buffer
     counter = state["state"]["counter"]
     ks = cols.tolist()
-    for b, r1, dest, keep in plan:
-        buf = out[:, dest] if keep is None else np.empty((cols.size, r1))
+    for b in range(start // DRAW_BLOCK, (stop - 1) // DRAW_BLOCK + 1):
+        first = b * DRAW_BLOCK
+        r0, r1 = max(start - first, 0), min(stop - first, DRAW_BLOCK)
+        dest = out[:, first + r0 - start : first + r1 - start]
+        buf = dest if r0 == 0 else np.empty((cols.size, r1))
         counter[1] = b & _U64
         counter[3] = b >> 64
         for c, k in enumerate(ks):
             counter[2] = k
             bg.state = state
             gen.standard_normal(out=buf[c])
-        if keep is not None:
-            out[:, dest] = buf[:, keep]
+        if r0:
+            dest[...] = buf[:, r0:]
     return out.T
 
 
 def gaussian_draws(seed: int, draw_index: int, columns) -> np.ndarray:
     """The canonical N(0, 1) coefficients of a (seed, draw_index) pair in the
     given columns (an int n means columns 0..n-1): row 0 of
-    gaussian_draw_block(seed, [draw_index], columns).
+    gaussian_draw_block(seed, range(draw_index, draw_index + 1), columns).
 
     The seed must lie in [0, 2^64) and the draw index in [0, 2^128); both
     must be integers (Python or numpy), so a fractional value raises
@@ -333,19 +277,34 @@ def gaussian_draws(seed: int, draw_index: int, columns) -> np.ndarray:
 
 
 def gaussian_draw_block(seed: int, draw_indices, columns) -> np.ndarray:
-    """Rows gaussian_draws(seed, j, columns) for j in draw_indices.
+    """Rows gaussian_draws(seed, j, columns) for j in draw_indices, a range
+    of step 1 (anything else raises TypeError); an empty range gives shape
+    (0, number of columns).
 
     Column k of draw j depends on (seed, j, k) alone, so any subset of the
-    columns equals those columns of the full draw.  A block of consecutive
-    draws inside one DRAW_BLOCK costs one Philox state set per column.  A
-    range of step 1 is planned by arithmetic on its two ends; any other
-    sequence is first made an index array and sorted by block.
+    columns equals those columns of the full draw.  The draws inside one
+    DRAW_BLOCK cost one Philox state set per column.
     """
     return _draws(_check_seed(seed), draw_indices, _column_array(columns))
 
 
 # ---------------------------------------------------------------------------
 # samplers
+
+
+# the largest design a sampler builds, in bytes (points x columns float64s)
+_MAX_DESIGN_BYTES = 2**30
+
+
+def _check_design_size(n_points: int, columns: int) -> None:
+    """Refuse a design above _MAX_DESIGN_BYTES before it is allocated."""
+    nbytes = n_points * columns * 8
+    if nbytes > _MAX_DESIGN_BYTES:
+        raise ValueError(
+            f"the design of {n_points} points x {columns} columns would take "
+            f"{nbytes / 2**30:.2f} GiB, over the {_MAX_DESIGN_BYTES / 2**30:g} GiB limit; "
+            "lower the truncation or the grid size"
+        )
 
 
 class LinearSampler:
@@ -382,7 +341,8 @@ class LinearSampler:
         return self.wf.size
 
     def sample(self, seed: int, draw_index: int) -> FieldSample:
-        """Row 0 of sample_block(seed, [draw_index]), with its draws."""
+        """Row 0 of sample_block(seed, range(draw_index, draw_index + 1)),
+        with its draws."""
         A = gaussian_draw_block(seed, range(draw_index, draw_index + 1), self.active)
         F, H = self.evaluate(A)
         a = np.zeros(self.n_gaussians)
@@ -405,7 +365,8 @@ class LinearSampler:
         return F, H
 
     def sample_block(self, seed: int, draw_indices, fields=("f", "h")):
-        """evaluate() on the active columns' draws of draw_indices."""
+        """evaluate() on the active columns' draws of draw_indices, a range
+        of step 1 as gaussian_draw_block takes it."""
         return self.evaluate(gaussian_draw_block(seed, draw_indices, self.active), fields)
 
 
@@ -426,6 +387,7 @@ class SphereSampler(LinearSampler):
         M = spec.coefficients.truncation
         if M < 1:
             raise ValueError("empty coefficient scheme")
+        _check_design_size(len(theta), n_columns(M))
         if isinstance(grid, SphereGrid):
             design = _harmonic_design(grid, M)
         else:
@@ -451,6 +413,7 @@ class TorusSampler(LinearSampler):
         M = spec.coefficients.truncation
         if M < 1:
             raise ValueError("empty coefficient scheme")
+        _check_design_size(len(pts), int(spec.spectrum.multiplicities[:M].sum()))
         super().__init__(spec, _torus_design(pts, spec.spectrum.torus_modes[:M]), grid)
 
 

@@ -12,6 +12,7 @@ import jsonschema
 import numpy as np
 import pytest
 
+from randcurv import fields
 from randcurv.cli import main
 from randcurv.excursion import estimate_linf
 from randcurv.fields import RNG_STREAM, FieldKind, RandomFieldSpec, make_sampler
@@ -267,6 +268,14 @@ class TestSample:
         ini, _ = write_ini(tmp_path, text)
         assert main(["sample", "--config", ini]) == 2
         assert "spectrum-only" in capsys.readouterr().err
+
+    def test_oversize_design_exits_2_before_it_is_built(self, tmp_path, capsys, monkeypatch):
+        # (400 + 1)^2 - 1 harmonics on 1024 points would take 1.23 GiB
+        monkeypatch.setattr(fields, "_harmonic_design", pytest.fail)
+        text = BASE.replace("truncation = 12\n", "truncation = 400\n", 1)
+        ini, _ = write_ini(tmp_path, text.replace("grid = fibonacci:12", "grid = fibonacci:1024"))
+        assert main(["sample", "--config", ini]) == 2
+        assert "1024 points x 160800 columns" in capsys.readouterr().err
 
 
 class TestP2:

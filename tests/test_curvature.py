@@ -85,7 +85,7 @@ def test_expected_volume_against_mc():
     g = fibonacci_sphere(256)
     a, n = 0.4, 2
     smp = fl.SphereSampler(spec, g)
-    F, _ = smp.sample_block(2025, np.arange(4000))
+    F, _ = smp.sample_block(2025, range(4000))
     vols = np.exp((n * a / 2.0) * F) @ g.weights
     se = vols.std(ddof=1) / math.sqrt(len(vols))
     assert abs(vols.mean() - cv.expected_volume(spec, a, n, g)) < 3 * se

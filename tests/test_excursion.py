@@ -554,6 +554,17 @@ class TestEstimateP2:
         assert refined == [39, 430, 1098]
         assert study.e_sup == pytest.approx(1.6058032086244622, rel=1e-13)
 
+    def test_criterion_5_estimates_lie_within_3_se_of_the_prediction(self):
+        # the prediction is the expected Euler characteristic of the
+        # excursion set, whose error is exponentially smaller than the tail:
+        # criterion 5's seed 2026 and 100k draws on fib1024 read
+        # z = -0.89, -1.25 and -0.26
+        amplitudes = [1.0 / 2.5, 1.0 / 3.0, 1.0 / 3.5]
+        study = ex.p2_curve(V_SPEC, amplitudes, fibonacci_sphere(1024), 100_000, 2026)
+        for report, a in zip(study.reports, amplitudes):
+            prediction = ex.sphere_p2_prediction(SCHEME, a).value
+            assert abs(report.estimate - prediction) <= 3.0 * report.standard_error
+
     @pytest.mark.parametrize("r0", [0.7, -1.3])
     def test_constant_reference_divides_the_extreme_to_the_same_sups(self, r0):
         # the constant route divides each row's max (or min) once, the
@@ -835,6 +846,20 @@ class TestEulerCurve:
         assert ec.lipschitz_killing[2] == pytest.approx(
             4.0 * math.pi * ex.at_metric_constant(SCHEME), rel=1e-15
         )
+
+    def test_curve_lies_within_3_se_of_the_exact_expected_euler_characteristic(self):
+        # 2 Psi(u) + L2 rho2(u) is the exact expected Euler characteristic of
+        # a smooth unit-variance isotropic field on S^2 at every u, so only
+        # grid bias and MC error remain.  From u = -2 nearly every vertex
+        # reaches a threshold, so the counting visits all faces; thresholds
+        # <= 0 check that branch.  Seed 777, 40k draws on icosphere:3.
+        spec = RandomFieldSpec(SPHERE, SCHEME, FieldKind.H)
+        thresholds = [-2.0, -1.0, 0.0, 1.0, 2.0, 3.0]
+        ec = ex.euler_curve(spec, thresholds, 40_000, 777, grid=icosphere(3), workers=2)
+        assert np.all(np.abs(ec.empirical_mean - ec.predicted) <= 3.0 * ec.empirical_se)
+        # at u = 0 the prediction is 2 Psi(0) = 1
+        assert ec.predicted[2] == 1.0
+        assert abs(ec.empirical_mean[2] - 1.0) <= 3.0 * ec.empirical_se[2]
 
     def test_worker_count_does_not_change_sums(self):
         spec = RandomFieldSpec(SPHERE, SCHEME, FieldKind.H)
