@@ -18,7 +18,7 @@ import os
 from dataclasses import dataclass, fields as dataclass_fields
 
 from .fields import RNG_STREAM
-from .spectral import Indexing
+from .spectral import Indexing, _require_unit_variance
 
 __all__ = [
     "COMMANDS",
@@ -228,12 +228,14 @@ def _validate(cfg: ExperimentConfig) -> None:
                 raise ValueError("euler needs sphere geometry")
             if kind != "icosphere":
                 raise ValueError("euler needs an icosphere:<depth> grid (triangulation)")
-            # the expected-EC prediction reads per-eigenspace variance weights;
-            # indexing applies to explicit values only
-            if cfg.scheme == "explicit" and cfg.indexing != Indexing.PER_EIGENSPACE.value:
-                raise ValueError(
-                    "the prediction needs the per-eigenspace (variance weight) convention"
-                )
+            # the expected-EC prediction reads per-eigenspace variance weights
+            # that sum to 1; indexing applies to explicit values only
+            if cfg.scheme == "explicit":
+                if cfg.indexing != Indexing.PER_EIGENSPACE.value:
+                    raise ValueError(
+                        "the prediction needs the per-eigenspace (variance weight) convention"
+                    )
+                _require_unit_variance(cfg.values)
         if cfg.geometry == "s4":
             raise ValueError(
                 f"{cfg.command} needs a pointwise sampler; the 4-sphere model is "

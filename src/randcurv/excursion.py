@@ -30,7 +30,7 @@ from .bounds import gaussian_tail, linf_regime_ok
 from .curvature import DeviationMode, deviation_field, exponent_factor
 from .fields import FieldKind, RandomFieldSpec, make_sampler, variance_summary
 from .grids import _closed_triangulation, icosphere
-from .spectral import SPHERE2_VOLUME, CoefficientScheme, Indexing
+from .spectral import SPHERE2_VOLUME, CoefficientScheme, Indexing, _require_unit_variance
 
 __all__ = [
     "P2_CHUNK",
@@ -496,9 +496,7 @@ def predicted_euler(scheme: CoefficientScheme, u: float) -> float:
     scheme: 2 Psi(u) + L2 (2 pi)^{-3/2} u e^{-u^2/2}."""
     if scheme.indexing is not Indexing.PER_EIGENSPACE:
         raise ValueError("the prediction needs the per-eigenspace (variance weight) convention")
-    total = float(np.sum(scheme.values))
-    if abs(total - 1.0) > 1e-6:
-        raise ValueError(f"the prediction needs a unit-variance scheme (weights sum to {total:.8f})")
+    _require_unit_variance(scheme.values)
     L2 = SPHERE2_VOLUME * at_metric_constant(scheme)
     rho2 = (2.0 * math.pi) ** -1.5 * u * math.exp(-u * u / 2.0)
     return 2.0 * gaussian_tail(u) + L2 * rho2

@@ -89,11 +89,15 @@ def _torus_design(points: np.ndarray, modes) -> np.ndarray:
     """The orthonormal torus modes cos(k.x)/(pi sqrt 2), sin(k.x)/(pi sqrt 2)
     at the points, one pair per half-lattice representative k, level-major
     over the levels' (n_reps, 2) representatives `modes`, cosine before
-    sine.  All levels share one phase product and one cos and sin call."""
-    norm = 1.0 / (math.pi * math.sqrt(2.0))
+    sine.  All levels share one phase product and one cos and sin call,
+    written into the interleaved columns of the design, so the build holds
+    the design and the phases (half its size) and nothing more."""
     phase = points @ np.concatenate(modes).T          # (npts, total reps)
-    cos_sin = np.stack([np.cos(phase), np.sin(phase)], axis=2)
-    return cos_sin.reshape(len(points), -1) * norm
+    design = np.empty((len(points), 2 * phase.shape[1]))
+    np.cos(phase, out=design[:, 0::2])
+    np.sin(phase, out=design[:, 1::2])
+    design *= 1.0 / (math.pi * math.sqrt(2.0))
+    return design
 
 
 def _harmonic_design(grid: SphereGrid, M: int) -> np.ndarray:
@@ -199,11 +203,38 @@ _ICO_FACES = np.array(
 )
 
 
+def _unit(v: np.ndarray) -> np.ndarray:
+    """Each row of v over its length, the length as np.linalg.norm takes it."""
+    return v / np.sqrt(np.matmul(v[:, None, :], v[:, :, None]))[:, 0]
+
+
+def _subdivide(xyz: np.ndarray, faces: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Split each face (a, b, c) into (a, ab, ca), (b, bc, ab), (c, ca, bc),
+    (ab, bc, ca), adding each edge's midpoint as a unit vector."""
+    n = xyz.shape[0]
+    ends = np.stack([faces, np.roll(faces, -1, axis=1)], axis=2).reshape(-1, 2)
+    _, first, inverse = np.unique(ends.min(1) * n + ends.max(1), return_index=True, return_inverse=True)
+    rank = np.argsort(np.argsort(first))            # each edge's place in visiting order
+    ab, bc, ca = (n + rank[inverse.ravel()]).reshape(-1, 3).T
+    i, j = ends[np.sort(first)].T
+    a, b, c = faces.T
+    new_faces = np.stack([a, ab, ca, b, bc, ab, c, ca, bc, ab, bc, ca], axis=1).reshape(-1, 3)
+    return np.concatenate([xyz, _unit(xyz[i] + xyz[j])]), new_faces
+
+
 def icosphere(depth: int) -> SphereGrid:
     """Icosahedron subdivided depth times, vertices projected to the sphere.
 
-    Vertex/edge/face counts are 10*4^d + 2, 30*4^d, 20*4^d.  Midpoints are
-    shared through a cache so the mesh is watertight (Euler number 2).
+    Vertex/edge/face counts are 10*4^d + 2, 30*4^d, 20*4^d.  Each level is
+    one array pass with no midpoint cache (_subdivide): visiting the faces in
+    order and each face's edges as ab, bc, ca, every edge gets one midpoint,
+    numbered after the existing vertices in order of first visit, so the mesh
+    is watertight (Euler number 2).  A midpoint's length is taken by a
+    stacked matmul of the row with itself (_unit), which numpy runs through
+    the dot routine np.linalg.norm uses on one vector, so the coordinates do
+    not depend on the vectorisation; the row-wise forms (an axis=1 norm,
+    einsum, a sum of squares) add in another order and differ in the last
+    bit on 10-14% of random normal vectors.
     Weights are the spherical areas of the dual regions, approximated by a
     third of each incident triangle's spherical area.  Deriving the edges
     checks the mesh is closed, so the grid's memo keeps the row-sorted faces
@@ -211,29 +242,9 @@ def icosphere(depth: int) -> SphereGrid:
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
-    verts = [v / np.linalg.norm(v) for v in _ICO_VERTS]
-    faces = [tuple(f) for f in _ICO_FACES]
+    xyz, farr = _unit(_ICO_VERTS), _ICO_FACES.copy()
     for _ in range(depth):
-        cache: dict[tuple[int, int], int] = {}
-
-        def midpoint(i: int, j: int) -> int:
-            key = (i, j) if i < j else (j, i)
-            idx = cache.get(key)
-            if idx is None:
-                v = verts[i] + verts[j]
-                verts.append(v / np.linalg.norm(v))
-                idx = len(verts) - 1
-                cache[key] = idx
-            return idx
-
-        new_faces = []
-        for a, b, c in faces:
-            ab, bc, ca = midpoint(a, b), midpoint(b, c), midpoint(c, a)
-            new_faces += [(a, ab, ca), (b, bc, ab), (c, ca, bc), (ab, bc, ca)]
-        faces = new_faces
-
-    xyz = np.array(verts)
-    farr = np.array(faces, dtype=np.int64)
+        xyz, farr = _subdivide(xyz, farr)
     sorted_faces, edges = _closed_faces(farr, xyz.shape[0])
 
     # spherical triangle areas by l'Huilier, shared to the three corners
@@ -249,9 +260,8 @@ def icosphere(depth: int) -> SphereGrid:
         )
     )
     area = 4.0 * np.arctan(tanq)
-    weights = np.zeros(xyz.shape[0])
-    for col in range(3):
-        np.add.at(weights, farr[:, col], area / 3.0)
+    # the sum order (corner by corner, faces in order) fixes the last bit
+    weights = np.bincount(farr.T.ravel(), weights=np.tile(area / 3.0, 3), minlength=xyz.shape[0])
 
     theta, phi = _angles(xyz)
     _read_only(xyz, theta, phi, weights, farr, edges, sorted_faces)

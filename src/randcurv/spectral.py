@@ -487,6 +487,15 @@ def make_explicit(
     )
 
 
+def _require_unit_variance(values) -> None:
+    """Raise unless the per-eigenspace variance weights sum to 1 within 1e-6,
+    as excursion.predicted_euler needs; config._validate checks explicit
+    values with it before a run builds anything."""
+    total = float(np.sum(values))
+    if abs(total - 1.0) > 1e-6:
+        raise ValueError(f"the prediction needs a unit-variance scheme (weights sum to {total:.8f})")
+
+
 # ---------------------------------------------------------------------------
 # regularity classification
 

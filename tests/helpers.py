@@ -2,7 +2,9 @@
 
 These deliberately avoid the package's own recurrence code: normalized
 associated Legendre values come from scipy's lpmv with log-factorial
-normalization, so kernel and sampler checks are cross-implementation.
+normalization, so kernel and sampler checks are cross-implementation.  The
+icosphere oracle builds the mesh one midpoint at a time through a cache, the
+route the package's array-pass builder must match bit for bit.
 """
 
 import math
@@ -11,6 +13,16 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.optimize import brentq
 from scipy.special import gammaln, lpmv
+
+from randcurv.grids import (
+    _ICO_FACES,
+    _ICO_VERTS,
+    SphereGrid,
+    _angles,
+    _closed_faces,
+    _read_only,
+    sphere_distance,
+)
 
 
 def oracle_pbar(m, k, x):
@@ -59,3 +71,60 @@ def two_wave_sup_tail(u, a, sigma=0.5, eigenvalue=18.0):
     density = lambda r: r / sigma**2 * tail(r)
     inner, _ = quad(lambda r: density(r) * tail(s_star - r), 0.0, s_star, epsabs=0.0, epsrel=1e-12)
     return tail(s_star) + inner
+
+
+def midpoint_cache_icosphere(depth: int) -> SphereGrid:
+    """Icosahedron subdivided depth times, vertices projected to the sphere,
+    by a Python loop over the faces: each midpoint is made once, normalised by
+    np.linalg.norm, and shared through a cache.  Weights are a third of each
+    incident triangle's spherical area, added corner by corner with np.add.at.
+    The grid's memo holds the row-sorted faces, as icosphere's does."""
+    if depth < 0:
+        raise ValueError("depth must be >= 0")
+    verts = [v / np.linalg.norm(v) for v in _ICO_VERTS]
+    faces = [tuple(f) for f in _ICO_FACES]
+    for _ in range(depth):
+        cache: dict[tuple[int, int], int] = {}
+
+        def midpoint(i: int, j: int) -> int:
+            key = (i, j) if i < j else (j, i)
+            idx = cache.get(key)
+            if idx is None:
+                v = verts[i] + verts[j]
+                verts.append(v / np.linalg.norm(v))
+                idx = len(verts) - 1
+                cache[key] = idx
+            return idx
+
+        new_faces = []
+        for a, b, c in faces:
+            ab, bc, ca = midpoint(a, b), midpoint(b, c), midpoint(c, a)
+            new_faces += [(a, ab, ca), (b, bc, ab), (c, ca, bc), (ab, bc, ca)]
+        faces = new_faces
+
+    xyz = np.array(verts)
+    farr = np.array(faces, dtype=np.int64)
+    sorted_faces, edges = _closed_faces(farr, xyz.shape[0])
+
+    # spherical triangle areas by l'Huilier, shared to the three corners
+    A, B, C = xyz[farr[:, 0]], xyz[farr[:, 1]], xyz[farr[:, 2]]
+    a = sphere_distance(B, C)
+    b = sphere_distance(C, A)
+    c = sphere_distance(A, B)
+    s = 0.5 * (a + b + c)
+    tanq = np.sqrt(
+        np.maximum(
+            0.0,
+            np.tan(s / 2) * np.tan((s - a) / 2) * np.tan((s - b) / 2) * np.tan((s - c) / 2),
+        )
+    )
+    area = 4.0 * np.arctan(tanq)
+    weights = np.zeros(xyz.shape[0])
+    for col in range(3):
+        np.add.at(weights, farr[:, col], area / 3.0)
+
+    theta, phi = _angles(xyz)
+    _read_only(xyz, theta, phi, weights, farr, edges, sorted_faces)
+    grid = SphereGrid("icosphere", xyz, theta, phi, weights, faces=farr, edges=edges, depth=depth)
+    grid._memo["closed_faces"] = sorted_faces
+    return grid

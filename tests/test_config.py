@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from randcurv import cli
 from randcurv.config import (
     INDEXINGS,
     SEED_ENV,
@@ -137,6 +138,24 @@ class TestValidation:
             "[euler]\nindexing = per_eigenfunction\nthresholds = 1.0\ngrid = icosphere:2\n",
         )
         assert load_config("euler", path).scheme == "normalized"
+
+    def test_euler_values_must_sum_to_one(self, tmp_path, monkeypatch, capsys):
+        # refused as predicted_euler would refuse it, before the CLI builds
+        # a spectrum or a grid
+        path = write(
+            tmp_path,
+            "[euler]\nscheme = explicit\nvalues = 0.5, 0.2\nthresholds = 1.0\n"
+            f"grid = icosphere:2\nout = {tmp_path / 'runs'}\n",
+        )
+        message = "the prediction needs a unit-variance scheme (weights sum to 0.70000000)"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            load_config("euler", path)
+        built = []
+        monkeypatch.setattr(cli, "sphere2_spectrum", lambda *a: built.append(a))
+        monkeypatch.setattr(cli, "icosphere", lambda *a: built.append(a))
+        assert cli.main(["euler", "--config", path]) == 2
+        assert message in capsys.readouterr().err
+        assert built == [] and not (tmp_path / "runs").exists()
 
     def test_bounds_needs_high_dimension(self, tmp_path):
         path = write(tmp_path, "[bounds]\nn_dim = 2\n")

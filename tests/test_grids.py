@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +17,8 @@ from randcurv.grids import (
     torus_grid,
 )
 from randcurv.spectral import torus2_spectrum
+
+from helpers import midpoint_cache_icosphere
 
 
 def test_fibonacci_basics():
@@ -34,7 +37,7 @@ def test_fibonacci_refine_doubles():
     assert g.refine().n_points == 256
 
 
-@pytest.mark.parametrize("depth", [0, 1, 2, 3])
+@pytest.mark.parametrize("depth", [0, 1, 2, 3, 4, 5])
 def test_icosphere_counts_and_euler(depth):
     g = icosphere(depth)
     V, E, F = g.n_points, g.edges.shape[0], g.faces.shape[0]
@@ -42,6 +45,17 @@ def test_icosphere_counts_and_euler(depth):
     assert E == 30 * 4**depth
     assert F == 20 * 4**depth
     assert V - E + F == 2
+
+
+@pytest.mark.parametrize("depth", [0, 1, 2, 3, 4, 5])
+def test_icosphere_equals_the_midpoint_cache_builder(depth):
+    # one array pass per level numbers, places and weighs every vertex as the
+    # face-by-face loop with a midpoint cache does, bit for bit
+    g, ref = icosphere(depth), midpoint_cache_icosphere(depth)
+    for name in ("xyz", "theta", "phi", "weights", "faces", "edges"):
+        a, b = getattr(g, name), getattr(ref, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+    assert np.array_equal(g._memo["closed_faces"], ref._memo["closed_faces"])
 
 
 def test_icosphere_geometry():
@@ -118,6 +132,20 @@ def test_torus_design_equals_the_per_level_loop():
             for reps in modes
         ]
         assert np.array_equal(grids._torus_design(pts, modes), np.concatenate(loop, axis=1))
+
+
+def test_torus_design_peaks_near_its_own_size():
+    # the cos and sin are written into the design, so the build holds little
+    # beyond the design and the phases (half its size)
+    pts, modes = torus_grid(64).points, torus2_spectrum(100).torus_modes
+    tracemalloc.start()
+    try:
+        design = grids._torus_design(pts, modes)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert design.shape == (4096, 828)
+    assert peak <= 1.6 * design.nbytes
 
 
 @pytest.mark.parametrize(
