@@ -153,10 +153,3 @@ def nd_positive_constants(n: int, sigma_v: float, sigma_2: float) -> tuple[float
     delta0 = 2.0 * kappa / (s + kappa)
     B = 8.0 * kappa / ((s + kappa) ** 2 * sigma_2 * n * (n - 1.0) * (n - 2.0))
     return kappa, delta0, B
-
-
-def q_sign_bounds(a: float, sigma_v: float) -> tuple[float, float]:
-    """Fourth-order (Q) sign-change bounds; same two-sided shape with the
-    Q-field sigma_v.  The constants are not pinned by the statement, so both
-    are taken as 1; the a^2-log limit -1/(2 sigma_v^2) is constant-free."""
-    return p2_two_sided(a, sigma_v, 1.0, 1.0)

@@ -29,7 +29,7 @@ from .config import (
     load_config,
     parse_grid,
 )
-from .curvature import DeviationMode, q_round_s4, scalar_curvature_2d
+from .curvature import q_round_s4, scalar_curvature_2d
 from .excursion import (
     at_metric_constant,
     estimate_linf,
@@ -40,11 +40,12 @@ from .excursion import (
 from .fields import (
     FieldKind,
     RandomFieldSpec,
+    _check_design_size,
     _isotropic_variances,
     make_sampler,
     variance_summary,
 )
-from .grids import fibonacci_sphere, icosphere, torus_grid
+from .grids import _N_POINTS, fibonacci_sphere, icosphere, torus_grid
 from .reports import RunRecord, format_column, write_csv, write_run_json
 from .spectral import (
     SPHERE2_VOLUME,
@@ -83,12 +84,14 @@ def _build_scheme(cfg: ExperimentConfig, model):
 
 def _build_field(cfg: ExperimentConfig, which: FieldKind):
     """(spec, grid) of a command that samples: the configured spectrum and
-    scheme with the reference curvature, and the configured grid."""
+    scheme with the reference curvature, and the configured grid, built
+    only once its design is known to fit."""
     model = _build_spectrum(cfg)
     spec = RandomFieldSpec(
         model, _build_scheme(cfg, model), which, reference_curvature=cfg.reference
     )
     kind, size = parse_grid(cfg.grid)
+    _check_design_size(spec, _N_POINTS[kind](size))
     build = {"fibonacci": fibonacci_sphere, "icosphere": icosphere, "torus": torus_grid}[kind]
     return spec, build(size)
 
@@ -108,6 +111,19 @@ def _base_metadata(cfg: ExperimentConfig) -> dict:
 
 def _artifact(cfg: ExperimentConfig, stem: str) -> Path:
     return Path(cfg.out) / f"{stem}_{config_hash(cfg)}.csv"
+
+
+def _limits_table(amplitudes, sigma_v: float) -> tuple[list, list]:
+    """(header, rows) of the two-sided sign-change bounds with unit constants
+    and their a^2-log diagnostics, one row per amplitude.  The surface (P2)
+    and fourth-order (Q) statements share this shape; neither pins its
+    constants, and the a^2-log limit -1/(2 sigma_v^2) is constant-free."""
+    rows = [
+        [a, *bounds.p2_two_sided(a, sigma_v, 1.0, 1.0),
+         *bounds.p2_log_diagnostics(a, sigma_v, 1.0, 1.0)]
+        for a in amplitudes
+    ]
+    return ["a", "lower", "upper", "a2_log_lower", "a2_log_upper", "limit"], rows
 
 
 def _finish(cfg: ExperimentConfig, rows, artifacts) -> RunRecord:
@@ -265,7 +281,7 @@ def cmd_linf(cfg: ExperimentConfig) -> RunRecord:
     for a, u in zip(cfg.amplitudes, cfg.thresholds):
         report = estimate_linf(
             spec, a, u, grid, cfg.n_samples, cfg.seed,
-            mode=DeviationMode.SCALAR_2D, workers=cfg.workers, refine=cfg.refine,
+            workers=cfg.workers, refine=cfg.refine,
         )
         asymptote = bounds.linf_log_asymptote(u, a, sigma_w)
         log_estimate = math.log(report.estimate) if report.estimate > 0 else None
@@ -331,16 +347,10 @@ def cmd_bounds(cfg: ExperimentConfig) -> RunRecord:
         ["large_T", *cfg.lambda1_pair, bounds.compare_large_T(*cfg.lambda1_pair).value],
     ]
 
-    limits_header = ["a", "lower", "upper", "a2_log_lower", "a2_log_upper", "limit"]
-    limits_rows = []
-    for a in (0.1, 0.01, 0.001):
-        lower, upper = bounds.p2_two_sided(a, sv, 1.0, 1.0)
-        lo_diag, up_diag, limit = bounds.p2_log_diagnostics(a, sv, 1.0, 1.0)
-        limits_rows.append([a, lower, upper, lo_diag, up_diag, limit])
     return _write_tables(cfg, meta, {
         "bounds_constants": (constants_header, constants_rows),
         "bounds_compare": (compare_header, compare_rows),
-        "bounds_limits": (limits_header, limits_rows),
+        "bounds_limits": _limits_table((0.1, 0.01, 0.001), sv),
     })
 
 
@@ -354,13 +364,7 @@ def cmd_qsign(cfg: ExperimentConfig) -> RunRecord:
     meta["lambda1"] = float(model.eigenvalues[0])
     meta["multiplicity1"] = int(model.multiplicities[0])
     meta["sigma_v"] = sigma_v
-    header = ["a", "lower", "upper", "a2_log_lower", "a2_log_upper", "limit"]
-    table = []
-    for a in cfg.amplitudes:
-        lower, upper = bounds.q_sign_bounds(a, sigma_v)
-        lo_diag, up_diag, limit = bounds.p2_log_diagnostics(a, sigma_v, 1.0, 1.0)
-        table.append([a, lower, upper, lo_diag, up_diag, limit])
-    return _write_tables(cfg, meta, {"qsign": (header, table)})
+    return _write_tables(cfg, meta, {"qsign": _limits_table(cfg.amplitudes, sigma_v)})
 
 
 _DISPATCH = {

@@ -18,7 +18,7 @@ import os
 from dataclasses import dataclass, fields as dataclass_fields
 
 from .fields import RNG_STREAM
-from .spectral import Indexing, _require_unit_variance
+from .spectral import _SCHEME_INDEXING, Indexing, _require_unit_variance
 
 __all__ = [
     "COMMANDS",
@@ -230,11 +230,12 @@ def _validate(cfg: ExperimentConfig) -> None:
                 raise ValueError("euler needs an icosphere:<depth> grid (triangulation)")
             # the expected-EC prediction reads per-eigenspace variance weights
             # that sum to 1; indexing applies to explicit values only
+            indexing = _SCHEME_INDEXING.get(cfg.scheme, Indexing(cfg.indexing))
+            if indexing is not Indexing.PER_EIGENSPACE:
+                raise ValueError(
+                    "the prediction needs the per-eigenspace (variance weight) convention"
+                )
             if cfg.scheme == "explicit":
-                if cfg.indexing != Indexing.PER_EIGENSPACE.value:
-                    raise ValueError(
-                        "the prediction needs the per-eigenspace (variance weight) convention"
-                    )
                 _require_unit_variance(cfg.values)
         if cfg.geometry == "s4":
             raise ValueError(

@@ -1,7 +1,6 @@
 """Conformal transformation laws: curvature of the perturbed metric.
 
-Two conventions are used.  Surfaces and general dimension use g1 = e^{af} g0,
-under which
+Surfaces and general dimension use g1 = e^{af} g0, under which
 
     R1 = e^{-af} [ R0 - a(n-1) h - a^2 (n-1)(n-2) |grad f|^2 / 4 ]
 
@@ -11,23 +10,21 @@ the associated curvature transforms as Q1 = e^{-naf} (Q0 - a h) with
 h = -P f.  In both cases the exponential prefactor is positive, so the sign
 of the transformed curvature is the sign of the bracket.
 
-Only the surface law is evaluated pointwise (scalar_curvature_2d): no
-built-in geometry of dimension n > 2 has a sampler.  The dimension-n law enters only
-through the constants of bounds, and the Q law only through
-deviation_field in its Q mode, which returns the exact Q1 - Q0.
+deviation_field evaluates the law of its dimension (fields.exponent_factor):
+the surface law at n = 2 and the fourth-order one at even n > 2; at n = 2
+the latter is half the surface law at doubled a and Q0, bit for bit.  No
+built-in geometry of dimension n > 2 has a sampler.
 """
 
 from __future__ import annotations
 
 import math
-from enum import Enum
 
 import numpy as np
 
-from .fields import FieldKind, RandomFieldSpec, diagonal_variance
+from .fields import FieldKind, RandomFieldSpec, diagonal_variance, exponent_factor
 
 __all__ = [
-    "DeviationMode",
     "scalar_curvature_2d",
     "q_round_s4",
     "expected_volume",
@@ -63,26 +60,9 @@ def expected_volume(spec: RandomFieldSpec, a: float, n: int, grid) -> float:
     return math.fsum(weights * np.exp((n * n * a * a / 8.0) * var_f))
 
 
-class DeviationMode(str, Enum):
-    SCALAR_2D = "scalar_2d"
-    Q = "q"
-
-
-def exponent_factor(n: int, mode: DeviationMode) -> float:
-    """k in the deviation's prefactor e^{-k a f}: 1 on surfaces, n in the
-    fourth-order mode (which needs even n)."""
-    if mode is DeviationMode.SCALAR_2D:
-        if n != 2:
-            raise ValueError("the surface deviation needs n = 2")
-        return 1.0
-    if n % 2 or n < 2:
-        raise ValueError("the fourth-order deviation needs even n")
-    return float(n)
-
-
-def deviation_field(f, h, reference, a: float, n: int, mode: DeviationMode) -> np.ndarray:
-    """The exact curvature deviation for field values f and h, which
-    broadcast with reference: R0 (e^{-af} - 1) - a h e^{-af} on surfaces,
-    Q1 - Q0 = Q0 (e^{-naf} - 1) - a h e^{-naf} in the fourth-order mode."""
-    rate = exponent_factor(n, mode) * a
+def deviation_field(f, h, reference, a: float, n: int) -> np.ndarray:
+    """The exact curvature deviation in dimension n for field values f and
+    h, which broadcast with reference: R0 (e^{-af} - 1) - a h e^{-af} on
+    surfaces, Q1 - Q0 = Q0 (e^{-naf} - 1) - a h e^{-naf} in even n > 2."""
+    rate = exponent_factor(n) * a
     return reference * np.expm1(-rate * f) - a * h * np.exp(-rate * f)

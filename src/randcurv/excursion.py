@@ -27,8 +27,8 @@ import numpy as np
 
 from . import fields
 from .bounds import gaussian_tail, linf_regime_ok
-from .curvature import DeviationMode, deviation_field, exponent_factor
-from .fields import FieldKind, RandomFieldSpec, make_sampler, variance_summary
+from .curvature import deviation_field
+from .fields import FieldKind, RandomFieldSpec, exponent_factor, make_sampler, variance_summary
 from .grids import _closed_triangulation, icosphere
 from .spectral import SPHERE2_VOLUME, CoefficientScheme, Indexing, _require_unit_variance
 
@@ -278,7 +278,7 @@ def _linf_count(ctx, sampler, groups, screen, A) -> tuple[int, int]:
     bound = ctx.rho * np.expm1(growth) + ctx.a * M[:, 1] * np.exp(growth)
     hit = np.flatnonzero(bound > ctx.u)
     F, H = sampler.evaluate(A[hit])
-    dev = deviation_field(F, H, ctx.reference, ctx.a, ctx.dim, ctx.mode)
+    dev = deviation_field(F, H, ctx.reference, ctx.a, ctx.dim)
     return int((np.abs(dev).max(axis=1) > ctx.u).sum()), int(hit.size)
 
 
@@ -298,18 +298,17 @@ def estimate_linf(
     grid,
     n_samples: int,
     seed: int,
-    mode: DeviationMode = DeviationMode.SCALAR_2D,
     workers: int = 1,
     refine: bool = False,
 ) -> ExcursionReport:
     """Fraction of samples whose max |curvature deviation| over the grid
-    exceeds u, using the exact deviation field of the selected mode."""
+    exceeds u, using the exact deviation field of the spectrum's dimension."""
     if not (a > 0 and u > 0):
         raise ValueError("a and u must be positive")
     if spec.reference_curvature is None:
         raise ValueError("deviation estimation needs the spec's reference curvature")
     # checked here: a draw the screen drops never reaches deviation_field
-    rate = exponent_factor(spec.spectrum.dimension, mode) * float(a)
+    rate = exponent_factor(spec.spectrum.dimension) * float(a)
     n = int(n_samples)
     if n < 1:
         raise ValueError("need at least one sample")
@@ -318,8 +317,7 @@ def estimate_linf(
         screened=[(smp, *_linf_screen(smp)) for smp in _samplers(spec, grid, refine)],
         reference=spec.reference_curvature,
         rho=float(np.abs(np.asarray(spec.reference_curvature, dtype=float)).max()),
-        rate=rate, dim=spec.spectrum.dimension, a=float(a), u=float(u), mode=mode,
-        seed=int(seed),
+        rate=rate, dim=spec.spectrum.dimension, a=float(a), u=float(u), seed=int(seed),
     )
     results = map_chunks(_linf_chunk, ctx, n, P2_CHUNK, workers)
     counts, passed = np.array(results, dtype=np.int64).sum(axis=0).T

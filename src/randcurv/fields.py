@@ -4,8 +4,9 @@ The conformal factor field f has independent centered Gaussian coefficients
 against the orthonormal eigenfunctions; h is its image under the reference
 operator with the sign convention h = -P f (which on surfaces is the
 Laplace-Beltrami image of f, eigenvalue -lambda per level).  Derived fields:
-v = h / R0 and the linearization field w (h + R0 f for surfaces, -(h + n Q0 f)
-for the fourth-order case; only the sign differs and both are centered).
+v = h / R0 and the linearization field w = h + k R0 f, with k = exponent_factor(n)
+(1 on surfaces, n for the fourth-order law in even n > 2), signed so that
+the deviation of either law is -a w to first order in a.
 
 Per-level coefficient weights come in two indexings (see spectral):
 per-eigenfunction scales c (f coefficient std per eigenfunction) and
@@ -41,7 +42,7 @@ from enum import Enum
 import numpy as np
 
 from .grids import SphereGrid, TorusGrid, _harmonic_design, _torus_design
-from .harmonics import SphereHarmonicBasis, legendre_all, n_columns
+from .harmonics import SphereHarmonicBasis, legendre_all
 from .spectral import CoefficientScheme, Geometry, Indexing, SpectrumModel
 
 __all__ = [
@@ -83,7 +84,8 @@ class RandomFieldSpec:
 
     reference_curvature (a constant or gridded values) is required for the
     V and W fields; V additionally needs it nowhere zero.  When given it must
-    be finite: a NaN would make every comparison against it false.
+    be finite: a NaN would make every comparison against it false.  W needs
+    a dimension with a curvature law (exponent_factor), so odd n is refused.
     """
 
     spectrum: SpectrumModel
@@ -108,11 +110,8 @@ class RandomFieldSpec:
             raise ValueError("reference_curvature must be finite everywhere")
         if self.which is FieldKind.V and np.any(r == 0.0):
             raise ValueError("v = h / R0 needs a nowhere-zero reference curvature")
-
-    @property
-    def q_mode(self) -> bool:
-        # fourth-order convention for the linearization field
-        return self.spectrum.dimension != 2
+        if self.which is FieldKind.W:
+            exponent_factor(self.spectrum.dimension)
 
     def constant_reference(self) -> float:
         r = np.asarray(self.reference_curvature, dtype=float)
@@ -160,10 +159,21 @@ def level_weights(spec: RandomFieldSpec) -> LevelWeights:
     return LevelWeights(alpha, beta, neg_alpha, neg_beta)
 
 
+def exponent_factor(n: int) -> float:
+    """k in the prefactor e^{-k a f} of the curvature law of dimension n: 1
+    for the surface law (n = 2), n for the fourth-order law (even n > 2).
+    At n = 2 the fourth-order law at (a, R0) is half the surface law at
+    (2a, 2R0), bit for bit (doubling is exact), so it needs no k of its own."""
+    if n == 2:
+        return 1.0
+    if n % 2 or n < 2:
+        raise ValueError(f"no curvature law in dimension {n}: need n = 2 or an even n > 2")
+    return float(n)
+
+
 def _selected(spec: RandomFieldSpec, f, h):
     """The selected field's coefficient std from those of f and h, per level
-    or per column alike: v = h / R0, w = h + R0 f on surfaces and
-    -(h + n Q0 f) in the Q mode.
+    or per column alike: v = h / R0 and w = h + exponent_factor(n) R0 f.
 
     V and W need a constant reference here; gridded references are handled
     pointwise by diagonal_variance instead.
@@ -175,9 +185,7 @@ def _selected(spec: RandomFieldSpec, f, h):
     r0 = spec.constant_reference()
     if spec.which is FieldKind.V:
         return h / r0
-    if spec.q_mode:
-        return -(h + spec.spectrum.dimension * r0 * f)
-    return h + r0 * f
+    return h + exponent_factor(spec.spectrum.dimension) * r0 * f
 
 
 @dataclass
@@ -296,8 +304,10 @@ def gaussian_draw_block(seed: int, draw_indices, columns) -> np.ndarray:
 _MAX_DESIGN_BYTES = 2**30
 
 
-def _check_design_size(n_points: int, columns: int) -> None:
-    """Refuse a design above _MAX_DESIGN_BYTES before it is allocated."""
+def _check_design_size(spec: RandomFieldSpec, n_points: int) -> None:
+    """Refuse a design above _MAX_DESIGN_BYTES before it is allocated: the
+    sphere and torus samplers build one column per truncated eigenfunction."""
+    columns = int(spec.spectrum.multiplicities[: spec.coefficients.truncation].sum())
     nbytes = n_points * columns * 8
     if nbytes > _MAX_DESIGN_BYTES:
         raise ValueError(
@@ -387,7 +397,7 @@ class SphereSampler(LinearSampler):
         M = spec.coefficients.truncation
         if M < 1:
             raise ValueError("empty coefficient scheme")
-        _check_design_size(len(theta), n_columns(M))
+        _check_design_size(spec, len(theta))
         if isinstance(grid, SphereGrid):
             design = _harmonic_design(grid, M)
         else:
@@ -413,7 +423,7 @@ class TorusSampler(LinearSampler):
         M = spec.coefficients.truncation
         if M < 1:
             raise ValueError("empty coefficient scheme")
-        _check_design_size(len(pts), int(spec.spectrum.multiplicities[:M].sum()))
+        _check_design_size(spec, len(pts))
         super().__init__(spec, _torus_design(pts, spec.spectrum.torus_modes[:M]), grid)
 
 
@@ -590,8 +600,8 @@ def diagonal_variance(spec: RandomFieldSpec, grid) -> np.ndarray:
     r0 = np.broadcast_to(np.asarray(spec.reference_curvature, dtype=float), (npts,))
     if spec.which is FieldKind.V:
         return var_h / r0**2
-    scale = spec.spectrum.dimension if spec.q_mode else 1.0
-    # w = h + R0 f (surfaces) or -(h + n Q0 f); variance is the same
+    scale = exponent_factor(spec.spectrum.dimension)
+    # w = h + k R0 f
     return var_h + 2.0 * (scale * r0) * cov_fh + (scale * r0) ** 2 * var_f
 
 

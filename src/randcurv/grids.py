@@ -296,6 +296,10 @@ def torus_grid(n_per_axis: int) -> TorusGrid:
     return TorusGrid(pts, n_per_axis, weights)
 
 
+# the n_points of each builder's grid at a size, known without building it
+_N_POINTS = dict(fibonacci=lambda n: n, icosphere=lambda d: 10 * 4**d + 2, torus=lambda n: n**2)
+
+
 def sphere_distance(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Great-circle distance between unit vectors, accurate at 0 and pi."""
     a = np.asarray(a, dtype=float)

@@ -67,6 +67,13 @@ class Indexing(str, Enum):
     PER_EIGENSPACE = "per_eigenspace"
 
 
+# the indexing of each named scheme (an explicit one's comes with its values)
+_SCHEME_INDEXING = {
+    "normalized": Indexing.PER_EIGENSPACE, "power": Indexing.PER_EIGENFUNCTION,
+    "heat": Indexing.PER_EIGENFUNCTION,
+}
+
+
 def sphere_level(m: int) -> tuple[int, int]:
     """Eigenvalue and multiplicity of degree-m spherical harmonics on S^2.
 
@@ -389,7 +396,7 @@ def make_power_law(
     _check_tail(tail, tail_tol, "power-law scheme")
     return CoefficientScheme(
         rule="power_law",
-        indexing=Indexing.PER_EIGENFUNCTION,
+        indexing=_SCHEME_INDEXING["power"],
         values=values,
         truncation=M,
         tail_fraction=tail,
@@ -417,7 +424,7 @@ def make_sphere_normalized(
     _check_tail(tail, tail_tol, "normalized sphere scheme")
     return CoefficientScheme(
         rule="sphere_normalized_power_law",
-        indexing=Indexing.PER_EIGENSPACE,
+        indexing=_SCHEME_INDEXING["normalized"],
         values=values,
         truncation=M,
         tail_fraction=tail,
@@ -461,7 +468,7 @@ def make_heat_kernel(
     _check_tail(frac, tail_tol, "heat-kernel scheme")
     return CoefficientScheme(
         rule="heat_kernel",
-        indexing=Indexing.PER_EIGENFUNCTION,
+        indexing=_SCHEME_INDEXING["heat"],
         values=values,
         truncation=M,
         tail_fraction=frac,

@@ -257,7 +257,7 @@ def test_criterion_11_fourth_order_spectrum_and_sign_limit():
     for coarse, fine in ((low_2, low_3), (up_2, up_3)):
         assert abs(fine - coarse) / abs(fine) < 0.05
         assert abs(fine / limit - 1.0) < 0.05
-    lower, upper = bounds.q_sign_bounds(1e-3, sigma_v)
+    lower, upper = bounds.p2_two_sided(1e-3, sigma_v, 1.0, 1.0)
     assert 0.0 <= lower <= upper
 
 

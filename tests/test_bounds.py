@@ -268,10 +268,10 @@ def test_nd_positive_constants_kappa_scan():
 
 
 def test_q_sign_bounds():
-    a, sig = 0.04, 1.2
-    assert bd.q_sign_bounds(a, sig) == bd.p2_two_sided(a, sig, 1.0, 1.0)
-    lo, up = bd.q_sign_bounds(1e-3, 1.0)
+    # the q-sign table's bounds: the two-sided shape with unit constants
+    lo, up = bd.p2_two_sided(1e-3, 1.0, 1.0, 1.0)
     assert lo == 0.0 and up == 0.0
+    sig = 1.2
     # the q-sign table's limit column: constant-free, -1/(2 sigma_v^2)
     limit = bd.p2_log_diagnostics(0.1, sig, 1.0, 1.0)[2]
     assert limit == pytest.approx(-1.0 / (2 * sig * sig), rel=1e-15)

@@ -12,7 +12,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from randcurv import fields
+from randcurv import cli, fields
 from randcurv.cli import main
 from randcurv.excursion import estimate_linf
 from randcurv.fields import RNG_STREAM, FieldKind, RandomFieldSpec, make_sampler
@@ -276,6 +276,21 @@ class TestSample:
         ini, _ = write_ini(tmp_path, text.replace("grid = fibonacci:12", "grid = fibonacci:1024"))
         assert main(["sample", "--config", ini]) == 2
         assert "1024 points x 160800 columns" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("grid, truncation, message", [
+        # 10 * 4^8 + 2 mesh vertices and 14 * 16 harmonics
+        ("icosphere:8", 14, "655362 points x 224 columns would take 1.09 GiB"),
+        ("fibonacci:1000000000", 12, "1000000000 points x 168 columns would take 1251.70 GiB"),
+    ], ids=["icosphere", "fibonacci"])
+    def test_oversize_design_exits_2_before_the_grid_is_built(
+        self, tmp_path, capsys, monkeypatch, grid, truncation, message
+    ):
+        for builder in ("fibonacci_sphere", "icosphere", "torus_grid"):
+            monkeypatch.setattr(cli, builder, pytest.fail)
+        text = BASE.replace("truncation = 12\n", f"truncation = {truncation}\n", 1)
+        ini, _ = write_ini(tmp_path, text.replace("grid = fibonacci:12", f"grid = {grid}"))
+        assert main(["sample", "--config", ini]) == 2
+        assert message in capsys.readouterr().err
 
 
 class TestP2:

@@ -157,6 +157,23 @@ class TestValidation:
         assert message in capsys.readouterr().err
         assert built == [] and not (tmp_path / "runs").exists()
 
+    @pytest.mark.parametrize("scheme", ["power", "heat"])
+    def test_euler_refuses_per_eigenfunction_schemes(self, tmp_path, monkeypatch, capsys, scheme):
+        # power and heat scales are per eigenfunction, which the prediction
+        # cannot read: refused before the CLI builds the grid
+        path = write(
+            tmp_path,
+            f"[euler]\nscheme = {scheme}\nthresholds = 1.0\ngrid = icosphere:7\n"
+            f"out = {tmp_path / 'runs'}\n",
+        )
+        message = "the prediction needs the per-eigenspace (variance weight) convention"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            load_config("euler", path)
+        monkeypatch.setattr(cli, "icosphere", pytest.fail)
+        assert cli.main(["euler", "--config", path]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()
+
     def test_bounds_needs_high_dimension(self, tmp_path):
         path = write(tmp_path, "[bounds]\nn_dim = 2\n")
         with pytest.raises(ValueError, match="n > 2"):

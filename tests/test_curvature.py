@@ -6,7 +6,6 @@ import pytest
 from randcurv import curvature as cv
 from randcurv import fields as fl
 from randcurv import spectral as sp
-from randcurv.curvature import DeviationMode
 from randcurv.fields import FieldKind, RandomFieldSpec
 from randcurv.grids import fibonacci_sphere
 
@@ -32,8 +31,8 @@ def test_bracket_monotone_in_amplitude():
 
 
 def q_curvature(Q0, f, h, a, n):
-    """Q1 = Q0 + (Q1 - Q0), the exact part of the Q-mode deviation."""
-    return Q0 + cv.deviation_field(f, h, Q0, a, n, DeviationMode.Q)
+    """Q1 = Q0 + (Q1 - Q0), the exact fourth-order deviation in even n > 2."""
+    return Q0 + cv.deviation_field(f, h, Q0, a, n)
 
 
 def test_q_curvature_basics():
@@ -93,16 +92,16 @@ def test_expected_volume_against_mc():
 
 def test_deviation_scalar_exact():
     zero = np.zeros(2)
-    d0 = cv.deviation_field(zero, zero, 1.0, 0.3, 2, DeviationMode.SCALAR_2D)
+    d0 = cv.deviation_field(zero, zero, 1.0, 0.3, 2)
     np.testing.assert_array_equal(d0, [0.0, 0.0])
     # R0 = 0 (flat torus): exact deviation is -a h e^{-af}, bit for bit
     rng = np.random.default_rng(5)
     f, h = rng.normal(size=100), rng.normal(size=100)
     a = 0.25
-    d = cv.deviation_field(f, h, 0.0, a, 2, DeviationMode.SCALAR_2D)
+    d = cv.deviation_field(f, h, 0.0, a, 2)
     np.testing.assert_array_equal(d, -a * h * np.exp(-a * f))
     # R0 (e^{-af} - 1) - a h e^{-af}, bit for bit in its expm1 form
-    d1 = cv.deviation_field(f, h, 2.0, a, 2, DeviationMode.SCALAR_2D)
+    d1 = cv.deviation_field(f, h, 2.0, a, 2)
     np.testing.assert_array_equal(d1, 2.0 * np.expm1(-a * f) - a * h * np.exp(-a * f))
 
 
@@ -110,15 +109,22 @@ def test_deviation_q_mode():
     rng = np.random.default_rng(6)
     f, h = rng.normal(size=50) * 0.2, rng.normal(size=50)
     a, n, Q0 = 0.1, 4, 3.0
-    d = cv.deviation_field(f, h, Q0, a, n, DeviationMode.Q)
+    d = cv.deviation_field(f, h, Q0, a, n)
     np.testing.assert_array_equal(d, Q0 * np.expm1(-n * a * f) - a * h * np.exp(-n * a * f))
     np.testing.assert_allclose(
         d, Q0 * (np.exp(-n * a * f) - 1.0) - a * h * np.exp(-n * a * f), atol=1e-13
     )
-    with pytest.raises(ValueError):
-        cv.deviation_field(f, h, Q0, a, 3, DeviationMode.Q)
-    with pytest.raises(ValueError):
-        cv.deviation_field(f, h, Q0, a, 4, DeviationMode.SCALAR_2D)
+    d6 = cv.deviation_field(f, h, Q0, a, 6)
+    np.testing.assert_array_equal(d6, Q0 * np.expm1(-6 * a * f) - a * h * np.exp(-6 * a * f))
+    # odd and nonpositive dimensions have neither law
+    for bad in (-2, 0, 1, 3, 5):
+        with pytest.raises(ValueError, match=f"dimension {bad}"):
+            cv.deviation_field(f, h, Q0, a, bad)
+    # at n = 2 the fourth-order form at (a, Q0) is half the surface law at
+    # (2a, 2 Q0), bit for bit: doubling is exact
+    for ref in (Q0, rng.normal(size=50)):
+        q2 = ref * np.expm1(-2 * a * f) - a * h * np.exp(-2 * a * f)
+        np.testing.assert_array_equal(cv.deviation_field(f, h, 2 * ref, 2 * a, 2), 2 * q2)
 
 
 def test_linearization_error_is_second_order():
@@ -127,7 +133,7 @@ def test_linearization_error_is_second_order():
 
     def gap(a):
         # the small-a linearization of the deviation is -a (h + R0 f)
-        d = cv.deviation_field(f, h, 1.0, a, 2, DeviationMode.SCALAR_2D)
+        d = cv.deviation_field(f, h, 1.0, a, 2)
         return float(np.max(np.abs(d - (-a * (h + 1.0 * f)))))
 
     ratio = gap(0.02) / gap(0.01)

@@ -21,7 +21,6 @@ from helpers import two_wave_sup_tail
 from randcurv import curvature, fields, grids
 from randcurv import excursion as ex
 from randcurv.bounds import gaussian_tail, linf_regime_ok
-from randcurv.curvature import DeviationMode
 from randcurv.fields import (
     FieldKind,
     RandomFieldSpec,
@@ -713,10 +712,7 @@ class TestEstimateLinf:
 
     def test_sphere_deviation_mode_runs(self):
         spec = RandomFieldSpec(SPHERE, SCHEME, FieldKind.H, reference_curvature=1.0)
-        r = ex.estimate_linf(
-            spec, 0.05, 0.2, fibonacci_sphere(64), 1000, 3,
-            mode=DeviationMode.SCALAR_2D,
-        )
+        r = ex.estimate_linf(spec, 0.05, 0.2, fibonacci_sphere(64), 1000, 3)
         assert 0.0 <= r.estimate <= 1.0
 
     def test_refine_with_gridded_reference_rejected_up_front(self):
@@ -731,7 +727,7 @@ class TestEstimateLinf:
         assert 0.0 <= ex.estimate_linf(spec, 0.02, 0.05, grid, 16, 0).estimate <= 1.0
 
     def test_mode_dimension_mismatch_rejected_even_when_nothing_passes(self):
-        # a dimension-3 model has no surface deviation; the threshold is far
+        # a dimension-3 model has neither curvature law; the threshold is far
         # out of reach, so the check cannot wait for a screen survivor
         user = SpectrumModel(
             geometry=Geometry.USER_SUPPLIED, dimension=3, volume=1.0,
@@ -739,16 +735,32 @@ class TestEstimateLinf:
             points=np.array([[0.0], [1.0]]), eigenfunctions=np.array([[1.0, 0.5]]),
         )
         spec = RandomFieldSpec(user, make_explicit([1e-6]), FieldKind.H, reference_curvature=0.0)
-        with pytest.raises(ValueError, match="n = 2"):
-            ex.estimate_linf(spec, 0.01, 1e3, None, 16, 0, mode=DeviationMode.SCALAR_2D)
+        with pytest.raises(ValueError, match="dimension 3"):
+            ex.estimate_linf(spec, 0.01, 1e3, None, 16, 0)
 
     def test_user_model_reports_its_stored_point_count(self):
         spec = RandomFieldSpec(USER3, make_explicit([1.0]), FieldKind.H, reference_curvature=0.0)
         assert ex.estimate_linf(spec, 0.1, 0.3, None, 64, 3).n_grid_points == 3
 
+    def test_dimension_4_user_model_runs_the_fourth_order_law(self):
+        # no argument picks the law: the exponent is n a = 4 a, and the count
+        # is the brute count of the dimension-4 deviation field
+        user4 = dataclasses.replace(
+            USER3, dimension=4, eigenvalues=np.array([1.0, 3.0]),
+            multiplicities=np.array([1, 1]),
+            eigenfunctions=np.array([[1.0, 0.5, -0.2], [0.3, -0.8, 0.6]]),
+        )
+        spec = RandomFieldSpec(user4, make_explicit([0.6, 0.4]), FieldKind.H, reference_curvature=0.7)
+        a, u, n = 0.2, 0.25, 3000
+        F, H = make_sampler(spec).sample_block(9, range(n))
+        brute = int((np.abs(curvature.deviation_field(F, H, 0.7, a, 4)).max(axis=1) > u).sum())
+        assert brute != int((np.abs(curvature.deviation_field(F, H, 0.7, a, 2)).max(axis=1) > u).sum())
+        assert ex.estimate_linf(spec, a, u, None, n, 9).estimate == brute / n
+
     def test_screen_bound_dominates_every_draw(self):
-        # the bound per draw is >= the computed max |exact| over the grid, in
-        # both modes, for flat, signed and gridded references
+        # the bound per draw is >= the computed max |exact| over the grid, at
+        # a and R0 and at both doubled (the fourth-order law at n = 2, up to
+        # a factor 2), for flat, signed and gridded references
         a = 0.3
         for spec0, grid in LINF_GEOMETRIES:
             smp = make_sampler(spec0, grid)
@@ -767,18 +779,20 @@ class TestEstimateLinf:
                     per_level += np.outer(np.linalg.norm(A[:, on], axis=1), w)
             assert np.all(per_level <= M) and np.all(M <= per_level * (1.0 + 2e-12))
             F, H = smp.sample_block(11, range(256))
-            for mode in DeviationMode:
-                growth = curvature.exponent_factor(2, mode) * a * M[:, 0]
+            for scale in (1.0, 2.0):
+                sa = scale * a
+                growth = sa * M[:, 0]
                 for r0 in (0.0, -0.4, np.linspace(-0.5, 0.3, grid.n_points)):
-                    bound = np.abs(r0).max() * np.expm1(growth) + a * M[:, 1] * np.exp(growth)
-                    exact = curvature.deviation_field(F, H, r0, a, 2, mode)
+                    sr0 = scale * r0
+                    bound = np.abs(sr0).max() * np.expm1(growth) + sa * M[:, 1] * np.exp(growth)
+                    exact = curvature.deviation_field(F, H, sr0, sa, 2)
                     assert np.all(np.abs(exact).max(axis=1) <= bound)
 
     @settings(max_examples=40, deadline=None)
     @given(
         geometry=st.sampled_from(range(len(LINF_GEOMETRIES))),
         reference=st.sampled_from(["zero", "positive", "negative", "gridded"]),
-        mode=st.sampled_from(list(DeviationMode)),
+        scale=st.sampled_from([1.0, 2.0]),
         a=st.floats(0.01, 0.5),
         u_over_a=st.floats(1.0, 5.0),
         refine=st.booleans(),
@@ -786,40 +800,44 @@ class TestEstimateLinf:
         n=st.integers(1, 2500),
     )
     def test_screened_count_equals_brute_count(
-        self, geometry, reference, mode, a, u_over_a, refine, seed, n
+        self, geometry, reference, scale, a, u_over_a, refine, seed, n
     ):
+        # scale 2 doubles a, u and R0: the fourth-order law at n = 2, up to
+        # a factor 2 in the deviation
         spec0, grid = LINF_GEOMETRIES[geometry]
         r0 = {
             "zero": 0.0, "positive": 0.4, "negative": -0.3,
             "gridded": np.random.default_rng(seed).uniform(-0.4, 0.4, grid.n_points),
-        }[reference]
+        }[reference] * scale
+        a *= scale
         refine = refine and reference != "gridded"
         spec = RandomFieldSpec(spec0.spectrum, spec0.coefficients, FieldKind.H, reference_curvature=r0)
         u = a * u_over_a
 
         def brute(g):
             F, H = make_sampler(spec, g).sample_block(seed, range(n))
-            exact = curvature.deviation_field(F, H, r0, a, 2, mode)
+            exact = curvature.deviation_field(F, H, r0, a, 2)
             return int((np.abs(exact).max(axis=1) > u).sum())
 
-        r = ex.estimate_linf(spec, a, u, grid, n, seed, mode=mode, refine=refine)
+        r = ex.estimate_linf(spec, a, u, grid, n, seed, refine=refine)
         count = brute(grid)
         assert r.estimate == count / n
         if refine:
             assert r.refinement_delta == brute(grid.refine()) / n - count / n
 
-    @pytest.mark.parametrize("mode, counts", [
-        (DeviationMode.SCALAR_2D, (214, 275)),
-        (DeviationMode.Q, (245, 310)),
-    ])
-    def test_pinned_counts(self, mode, counts):
-        # seed 2026, 4096 draws on torus:8 and its refinement, R0 = -0.3,
-        # stream 2
+    @pytest.mark.parametrize("scale, counts", [(1.0, (214, 275)), (2.0, (245, 310))])
+    def test_pinned_counts(self, scale, counts):
+        # seed 2026, 4096 draws on torus:8 and its refinement, (a, u, R0) =
+        # scale (0.05, 0.1, -0.3), stream 2; scale 2 is the fourth-order law
+        # at n = 2
         n = 4096
         spec = RandomFieldSpec(
-            TORUS_SPEC.spectrum, TORUS_SPEC.coefficients, FieldKind.H, reference_curvature=-0.3
+            TORUS_SPEC.spectrum, TORUS_SPEC.coefficients, FieldKind.H,
+            reference_curvature=-0.3 * scale,
         )
-        r = ex.estimate_linf(spec, 0.05, 0.1, torus_grid(8), n, 2026, mode=mode, refine=True)
+        r = ex.estimate_linf(
+            spec, 0.05 * scale, 0.1 * scale, torus_grid(8), n, 2026, refine=True
+        )
         assert (round(r.estimate * n), round((r.estimate + r.refinement_delta) * n)) == counts
 
     def test_screen_hit_rate_is_logged(self, caplog):

@@ -40,6 +40,22 @@ def test_spec_validation(sphere12, norm8):
         RandomFieldSpec(sp.sphere2_spectrum(5), norm8, FieldKind.H)   # truncation 12 > 5 levels
 
 
+@pytest.mark.parametrize("dimension", [1, 3, 5])
+def test_spec_refuses_w_without_a_curvature_law(dimension):
+    # w = h + k R0 f has no k in odd n, so W is refused when the spec is built;
+    # the other fields of the same model still build
+    model = sp.SpectrumModel(
+        geometry=Geometry.USER_SUPPLIED, dimension=dimension, volume=1.0,
+        eigenvalues=np.array([1.0]), multiplicities=np.array([1]),
+        points=np.array([[0.0], [1.0]]), eigenfunctions=np.array([[1.0, 0.5]]),
+    )
+    sch = sp.make_explicit([0.5])
+    with pytest.raises(ValueError, match=f"dimension {dimension}"):
+        RandomFieldSpec(model, sch, FieldKind.W, reference_curvature=1.0)
+    for which in (FieldKind.F, FieldKind.H, FieldKind.V):
+        RandomFieldSpec(model, sch, which, reference_curvature=1.0)
+
+
 @pytest.mark.parametrize("which", [FieldKind.H, FieldKind.V, FieldKind.W])
 def test_spec_rejects_non_finite_reference_curvature(which):
     # a NaN reference makes every comparison false, so estimate_linf would read 0
@@ -690,8 +706,8 @@ def test_covariance_matrix_user_model_with_negative_level(dimension):
     # h = -lambda f on the positive levels and +mu f on the negative one
     w_f = np.array([0.7, 0.2, 0.5])
     w_h = np.array([-1.0 * 0.7, -3.0 * 0.2, 2.0 * 0.5])
-    # w = h + R0 f on surfaces, -(h + n Q0 f) otherwise
-    w_w = w_h + 0.4 * w_f if dimension == 2 else -(w_h + dimension * 0.4 * w_f)
+    # w = h + k R0 f with k = 1 on surfaces and n in even n > 2
+    w_w = w_h + (1 if dimension == 2 else dimension) * 0.4 * w_f
     cols = np.concatenate([phi, psi])[:, idx]
     for which, w in ((FieldKind.F, w_f), (FieldKind.H, w_h), (FieldKind.W, w_w)):
         spec = RandomFieldSpec(model, sch, which, reference_curvature=0.4)

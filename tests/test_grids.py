@@ -58,6 +58,17 @@ def test_icosphere_equals_the_midpoint_cache_builder(depth):
     assert np.array_equal(g._memo["closed_faces"], ref._memo["closed_faces"])
 
 
+@pytest.mark.parametrize("kind, build, sizes", [
+    ("fibonacci", fibonacci_sphere, (2, 7, 100)),
+    ("icosphere", icosphere, (0, 1, 2, 3)),
+    ("torus", torus_grid, (2, 5, 9)),
+])
+def test_point_counts_match_the_builders(kind, build, sizes):
+    # the CLI checks a design's size from these counts before building
+    for size in sizes:
+        assert grids._N_POINTS[kind](size) == build(size).n_points
+
+
 def test_icosphere_geometry():
     g = icosphere(3)
     np.testing.assert_allclose(np.linalg.norm(g.xyz, axis=1), 1.0, atol=1e-14)
