@@ -12,7 +12,7 @@ from enum import Enum
 
 import numpy as np
 
-from .spectral import Geometry, SpectrumModel
+from .spectral import SpectrumModel
 
 
 def gaussian_tail(u: float) -> float:
@@ -76,13 +76,7 @@ def heat_sigma_large_T(spectrum: SpectrumModel, R0_grid, T: float) -> tuple[floa
     r0sq = np.asarray(R0_grid, dtype=float) ** 2
     if np.any(r0sq == 0.0):
         raise ValueError("reference curvature vanishes somewhere")
-    if spectrum.geometry is Geometry.USER_SUPPLIED:
-        n1 = int(spectrum.multiplicities[0])
-        eigsum = np.sum(spectrum.eigenfunctions[:n1] ** 2, axis=0)
-        F = float(np.max(eigsum / r0sq))
-    else:
-        # isotropic: the first-level eigenfunction sum is the constant N1/vol
-        F = spectrum.phi_sq_level(0) / float(np.min(r0sq))
+    F = float(np.max(spectrum.phi_sq_level(0) / r0sq))
     lam1 = float(spectrum.eigenvalues[0])
     return F, F * math.exp(-lam1 * T)
 

@@ -34,18 +34,21 @@ from .excursion import (
     at_metric_constant,
     estimate_linf,
     euler_curve,
+    map_chunks,
     p2_curve,
     sphere_p2_prediction,
 )
 from .fields import (
+    _MAX_DESIGN_BYTES,
     FieldKind,
     RandomFieldSpec,
     _check_design_size,
     _isotropic_variances,
+    heat_variance,
     make_sampler,
     variance_summary,
 )
-from .grids import _N_POINTS, fibonacci_sphere, icosphere, torus_grid
+from .grids import _BUILD_BYTES, _N_POINTS, fibonacci_sphere, icosphere, torus_grid
 from .reports import RunRecord, format_column, write_csv, write_run_json
 from .spectral import (
     SPHERE2_VOLUME,
@@ -59,8 +62,8 @@ from .spectral import (
     torus2_spectrum,
 )
 
-# draws per sample_block call of the sample command: the fields held at
-# once take 512 bytes per grid point, less than a truncation-12 design
+# draws per chunk (one sample_block call) of the sample command: the fields
+# a chunk holds take 512 bytes per grid point, less than a truncation-12 design
 _SAMPLE_CHUNK = 32
 
 
@@ -85,13 +88,21 @@ def _build_scheme(cfg: ExperimentConfig, model):
 def _build_field(cfg: ExperimentConfig, which: FieldKind):
     """(spec, grid) of a command that samples: the configured spectrum and
     scheme with the reference curvature, and the configured grid, built
-    only once its design is known to fit."""
+    only once its design and its own build are known to fit."""
     model = _build_spectrum(cfg)
     spec = RandomFieldSpec(
         model, _build_scheme(cfg, model), which, reference_curvature=cfg.reference
     )
     kind, size = parse_grid(cfg.grid)
-    _check_design_size(spec, _N_POINTS[kind](size))
+    n_points = _N_POINTS[kind](size)
+    _check_design_size(spec, n_points)
+    build_bytes = n_points * _BUILD_BYTES[kind]
+    if build_bytes > _MAX_DESIGN_BYTES:
+        raise ValueError(
+            f"building the grid {cfg.grid} ({n_points} points) would take about "
+            f"{build_bytes / 2**30:.2f} GiB, over the {_MAX_DESIGN_BYTES / 2**30:g} GiB limit; "
+            "lower the grid size"
+        )
     build = {"fibonacci": fibonacci_sphere, "icosphere": icosphere, "torus": torus_grid}[kind]
     return spec, build(size)
 
@@ -153,6 +164,28 @@ def _write_tables(cfg: ExperimentConfig, meta: dict, tables: dict) -> RunRecord:
     return _finish(cfg, rows, paths)
 
 
+def _sample_chunk(ctx, j0: int, j1: int) -> list:
+    """(CSV path, run-JSON row) of each draw in [j0, j1), whose f, h and
+    transformed curvature R1 go to the draw's own CSV."""
+    cfg, sampler, meta, header, grid_columns = ctx
+    stem = Path(cfg.out) / f"sample_{config_hash(cfg)}"
+    F, H = sampler.sample_block(cfg.seed, range(j0, j1))
+    out = []
+    for j, f, h in zip(range(j0, j1), F, H):
+        R1 = scalar_curvature_2d(cfg.reference, f, h, cfg.amplitude)
+        columns = [*grid_columns, format_column(f), format_column(h), format_column(R1)]
+        row = {
+            "draw_index": j,
+            "max_abs_f": float(np.abs(f).max()),
+            "max_abs_h": float(np.abs(h).max()),
+            "min_R1": float(R1.min()),
+            "max_R1": float(R1.max()),
+        }
+        path = f"{stem}_d{j:04d}.csv"
+        out.append((write_csv(path, {**meta, "draw_index": j}, header, columns), row))
+    return out
+
+
 def cmd_sample(cfg: ExperimentConfig) -> RunRecord:
     spec, grid = _build_field(cfg, FieldKind.H)
     scheme = spec.coefficients
@@ -180,26 +213,9 @@ def cmd_sample(cfg: ExperimentConfig) -> RunRecord:
         format_column(np.arange(sampler.n_points)),
         *(format_column(c) for c in coords.T),
     ]
-    artifacts = []
-    rows = []
-    h = config_hash(cfg)
-    for j in range(cfg.n_samples):
-        r = j % _SAMPLE_CHUNK
-        if r == 0:
-            F, H = sampler.sample_block(cfg.seed, range(j, min(j + _SAMPLE_CHUNK, cfg.n_samples)))
-        R1 = scalar_curvature_2d(cfg.reference, F[r], H[r], cfg.amplitude)
-        columns = [*grid_columns, format_column(F[r]), format_column(H[r]), format_column(R1)]
-        path = Path(cfg.out) / f"sample_{h}_d{j:04d}.csv"
-        artifacts.append(write_csv(path, {**meta, "draw_index": j}, header, columns))
-        rows.append(
-            {
-                "draw_index": j,
-                "max_abs_f": float(np.abs(F[r]).max()),
-                "max_abs_h": float(np.abs(H[r]).max()),
-                "min_R1": float(R1.min()),
-                "max_R1": float(R1.max()),
-            }
-        )
+    ctx = (cfg, sampler, meta, header, grid_columns)
+    chunks = map_chunks(_sample_chunk, ctx, cfg.n_samples, _SAMPLE_CHUNK, cfg.workers)
+    artifacts, rows = zip(*(draw for chunk in chunks for draw in chunk))
     return _finish(cfg, rows, artifacts)
 
 
@@ -295,8 +311,6 @@ def cmd_linf(cfg: ExperimentConfig) -> RunRecord:
 
 
 def cmd_heat(cfg: ExperimentConfig) -> RunRecord:
-    from .fields import heat_variance
-
     model = _build_spectrum(cfg)
     r0_sq = cfg.reference**2
     meta = _base_metadata(cfg)

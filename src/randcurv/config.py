@@ -17,7 +17,7 @@ import math
 import os
 from dataclasses import dataclass, fields as dataclass_fields
 
-from .fields import RNG_STREAM
+from .fields import RNG_STREAM, _check_seed
 from .spectral import _SCHEME_INDEXING, Indexing, _require_unit_variance
 
 __all__ = [
@@ -97,10 +97,7 @@ def _parse_floats(text: str) -> tuple[float, ...]:
 
 
 def _parse_seed(text) -> int:
-    seed = int(text)
-    if not 0 <= seed < 2**64:
-        raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
-    return seed
+    return _check_seed(int(text))
 
 
 def _parse_pair(text: str) -> tuple[float, float]:

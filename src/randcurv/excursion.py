@@ -7,8 +7,8 @@ and the two-sided max |deviation| for the sup-norm curvature deviation.
 Empirical Euler characteristics of super-level sets on closed triangulations
 are joined with the closed-form expected value 2 Psi(u) + L2 rho2(u).
 
-All three estimators run on one driver, map_chunks: each builds its context
-(samplers and parameters) once and maps a kernel (ctx, j0, j1) over the fixed
+All three estimators and `randcurv sample` run on one driver, map_chunks:
+each builds its context once and maps a kernel (ctx, j0, j1) over the fixed
 chunks [j0, j1) of range(n).  Draw j of seed s is fixed, the chunks do not
 depend on the worker count, and chunk results reduce by integer (or fsum)
 addition, so estimates are byte-identical for any parallelism.
@@ -30,7 +30,7 @@ from .bounds import gaussian_tail, linf_regime_ok
 from .curvature import deviation_field
 from .fields import FieldKind, RandomFieldSpec, exponent_factor, make_sampler, variance_summary
 from .grids import _closed_triangulation, icosphere
-from .spectral import SPHERE2_VOLUME, CoefficientScheme, Indexing, _require_unit_variance
+from .spectral import SPHERE2_VOLUME, CoefficientScheme, Indexing, _require_unit_variance, sphere_level
 
 __all__ = [
     "P2_CHUNK",
@@ -472,11 +472,9 @@ def euler_curve(
 
 def _sphere_level_data(scheme: CoefficientScheme) -> tuple[np.ndarray, np.ndarray]:
     """(level h-variance weights, eigenvalues m(m+1)) of a sphere scheme."""
-    m = np.arange(1, scheme.truncation + 1, dtype=float)
-    eig = m * (m + 1.0)
+    eig, mult = sphere_level(np.arange(1, scheme.truncation + 1))
     if scheme.indexing is Indexing.PER_EIGENSPACE:
         return scheme.values.copy(), eig
-    mult = 2.0 * m + 1.0
     return mult * (scheme.values * eig) ** 2 / SPHERE2_VOLUME, eig
 
 

@@ -41,9 +41,9 @@ from enum import Enum
 
 import numpy as np
 
-from .grids import SphereGrid, TorusGrid, _harmonic_design, _torus_design
+from .grids import SphereGrid, TorusGrid, _angles, _harmonic_design, _torus_design
 from .harmonics import SphereHarmonicBasis, legendre_all
-from .spectral import CoefficientScheme, Geometry, Indexing, SpectrumModel
+from .spectral import CoefficientScheme, Geometry, Indexing, SpectrumModel, paneitz_level_s4, sphere_level
 
 __all__ = [
     "RNG_STREAM",
@@ -300,7 +300,8 @@ def gaussian_draw_block(seed: int, draw_indices, columns) -> np.ndarray:
 # samplers
 
 
-# the largest design a sampler builds, in bytes (points x columns float64s)
+# the largest design a sampler builds, in bytes (points x columns float64s),
+# and the largest grid build the CLI starts
 _MAX_DESIGN_BYTES = 2**30
 
 
@@ -473,9 +474,7 @@ def _sphere_angles_of(grid):
     norms = np.linalg.norm(xyz, axis=1)
     if np.any(np.abs(norms - 1.0) > 1e-9):
         raise ValueError("sphere grid points must have unit norm")
-    theta = np.arccos(np.clip(xyz[:, 2], -1.0, 1.0))
-    phi = np.mod(np.arctan2(xyz[:, 1], xyz[:, 0]), 2.0 * math.pi)
-    return theta, phi, grid
+    return *_angles(xyz), grid
 
 
 def _torus_points_of(grid):
@@ -650,30 +649,21 @@ def heat_variance(spectrum: SpectrumModel, T: float) -> HeatVariance:
     if not T > 0:
         raise ValueError("diffusion time must be positive")
     g = spectrum.geometry
-    if g is Geometry.SPHERE2:
-        total = _level_series(lambda m: (2 * m + 1) * math.exp(-m * (m + 1) * T), 100000, T)
-        return HeatVariance(sup=total / spectrum.volume)
     if g is Geometry.FLAT_TORUS2:
         # sum over k in Z^2 \ {0} of e^{-|k|^2 T} = theta^2 - 1 = 4 s (1 + s)
         # with theta = 1 + 2 s, s = sum_{k >= 1} e^{-k^2 T}: O(1/sqrt(T))
         # terms and no cancellation at large T
         s = _level_series(lambda k: math.exp(-k * k * T), 10**6, T)
         return HeatVariance(sup=4.0 * s * (1.0 + s) / spectrum.volume)
-    if g is Geometry.ROUND_SPHERE4_PANEITZ:
-        from .spectral import paneitz_level_s4
+    if g is not Geometry.USER_SUPPLIED:
+        law, cap = (sphere_level, 10**5) if g is Geometry.SPHERE2 else (paneitz_level_s4, 10**4)
 
         def term(m):
-            lam, mult = paneitz_level_s4(m)
+            lam, mult = law(m)
             return mult * math.exp(-lam * T)
 
-        total = _level_series(term, 10000, T)
-        return HeatVariance(sup=total / spectrum.volume)
+        return HeatVariance(sup=_level_series(term, cap, T) / spectrum.volume)
     # user-supplied: finite listed sum on the stored grid
-    rows = []
-    pos = 0
-    for lam, mult in zip(spectrum.eigenvalues, spectrum.multiplicities):
-        block = spectrum.eigenfunctions[pos : pos + int(mult)]
-        rows.append(math.exp(-lam * T) * np.sum(block**2, axis=0))
-        pos += int(mult)
-    vals = np.sum(rows, axis=0)
+    levels = enumerate(spectrum.eigenvalues)
+    vals = np.sum([math.exp(-lam * T) * spectrum.phi_sq_level(i) for i, lam in levels], axis=0)
     return HeatVariance(sup=float(vals.max()), values=vals)

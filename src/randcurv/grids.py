@@ -298,6 +298,9 @@ def torus_grid(n_per_axis: int) -> TorusGrid:
 
 # the n_points of each builder's grid at a size, known without building it
 _N_POINTS = dict(fibonacci=lambda n: n, icosphere=lambda d: 10 * 4**d + 2, torus=lambda n: n**2)
+# each builder's peak allocation per point while it builds, in bytes
+# (tracemalloc: flat from 10^4 points up)
+_BUILD_BYTES = dict(fibonacci=88, icosphere=521, torus=40)
 
 
 def sphere_distance(a: np.ndarray, b: np.ndarray) -> np.ndarray:

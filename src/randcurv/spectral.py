@@ -74,12 +74,13 @@ _SCHEME_INDEXING = {
 }
 
 
-def sphere_level(m: int) -> tuple[int, int]:
-    """Eigenvalue and multiplicity of degree-m spherical harmonics on S^2.
+def sphere_level(m):
+    """Eigenvalue m(m+1) and multiplicity 2m+1 of the degree-m spherical
+    harmonics on S^2, of an int m or elementwise of an integer array.
 
     Degree 0 (the constants) is excluded throughout the package.
     """
-    if m < 1:
+    if (m.min() if isinstance(m, np.ndarray) else m) < 1:
         raise ValueError("level index must be >= 1 (constants are excluded)")
     return m * (m + 1), 2 * m + 1
 
@@ -108,9 +109,9 @@ class SpectrumModel:
     (mu, multiplicity) pairs for operators with negative spectrum; mu > 0 is
     the absolute value of the eigenvalue.
 
-    For isotropic geometries phi_sq_level(i) = N_i / volume is the constant
-    value of the sum of squared orthonormal eigenfunctions over level i.
-    User-supplied models instead carry the gridded eigenfunction values.
+    phi_sq_level(i) is the density sum_k phi_{i,k}^2 of level i: the
+    constant N_i / volume on the isotropic geometries, and the value at each
+    stored point of a user-supplied model, which carries its gridded values.
     """
 
     geometry: Geometry
@@ -147,10 +148,11 @@ class SpectrumModel:
     def n_levels(self) -> int:
         return int(self.eigenvalues.size)
 
-    def phi_sq_level(self, i: int) -> float:
-        """Pointwise value of sum_k phi_{i,k}^2 over level i (isotropic case)."""
+    def phi_sq_level(self, i: int) -> float | np.ndarray:
+        """sum_k phi_{i,k}^2 over level i, per stored point on a user model."""
         if self.geometry is Geometry.USER_SUPPLIED:
-            raise ValueError("use gridded eigenfunction values for user-supplied spectra")
+            k = int(self.multiplicities[:i].sum())
+            return np.sum(self.eigenfunctions[k : k + self.multiplicities[i]] ** 2, axis=0)
         return float(self.multiplicities[i]) / self.volume
 
 
@@ -158,13 +160,13 @@ def sphere2_spectrum(max_level: int) -> SpectrumModel:
     """Laplacian spectrum of the unit round 2-sphere up to harmonic degree max_level."""
     if max_level < 1:
         raise ValueError("need at least one level")
-    m = np.arange(1, max_level + 1)
+    eig, mult = sphere_level(np.arange(1, max_level + 1))
     return SpectrumModel(
         geometry=Geometry.SPHERE2,
         dimension=2,
         volume=SPHERE2_VOLUME,
-        eigenvalues=(m * (m + 1)).astype(float),
-        multiplicities=2 * m + 1,
+        eigenvalues=eig,
+        multiplicities=mult,
     )
 
 
@@ -278,10 +280,9 @@ def _power_tail_sphere2(s: float, M: int) -> float:
     if s <= 1.5:
         return math.inf
     # exact partial window, then the closed-form integral of the same summand
-    ms = np.arange(M + 1, M + 2001, dtype=float)
-    head = float(np.sum((2 * ms + 1) * (ms * (ms + 1)) ** (2.0 - 2.0 * s)))
-    X = M + 2000.0
-    rest = (X * (X + 1.0)) ** (3.0 - 2.0 * s) / (2.0 * s - 3.0)
+    eig, mult = sphere_level(np.arange(M + 1, M + 2001))
+    head = float(np.sum(mult * eig ** (2.0 - 2.0 * s)))
+    rest = sphere_level(M + 2000)[0] ** (3.0 - 2.0 * s) / (2.0 * s - 3.0)
     return head + rest
 
 
@@ -314,7 +315,7 @@ def _zeta(s: float) -> float:
 
 def _heat_tail_sphere2(T: float, M: int) -> float:
     """Tail of sum (2m+1) e^{-m(m+1) T} beyond level M (exact integral bound)."""
-    return math.exp(-M * (M + 1) * T) / T
+    return math.exp(-sphere_level(M)[0] * T) / T
 
 
 def _power_tail_torus(s: float, e_max: float) -> float:
@@ -353,7 +354,6 @@ def _power_tail_s4(s: float, M: int) -> float:
         total += t
         prev = t
     # geometric-style remainder from the observed decay of consecutive terms
-    eig1, mult1 = paneitz_level_s4(M + 4000)
     eig2, mult2 = paneitz_level_s4(M + 4001)
     t2 = mult2 * eig2 ** (2.0 - 2.0 * s)
     ratio = t2 / prev if prev > 0 else 0.0

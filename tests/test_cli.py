@@ -6,13 +6,14 @@ hold."""
 import hashlib
 import json
 import math
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import jsonschema
 import numpy as np
 import pytest
 
-from randcurv import cli, fields
+from randcurv import cli, excursion, fields
 from randcurv.cli import main
 from randcurv.excursion import estimate_linf
 from randcurv.fields import RNG_STREAM, FieldKind, RandomFieldSpec, make_sampler
@@ -259,6 +260,28 @@ class TestSample:
             digest.update("\n".join(payload_lines(path)).encode())
         assert digest.hexdigest() == "98c14d21a0b2c5c6bd359f67d5e948b461cdc608c21801409ed98fea16c938ff"
 
+    def test_workers_change_nothing_but_where(self, tmp_path, monkeypatch):
+        # 40 draws make two chunks of the sample command, so workers > 1 run
+        # them in a pool of two
+        pools = []
+
+        def recording_pool(max_workers, **kwargs):
+            pools.append(max_workers)
+            return ProcessPoolExecutor(max_workers=max_workers, **kwargs)
+
+        monkeypatch.setattr(excursion, "ProcessPoolExecutor", recording_pool)
+        ini, _ = write_ini(tmp_path, BASE.replace("n_samples = 2\n", "n_samples = 40\n"))
+        runs = []
+        for workers in (1, 2, 8):
+            out = tmp_path / f"workers{workers}"
+            run_ok(["sample", "--config", ini, "--workers", str(workers), "--out", str(out)])
+            (run_json,) = out.glob("*_run.json")
+            payloads = [p.read_bytes() for p in csvs(out)]
+            runs.append((payloads, json.loads(run_json.read_text())["rows"]))
+        assert pools == [2, 2]
+        assert len(runs[0][0]) == 40
+        assert runs[0] == runs[1] == runs[2]
+
     def test_s4_has_no_sampler(self, tmp_path, capsys):
         text = BASE.replace("[sample]\ngrid", "[sample]\ngeometry = s4\ngrid")
         text = text.replace(
@@ -289,6 +312,25 @@ class TestSample:
             monkeypatch.setattr(cli, builder, pytest.fail)
         text = BASE.replace("truncation = 12\n", f"truncation = {truncation}\n", 1)
         ini, _ = write_ini(tmp_path, text.replace("grid = fibonacci:12", f"grid = {grid}"))
+        assert main(["sample", "--config", ini]) == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("grid, message", [
+        # 10 * 4^10 + 2 mesh vertices at 521 bytes each; a 3-column design
+        # of them takes 0.23 GiB
+        ("icosphere:10", "icosphere:10 (10485762 points) would take about 5.09 GiB"),
+        ("fibonacci:20000000", "fibonacci:20000000 (20000000 points) would take about 1.64 GiB"),
+    ], ids=["icosphere", "fibonacci"])
+    def test_oversize_grid_exits_2_before_it_is_built(
+        self, tmp_path, capsys, monkeypatch, grid, message
+    ):
+        for builder in ("fibonacci_sphere", "icosphere", "torus_grid"):
+            monkeypatch.setattr(cli, builder, pytest.fail)
+        text = BASE.replace(
+            "[sample]\ngrid = fibonacci:12",
+            f"[sample]\nscheme = explicit\nvalues = 1.0\ntruncation = 1\ngrid = {grid}",
+        )
+        ini, _ = write_ini(tmp_path, text)
         assert main(["sample", "--config", ini]) == 2
         assert message in capsys.readouterr().err
 

@@ -396,8 +396,8 @@ def test_heat_variance_sphere_asymptotics(sphere12):
         fl.heat_variance(sphere12, 0.0)
 
 
-def test_heat_variance_user_two_level():
-    model = sp.SpectrumModel(
+def _two_level_user_model():
+    return sp.SpectrumModel(
         geometry=Geometry.USER_SUPPLIED,
         dimension=2,
         volume=1.0,
@@ -405,6 +405,16 @@ def test_heat_variance_user_two_level():
         multiplicities=np.array([1, 1]),
         eigenfunctions=np.array([[1.0, 0.5], [0.2, 1.5]]),
     )
+
+
+def test_phi_sq_level_of_a_user_model_is_its_gridded_rows():
+    model = _two_level_user_model()
+    np.testing.assert_allclose(model.phi_sq_level(0), [1.0, 0.25], rtol=1e-15)
+    np.testing.assert_allclose(model.phi_sq_level(1), [0.04, 2.25], rtol=1e-15)
+
+
+def test_heat_variance_user_two_level():
+    model = _two_level_user_model()
     hv = fl.heat_variance(model, 0.7)
     direct = math.exp(-0.7) * np.array([1.0, 0.25]) + math.exp(-2.1) * np.array([0.04, 2.25])
     np.testing.assert_allclose(hv.values, direct, rtol=1e-14)

@@ -17,6 +17,15 @@ def test_sphere_level_values():
         sp.sphere_level(0)
 
 
+def test_sphere_level_on_an_array_is_the_spectrum():
+    model = sp.sphere2_spectrum(20)
+    eig, mult = sp.sphere_level(np.arange(1, 21))
+    np.testing.assert_array_equal(eig, model.eigenvalues)
+    np.testing.assert_array_equal(mult, model.multiplicities)
+    with pytest.raises(ValueError, match="level index"):
+        sp.sphere_level(np.arange(0, 3))
+
+
 def test_paneitz_level_low_degrees():
     assert sp.paneitz_level_s4(1) == (24, 5)
     assert sp.paneitz_level_s4(2) == (120, 14)
