@@ -11,9 +11,9 @@ the deviation of either law is -a w to first order in a.
 Per-level coefficient weights come in two indexings (see spectral):
 per-eigenfunction scales c (f coefficient std per eigenfunction) and
 per-eigenspace variance weights c (the level's contribution to the pointwise
-variance of h).  Both reduce to the same per-harmonic (alpha, beta) pair used
-throughout this module: alpha is the f coefficient std, beta = -lambda*alpha
-the h coefficient std.
+variance of h).  level_weights alone reads them into the per-level table
+(alpha, beta, counts) that every weight, variance and kernel here is built
+from: the f coefficient std, the h one (-lambda alpha) and the multiplicity.
 
 Sampling is counter-based and addressed by column (stream RNG_STREAM = 2):
 the normal of draw j, column k and seed s is row j mod B of the B normals of
@@ -50,7 +50,6 @@ __all__ = [
     "DRAW_BLOCK",
     "FieldKind",
     "RandomFieldSpec",
-    "LevelWeights",
     "level_weights",
     "FieldSample",
     "covariance_matrix",
@@ -122,41 +121,29 @@ class RandomFieldSpec:
         raise ValueError("this operation needs a constant reference curvature")
 
 
-@dataclass(frozen=True)
-class LevelWeights:
-    """Per-harmonic coefficient standard deviations by level.
-
-    alpha: f coefficient; beta = -lambda * alpha: h coefficient (signed).
-    Negative-spectrum levels carry beta = +mu * alpha.
-    """
-
-    alpha: np.ndarray
-    beta: np.ndarray
-    neg_alpha: np.ndarray
-    neg_beta: np.ndarray
-
-
-def level_weights(spec: RandomFieldSpec) -> LevelWeights:
+def level_weights(spec: RandomFieldSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per level, the truncated positive levels then the negative ones: the
+    f coefficient std alpha, the h one beta (-lambda alpha, or +mu alpha on
+    a negative level, whose alpha is 0 without neg_values) and the column
+    count, the level's multiplicity."""
     sch = spec.coefficients
     model = spec.spectrum
     M = sch.truncation
     lam = model.eigenvalues[:M]
+    neg = model.negative_levels
+    counts = np.concatenate([model.multiplicities[:M], [p[1] for p in neg]]).astype(int)
     if sch.indexing is Indexing.PER_EIGENFUNCTION:
-        alpha = sch.values.copy()
+        alpha = sch.values
     else:
         # per-eigenspace: values are the level variance weights of h
-        N = model.multiplicities[:M].astype(float)
-        alpha = np.sqrt(sch.values * model.volume / N) / lam
-    beta = -lam * alpha
-    nneg = len(model.negative_levels)
-    if nneg and sch.neg_values.size:
-        mu = np.array([p[0] for p in model.negative_levels])
-        neg_alpha = sch.neg_values.copy()
-        neg_beta = mu * neg_alpha
-    else:
-        neg_alpha = np.zeros(nneg)
-        neg_beta = np.zeros(nneg)
-    return LevelWeights(alpha, beta, neg_alpha, neg_beta)
+        alpha = np.sqrt(sch.values * model.volume / counts[:M]) / lam
+    mu = np.array([p[0] for p in neg])
+    neg_alpha = sch.neg_values if sch.neg_values.size else np.zeros(mu.size)
+    return (
+        np.concatenate([alpha, neg_alpha]),
+        np.concatenate([-lam * alpha, mu * neg_alpha]),
+        counts,
+    )
 
 
 def exponent_factor(n: int) -> float:
@@ -308,7 +295,7 @@ _MAX_DESIGN_BYTES = 2**30
 def _check_design_size(spec: RandomFieldSpec, n_points: int) -> None:
     """Refuse a design above _MAX_DESIGN_BYTES before it is allocated: the
     sphere and torus samplers build one column per truncated eigenfunction."""
-    columns = int(spec.spectrum.multiplicities[: spec.coefficients.truncation].sum())
+    columns = int(level_weights(spec)[2].sum())
     nbytes = n_points * columns * 8
     if nbytes > _MAX_DESIGN_BYTES:
         raise ValueError(
@@ -325,14 +312,9 @@ class LinearSampler:
     ones.  The geometry subclasses only build the design."""
 
     def __init__(self, spec: RandomFieldSpec, design: np.ndarray, grid):
-        model = spec.spectrum
-        lw = level_weights(spec)
-        counts = np.concatenate([
-            model.multiplicities[: spec.coefficients.truncation],
-            [p[1] for p in model.negative_levels],
-        ]).astype(int)
-        self.wf = np.repeat(np.concatenate([lw.alpha, lw.neg_alpha]), counts)
-        self.wh = np.repeat(np.concatenate([lw.beta, lw.neg_beta]), counts)
+        alpha, beta, counts = level_weights(spec)
+        self.wf = np.repeat(alpha, counts)
+        self.wh = np.repeat(beta, counts)
         if design.shape[1] != self.wf.size:
             raise ValueError(f"design has {design.shape[1]} columns for {self.wf.size} weights")
         self.design = design
@@ -520,12 +502,11 @@ def _legendre_series(spec: RandomFieldSpec, want: FieldKind, d):
         raise ValueError("this kernel is defined on the 2-sphere only")
     if spec.which is not want:
         raise ValueError(f"spec selects field {spec.which.value!r}, expected {want.value!r}")
-    lw = level_weights(spec)
-    scale = _selected(spec, lw.alpha, lw.beta)
-    M = spec.coefficients.truncation
-    pvar = scale * scale * model.multiplicities[:M].astype(float) / model.volume
+    alpha, beta, counts = level_weights(spec)
+    scale = _selected(spec, alpha, beta)
+    pvar = scale * scale * counts / model.volume
     d = np.asarray(d, dtype=float)
-    table = legendre_all(M, np.cos(d).ravel())
+    table = legendre_all(counts.size, np.cos(d).ravel())
     out = (pvar[:, None] * table[1:]).sum(axis=0)
     return out.reshape(d.shape) if d.shape else float(out[0])
 
@@ -567,12 +548,10 @@ def _isotropic_variances(spec: RandomFieldSpec) -> tuple[float, float, float]:
     """(var f, var h, cov fh) at every point of a built-in (homogeneous)
     geometry: the per-level products of the weights, summed with the
     multiplicities over the volume."""
-    model = spec.spectrum
-    lw = level_weights(spec)
-    N = model.multiplicities[: spec.coefficients.truncation].astype(float)
+    alpha, beta, counts = level_weights(spec)
     return tuple(
-        float(np.sum(w * N) / model.volume)
-        for w in (lw.alpha**2, lw.beta**2, lw.alpha * lw.beta)
+        float(np.sum(w * counts) / spec.spectrum.volume)
+        for w in (alpha**2, beta**2, alpha * beta)
     )
 
 

@@ -85,16 +85,24 @@ def sphere_level(m):
     return m * (m + 1), 2 * m + 1
 
 
-def paneitz_level_s4(m: int) -> tuple[int, int]:
+def paneitz_level_s4(m):
     """Eigenvalue and multiplicity at harmonic degree m of the fourth-order
-    conformally covariant operator on the round S^4.
+    conformally covariant operator on the round S^4, of an int m or
+    elementwise of an integer array.
 
     On degree-m harmonics the operator acts as L(L + 2) where L = m(m + 3) is
     the Laplacian eigenvalue, and L(L + 2) factors as m(m+1)(m+2)(m+3).  The
-    multiplicity is the dimension of the degree-m harmonics on S^4.
+    multiplicity is the dimension of the degree-m harmonics on S^4.  An
+    array whose largest eigenvalue would wrap its integer type is refused
+    (int64 holds m <= 55107).
     """
-    if m < 1:
+    is_array = isinstance(m, np.ndarray)
+    if (m.min() if is_array else m) < 1:
         raise ValueError("level index must be >= 1 (constants are excluded)")
+    if is_array:
+        top = int(m.max())
+        if top * (top + 1) * (top + 2) * (top + 3) > np.iinfo(m.dtype).max:
+            raise ValueError(f"level {top} overflows the eigenvalue's {m.dtype} type")
     eig = m * (m + 1) * (m + 2) * (m + 3)
     mult = (m + 1) * (m + 2) * (2 * m + 3) // 6
     return eig, mult
@@ -220,13 +228,13 @@ def s4_paneitz_spectrum(max_level: int) -> SpectrumModel:
     """Spectrum of the fourth-order conformally covariant operator on round S^4."""
     if max_level < 1:
         raise ValueError("need at least one level")
-    pairs = [paneitz_level_s4(m) for m in range(1, max_level + 1)]
+    eig, mult = paneitz_level_s4(np.arange(1, max_level + 1))
     return SpectrumModel(
         geometry=Geometry.ROUND_SPHERE4_PANEITZ,
         dimension=4,
         volume=SPHERE4_VOLUME,
-        eigenvalues=np.array([p[0] for p in pairs], dtype=float),
-        multiplicities=np.array([p[1] for p in pairs], dtype=int),
+        eigenvalues=eig,
+        multiplicities=mult,
     )
 
 
@@ -236,7 +244,8 @@ def s4_paneitz_spectrum(max_level: int) -> SpectrumModel:
 
 @dataclass(frozen=True)
 class CoefficientScheme:
-    """Gaussian scales attached to a spectrum, truncated at level M.
+    """Gaussian scales attached to a spectrum's first M levels, where the
+    truncation M is the length of values.
 
     values[i] is the scale for level i+1.  With per-eigenfunction indexing it
     is the standard deviation of each eigenfunction coefficient of the
@@ -249,7 +258,6 @@ class CoefficientScheme:
     rule: str               # power_law | heat_kernel | sphere_normalized_power_law | explicit
     indexing: Indexing
     values: np.ndarray
-    truncation: int
     tail_fraction: float
     s: float | None = None
     T: float | None = None
@@ -260,10 +268,12 @@ class CoefficientScheme:
     def __post_init__(self):
         object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
         object.__setattr__(self, "neg_values", np.asarray(self.neg_values, dtype=float))
-        if self.values.size != self.truncation:
-            raise ValueError("values length must equal the truncation level count")
         if np.any(self.values < 0.0) or np.any(self.neg_values < 0.0):
             raise ValueError("coefficient scales must be nonnegative")
+
+    @property
+    def truncation(self) -> int:
+        return int(self.values.size)
 
 
 def _check_tail(tail_fraction: float, tail_tol: float | None, what: str) -> None:
@@ -344,18 +354,16 @@ def _heat_tail_torus(T: float, e_max: float) -> float:
 
 
 def _power_tail_s4(s: float, M: int) -> float:
+    """Tail of sum_m N_m lambda_m^(2-2s) beyond level M: the 4000 levels past
+    M summed exactly, then a geometric remainder from the decay of the last
+    two terms."""
     if s <= 1.5:
         return math.inf
-    total = 0.0
-    prev = math.inf
-    for m in range(M + 1, M + 4001):
-        eig, mult = paneitz_level_s4(m)
-        t = mult * eig ** (2.0 - 2.0 * s)
-        total += t
-        prev = t
-    # geometric-style remainder from the observed decay of consecutive terms
-    eig2, mult2 = paneitz_level_s4(M + 4001)
-    t2 = mult2 * eig2 ** (2.0 - 2.0 * s)
+    eig, mult = paneitz_level_s4(np.arange(M + 1, M + 4002))
+    terms = mult * eig.astype(float) ** (2.0 - 2.0 * s)
+    # summed in level order: np.sum's pairwise order would move the last bits
+    total = float(np.cumsum(terms[:-1])[-1])
+    prev, t2 = float(terms[-2]), float(terms[-1])
     ratio = t2 / prev if prev > 0 else 0.0
     if ratio >= 1.0:
         return math.inf
@@ -398,7 +406,6 @@ def make_power_law(
         rule="power_law",
         indexing=_SCHEME_INDEXING["power"],
         values=values,
-        truncation=M,
         tail_fraction=tail,
         s=s,
     )
@@ -426,7 +433,6 @@ def make_sphere_normalized(
         rule="sphere_normalized_power_law",
         indexing=_SCHEME_INDEXING["normalized"],
         values=values,
-        truncation=M,
         tail_fraction=tail,
         s=s,
         normalization=K,
@@ -459,9 +465,12 @@ def make_heat_kernel(
     elif spectrum.geometry is Geometry.FLAT_TORUS2:
         tail = _heat_tail_torus(T, float(eig[-1]))
     elif spectrum.geometry is Geometry.ROUND_SPHERE4_PANEITZ:
-        lam_next = paneitz_level_s4(M + 1)[0]
-        # one-dimensional integral bound after the substitution y = eigenvalue
-        tail = math.exp(-lam_next * T) * (2.0 / T)
+        # the first omitted level, then the rest under an integral: since
+        # N_m = (lambda_m - lambda_{m-1}) (2m+3) / (24 m), with (2m+3) / (24 m)
+        # decreasing, sum_{m > M+1} N_m e^{-lambda_m T} is at most
+        # (2M+7) / (24 (M+2)) times the integral of e^{-yT} over y > lambda_{M+1}
+        lam_next, n_next = paneitz_level_s4(M + 1)
+        tail = math.exp(-lam_next * T) * (n_next + (2 * M + 7) / (24 * (M + 2) * T))
     else:
         tail = 0.0
     frac = tail / (head + tail)
@@ -470,7 +479,6 @@ def make_heat_kernel(
         rule="heat_kernel",
         indexing=_SCHEME_INDEXING["heat"],
         values=values,
-        truncation=M,
         tail_fraction=frac,
         T=T,
     )
@@ -488,7 +496,6 @@ def make_explicit(
         rule="explicit",
         indexing=indexing,
         values=vals,
-        truncation=int(vals.size),
         tail_fraction=0.0,
         neg_values=np.asarray(neg_values, dtype=float),
     )

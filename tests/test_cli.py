@@ -15,11 +15,18 @@ import pytest
 
 from randcurv import cli, excursion, fields
 from randcurv.cli import main
-from randcurv.excursion import estimate_linf
+from randcurv.excursion import estimate_linf, p2_curve
 from randcurv.fields import RNG_STREAM, FieldKind, RandomFieldSpec, make_sampler
 from randcurv.grids import fibonacci_sphere, torus_grid
 from randcurv.reports import RUN_SCHEMA, format_cell, payload_lines, read_csv
-from randcurv.spectral import make_explicit, make_sphere_normalized, sphere2_spectrum, torus2_spectrum
+from randcurv.spectral import (
+    make_explicit,
+    make_heat_kernel,
+    make_power_law,
+    make_sphere_normalized,
+    sphere2_spectrum,
+    torus2_spectrum,
+)
 
 BASE = """
 [common]
@@ -282,6 +289,21 @@ class TestSample:
         assert len(runs[0][0]) == 40
         assert runs[0] == runs[1] == runs[2]
 
+    def test_torus_files_carry_the_grid_angles(self, tmp_path):
+        ini, out = write_ini(
+            tmp_path,
+            "[common]\nout = {out}\n[sample]\ngeometry = torus\nscheme = power\ns = 5.0\n"
+            "truncation = 12\ngrid = torus:4\nn_samples = 2\n",
+        )
+        run_ok(["sample", "--config", ini])
+        points = torus_grid(4).points
+        paths = csvs(out)
+        assert len(paths) == 2
+        for path in paths:
+            _, header, rows = read_csv(path)
+            assert header == ["index", "theta1", "theta2", "f", "h", "R1"]
+            assert [r[1:3] for r in rows] == [[repr(float(x)) for x in p] for p in points]
+
     def test_s4_has_no_sampler(self, tmp_path, capsys):
         text = BASE.replace("[sample]\ngrid", "[sample]\ngeometry = s4\ngrid")
         text = text.replace(
@@ -378,6 +400,28 @@ class TestP2:
         assert main(["p2", "--config", ini]) == 2
         assert "truncation exceeds" in capsys.readouterr().err
         assert not csvs(out)
+
+    @pytest.mark.parametrize("setting, scheme, amplitudes", [
+        # amplitudes with thresholds 1/a near 2 and 3 sigma_v (0.031 and 0.33)
+        ("scheme = power\ns = 5.0", lambda model: make_power_law(5.0, model, 12), [16.0, 11.0]),
+        ("scheme = heat\nheat_time = 0.5", lambda model: make_heat_kernel(0.5, model, 12), [1.5, 1.0]),
+    ])
+    def test_per_eigenfunction_schemes_are_the_librarys(self, tmp_path, setting, scheme, amplitudes):
+        ini, out = write_ini(
+            tmp_path,
+            f"[common]\nout = {{out}}\nseed = 7\n[p2]\n{setting}\ntruncation = 12\n"
+            f"grid = fibonacci:64\namplitudes = {amplitudes[0]}, {amplitudes[1]}\nn_samples = 512\n",
+        )
+        run_ok(["p2", "--config", ini])
+        (path,) = csvs(out)
+        model = sphere2_spectrum(12)
+        spec = RandomFieldSpec(model, scheme(model), FieldKind.V, reference_curvature=1.0)
+        study = p2_curve(spec, amplitudes, fibonacci_sphere(64), 512, 7)
+        rows = rows_by_header(path)
+        assert [(float(r["estimate"]), float(r["standard_error"])) for r in rows] == [
+            (report.estimate, report.standard_error) for report in study.reports
+        ]
+        assert all(0.0 < report.estimate < 1.0 for report in study.reports)
 
     def test_worker_count_leaves_payload_identical(self, tmp_path):
         ini, out = write_ini(tmp_path)

@@ -252,6 +252,32 @@ class TestValidation:
             load_config(command, path)
 
 
+    @pytest.mark.parametrize("command, setting, message", [
+        ("bounds", "scheme = wavelet", "scheme must be one of normalized, power, heat, explicit"),
+        ("bounds", "truncation = 0", "truncation must be at least 1"),
+        ("bounds", "n_samples = 0", "n_samples must be at least 1"),
+        ("bounds", "workers = 0", "workers must be at least 1"),
+        ("p2", "amplitudes = 0.1, 0.0", "amplitudes must be positive"),
+        ("qsign", "geometry = s4\namplitudes = -0.1", "amplitudes must be positive"),
+        ("linf", "amplitudes = 0.0", "linf amplitudes and thresholds must be positive"),
+        ("linf", "thresholds = -1.0", "linf amplitudes and thresholds must be positive"),
+        ("heat", "t_values = 0.1, 0.0", "heat needs positive t_values"),
+        ("heat", "reference = 0.0", "heat needs a nonzero reference curvature"),
+        ("qsign", "geometry = s4\nreference = 0.0", "qsign needs a nonzero reference curvature"),
+        ("sample", "amplitude = -0.1", "sample amplitude must be nonnegative"),
+        ("bounds", "r0sq_pair = 1.0, 0.5, 0.2",
+         "bad value for 'r0sq_pair': expected two comma-separated numbers, got '1.0, 0.5, 0.2'"),
+    ])
+    def test_out_of_range_setting_rejected(self, tmp_path, command, setting, message):
+        path = write(
+            tmp_path,
+            "[common]\nscheme = explicit\nvalues = 1.0\namplitudes = 0.1\nn_samples = 4\n"
+            f"thresholds = 1.0\ngrid = icosphere:2\n[{command}]\n{setting}\n",
+        )
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            load_config(command, path)
+
+
 class TestGrid:
     def test_parse_forms(self):
         assert parse_grid("fibonacci:1024") == ("fibonacci", 1024)

@@ -70,15 +70,16 @@ def test_spec_rejects_non_finite_reference_curvature(which):
 
 
 def test_level_weights_sphere_conventions(sphere12, norm8):
-    lw = fl.level_weights(RandomFieldSpec(sphere12, norm8, FieldKind.H))
+    alpha, beta, counts = fl.level_weights(RandomFieldSpec(sphere12, norm8, FieldKind.H))
     lam = sphere12.eigenvalues
     N = sphere12.multiplicities.astype(float)
-    np.testing.assert_allclose(lw.alpha, np.sqrt(4 * math.pi * norm8.values / N) / lam)
-    np.testing.assert_allclose(lw.beta, -lam * lw.alpha)
+    np.testing.assert_allclose(alpha, np.sqrt(4 * math.pi * norm8.values / N) / lam)
+    np.testing.assert_allclose(beta, -lam * alpha)
+    np.testing.assert_array_equal(counts, sphere12.multiplicities)
     # per-eigenfunction: alpha is the scheme value itself
     pl = sp.make_power_law(3.0, sphere12, 12, tail_tol=None)
-    lw2 = fl.level_weights(RandomFieldSpec(sphere12, pl, FieldKind.H))
-    np.testing.assert_allclose(lw2.alpha, pl.values)
+    alpha2, _, _ = fl.level_weights(RandomFieldSpec(sphere12, pl, FieldKind.H))
+    np.testing.assert_allclose(alpha2, pl.values)
 
 
 def test_covariance_h_sphere_values(sphere12, norm8, h_spec):
@@ -111,8 +112,8 @@ def test_covariance_f_matches_harmonic_brute_force():
     theta = np.array([0.9, 0.9 + math.pi / 3])
     phi = np.array([0.4, 0.4])
     Y = oracle_harmonic_columns(10, theta, phi)
-    lw = fl.level_weights(f_spec)
-    w = np.repeat(lw.alpha, spec10.multiplicities[:10])
+    alpha, _, _ = fl.level_weights(f_spec)
+    w = np.repeat(alpha, spec10.multiplicities[:10])
     brute = float(np.sum(w**2 * Y[0] * Y[1]))
     assert fl.covariance_f_sphere(f_spec, math.pi / 3) == pytest.approx(brute, abs=1e-10)
 
@@ -122,9 +123,9 @@ def test_sampler_matches_slow_reference(h_spec):
     phi = np.array([5.1, 0.2, 3.3])
     smp = fl.SphereSampler(h_spec, (theta, phi))
     s = smp.sample(seed=11, draw_index=4)
-    lw = fl.level_weights(h_spec)
-    ref_h = slow_sphere_field(lw.beta, s.gaussians, theta, phi)
-    ref_f = slow_sphere_field(lw.alpha, s.gaussians, theta, phi)
+    alpha, beta, _ = fl.level_weights(h_spec)
+    ref_h = slow_sphere_field(beta, s.gaussians, theta, phi)
+    ref_f = slow_sphere_field(alpha, s.gaussians, theta, phi)
     np.testing.assert_allclose(s.values_h, ref_h, atol=1e-12)
     np.testing.assert_allclose(s.values_f, ref_f, atol=1e-12)
 
@@ -366,9 +367,9 @@ def test_variance_summary_sup_of_a_gridded_w_reference(sphere12, norm8):
     g = fibonacci_sphere(16)
     r0 = np.linspace(-0.8, 1.3, g.n_points)
     spec = RandomFieldSpec(sphere12, norm8, FieldKind.W, reference_curvature=r0)
-    lw = fl.level_weights(spec)
+    alpha, beta, _ = fl.level_weights(spec)
     N = sphere12.multiplicities[: norm8.truncation]
-    want = ((lw.beta[None, :] + r0[:, None] * lw.alpha[None, :]) ** 2 @ N) / sphere12.volume
+    want = ((beta[None, :] + r0[:, None] * alpha[None, :]) ** 2 @ N) / sphere12.volume
     np.testing.assert_allclose(fl.diagonal_variance(spec, g), want, rtol=1e-12)
     assert fl.variance_summary(spec, g).sigma2_sup == pytest.approx(want.max(), rel=1e-12)
 
@@ -379,8 +380,8 @@ def test_w_identity_through_sampler(h_spec, sphere12, norm8):
     smp = fl.SphereSampler(h_spec, g)
     s = smp.sample(3, 1)
     w_direct = s.values_h + 1.0 * s.values_f
-    lw = fl.level_weights(h_spec)
-    ref = slow_sphere_field(lw.beta + 1.0 * lw.alpha, s.gaussians, g.theta, g.phi)
+    alpha, beta, _ = fl.level_weights(h_spec)
+    ref = slow_sphere_field(beta + 1.0 * alpha, s.gaussians, g.theta, g.phi)
     np.testing.assert_allclose(w_direct, ref, atol=1e-12)
 
 
@@ -716,6 +717,9 @@ def test_covariance_matrix_user_model_with_negative_level(dimension):
     # h = -lambda f on the positive levels and +mu f on the negative one
     w_f = np.array([0.7, 0.2, 0.5])
     w_h = np.array([-1.0 * 0.7, -3.0 * 0.2, 2.0 * 0.5])
+    # the level table lists the positive levels, then the negative one
+    table = fl.level_weights(RandomFieldSpec(model, sch, FieldKind.H))
+    np.testing.assert_array_equal(np.stack(table), [w_f, w_h, [1, 1, 1]])
     # w = h + k R0 f with k = 1 on surfaces and n in even n > 2
     w_w = w_h + (1 if dimension == 2 else dimension) * 0.4 * w_f
     cols = np.concatenate([phi, psi])[:, idx]

@@ -43,6 +43,92 @@ def test_paneitz_identity_against_combinatorial_oracle():
         assert eig == L * (L + 2)
 
 
+def test_paneitz_level_on_an_array_is_the_spectrum():
+    m = np.arange(1, 61)
+    eig, mult = sp.paneitz_level_s4(m)
+    assert list(zip(eig.tolist(), mult.tolist())) == [sp.paneitz_level_s4(int(k)) for k in m]
+    model = sp.s4_paneitz_spectrum(60)
+    np.testing.assert_array_equal(eig, model.eigenvalues)
+    np.testing.assert_array_equal(mult, model.multiplicities)
+    with pytest.raises(ValueError, match="level index"):
+        sp.paneitz_level_s4(np.arange(0, 3))
+
+
+def test_paneitz_level_array_refuses_an_eigenvalue_past_int64():
+    # 55107 * 55108 * 55109 * 55110 < 2^63 <= 55108 * 55109 * 55110 * 55111
+    top = np.array([55107])
+    assert sp.paneitz_level_s4(top)[0].tolist() == [sp.paneitz_level_s4(55107)[0]]
+    with pytest.raises(ValueError, match="overflows"):
+        sp.paneitz_level_s4(np.array([3, 55108]))
+    # the int path has Python's unbounded integers
+    assert sp.paneitz_level_s4(55108)[0] == 55108 * 55109 * 55110 * 55111
+
+
+def _level_loop_power_tail_s4(s, M):
+    # one paneitz_level_s4 call per level: the 4000 levels past M summed in
+    # order, then the geometric remainder from the last two terms
+    terms = []
+    for m in range(M + 1, M + 4002):
+        eig, mult = sp.paneitz_level_s4(m)
+        terms.append(mult * eig ** (2.0 - 2.0 * s))
+    total = 0.0
+    for t in terms[:-1]:
+        total += t
+    ratio = terms[-1] / terms[-2]
+    return total + terms[-1] / (1.0 - ratio)
+
+
+@pytest.mark.parametrize("s", [1.6, 2.0, 3.0, 4.5, 6.0])
+@pytest.mark.parametrize("M", [1, 5, 12, 40])
+def test_s4_power_tail_window_is_the_level_loop(s, M):
+    assert sp._power_tail_s4(s, M) == pytest.approx(_level_loop_power_tail_s4(s, M), rel=1e-13)
+
+
+def _recorded_tail(scheme, model, T):
+    """The tail a heat-kernel scheme recorded, from its tail fraction and the
+    head sum of its truncated levels."""
+    M = scheme.truncation
+    head = float(np.sum(model.multiplicities[:M] * np.exp(-model.eigenvalues[:M] * T)))
+    frac = scheme.tail_fraction
+    return frac * head / (1.0 - frac)
+
+
+def _exact_s4_heat_tail(T, M):
+    terms, m = [], M + 1
+    while True:
+        lam, n = sp.paneitz_level_s4(m)
+        terms.append(n * math.exp(-lam * T))
+        if lam * T > 50 and terms[-1] < 1e-18 * math.fsum(terms):
+            return math.fsum(terms)
+        m += 1
+
+
+def test_s4_heat_tail_is_a_bound_within_twice_the_exact_tail():
+    ratios = {}
+    for M in (1, 2, 5, 12, 40):
+        model = sp.s4_paneitz_spectrum(M)
+        for T in (1e-7, 1e-5, 1e-3, 0.05, 0.5, 2.0):
+            if sp.paneitz_level_s4(M + 1)[0] * T > 600:
+                continue  # the tail underflows double precision
+            scheme = sp.make_heat_kernel(T, model, M, tail_tol=None)
+            ratios[M, T] = _recorded_tail(scheme, model, T) / _exact_s4_heat_tail(T, M)
+    assert len(ratios) >= 20
+    assert all(1 - 1e-9 <= r <= 2.0 for r in ratios.values()), ratios
+
+
+@pytest.mark.parametrize("M", [3, 10])
+@pytest.mark.parametrize("T", [0.05, 0.3, 1.0, 3.0])
+def test_torus_heat_tail_is_the_lattice_sum(M, T):
+    model = sp.torus2_spectrum(M)
+    e_max = model.eigenvalues[-1]
+    r = int(math.sqrt(e_max + 80.0 / T)) + 2
+    k1, k2 = np.meshgrid(np.arange(-r, r + 1), np.arange(-r, r + 1), indexing="ij")
+    n2 = (k1**2 + k2**2).astype(float).ravel()
+    exact = math.fsum(np.exp(-n2[n2 > e_max] * T).tolist())
+    recorded = _recorded_tail(sp.make_heat_kernel(T, model, M, tail_tol=None), model, T)
+    assert recorded == pytest.approx(exact, rel=1e-9)
+
+
 def test_torus_levels_match_lattice_count():
     spec = sp.torus2_spectrum(12)
     r = 8
