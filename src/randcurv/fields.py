@@ -20,12 +20,15 @@ the normal of draw j, column k and seed s is row j mod B of the B normals of
 the Philox stream keyed by s with counter words (0, b mod 2^64, k, b >> 64),
 where b = j // B and B = DRAW_BLOCK.  Draw j of seed s is therefore fixed
 whatever the chunking, the worker count or the other columns drawn, and a
-column without weight is never drawn at all.
+column without weight is never drawn at all.  A stream is a function of its
+key and counter alone, so each thread keeps one Philox generator and
+re-keys it on every call.
 
 Every sampler is a LinearSampler, the column model field = design @ (w * A)
 for the draws A, with one design column per eigenfunction at the points and
 per-column stds wf, wh; the geometry subclasses only build the design.  Only
-its active columns (nonzero wf or wh) are drawn and evaluated.
+its active columns (nonzero wf or wh) are drawn and evaluated, and the torus
+sampler builds only those columns (the others are 0).
 Every second moment follows from it, so covariance_matrix is (D w^2) D^T
 over the sampler's design D; covariance_h_sphere and covariance_f_sphere
 are the closed Legendre forms on the sphere, an independent route to the
@@ -36,6 +39,7 @@ from __future__ import annotations
 
 import math
 import operator
+import threading
 from dataclasses import dataclass
 from enum import Enum
 
@@ -218,12 +222,19 @@ def _column_array(columns) -> np.ndarray:
     return cols
 
 
+# the calling thread's (Philox, Generator, state dict) for _draws: one per
+# thread, so threads that draw at once never share one
+_philox = threading.local()
+
+
 def _draws(seed: int, draw_indices: range, cols: np.ndarray) -> np.ndarray:
     """Stream v2 normals, shape (len(draw_indices), cols.size), for a checked
     seed and columns; draw_indices must be a range of step 1 in [0, 2^128).
 
-    One Philox bit generator, Generator and state dict serve every stream:
-    per (block, column) only counter words 1-3 change.  Per block b the range
+    The calling thread's Philox bit generator, Generator and state dict,
+    built on its first draw and kept across calls, serve every stream: each
+    call writes (seed, 0) into the key words and, per (block, column),
+    counter words 1-3, then sets the whole state.  Per block b the range
     touches, rows r0..r1 of the block fill one slice of the result, and only
     rows 0..r1 are generated.  The result is the transpose of a
     (cols.size, n) array, so a block whose rows start at 0 is generated in
@@ -237,9 +248,11 @@ def _draws(seed: int, draw_indices: range, cols: np.ndarray) -> np.ndarray:
     out = np.empty((cols.size, len(draw_indices)))
     if not out.size:
         return out.T
-    bg = np.random.Philox(key=seed)
-    gen = np.random.Generator(bg)
-    state = bg.state  # a fresh state: zero counter, empty buffer
+    if not hasattr(_philox, "parts"):
+        bg = np.random.Philox(key=0)
+        _philox.parts = bg, np.random.Generator(bg), bg.state  # zero counter, empty buffer
+    bg, gen, state = _philox.parts
+    state["state"]["key"][0] = seed
     counter = state["state"]["counter"]
     ks = cols.tolist()
     for b in range(start // DRAW_BLOCK, (stop - 1) // DRAW_BLOCK + 1):
@@ -393,7 +406,9 @@ class TorusSampler(LinearSampler):
 
     Mode columns are ordered level-major, within a level by the sorted
     half-lattice representatives, cosine before sine; all modes are the
-    orthonormal cos(k.x)/(pi sqrt 2), sin(k.x)/(pi sqrt 2).
+    orthonormal cos(k.x)/(pi sqrt 2), sin(k.x)/(pi sqrt 2).  Only the levels
+    with weight are built; the columns of the others are 0, which nothing
+    reads (they are never drawn or evaluated, and their weights are 0).
     """
 
     # perfbench's tracer wraps these per class, read from the class namespace
@@ -407,7 +422,17 @@ class TorusSampler(LinearSampler):
         if M < 1:
             raise ValueError("empty coefficient scheme")
         _check_design_size(spec, len(pts))
-        super().__init__(spec, _torus_design(pts, spec.spectrum.torus_modes[:M]), grid)
+        modes = spec.spectrum.torus_modes[:M]
+        alpha, beta, counts = level_weights(spec)
+        weighted = (alpha != 0.0) | (beta != 0.0)
+        if weighted.all():
+            design = _torus_design(pts, modes)
+        else:
+            design = np.zeros((len(pts), counts.sum()))
+            if weighted.any():
+                built = [reps for reps, w in zip(modes, weighted) if w]
+                design[:, np.repeat(weighted, counts)] = _torus_design(pts, built)
+        super().__init__(spec, design, grid)
 
 
 class UserSampler(LinearSampler):

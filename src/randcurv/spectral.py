@@ -324,8 +324,12 @@ def _zeta(s: float) -> float:
 
 
 def _heat_tail_sphere2(T: float, M: int) -> float:
-    """Tail of sum (2m+1) e^{-m(m+1) T} beyond level M (exact integral bound)."""
-    return math.exp(-sphere_level(M)[0] * T) / T
+    """A bound on the tail of sum (2m+1) e^{-m(m+1) T} beyond level M.  The
+    summand f(x) = (2x+1) e^{-x(x+1) T} rises up to x* = (sqrt(2/T) - 1)/2
+    and falls after it, so the sum over m >= M+1 is at most the integral of f
+    over x >= M+1, e^{-(M+1)(M+2) T} / T, plus f at max(M+1, x*)."""
+    x = max(M + 1.0, (math.sqrt(2.0 / T) - 1.0) / 2.0)
+    return math.exp(-sphere_level(M + 1)[0] * T) / T + (2.0 * x + 1.0) * math.exp(-x * (x + 1.0) * T)
 
 
 def _power_tail_torus(s: float, e_max: float) -> float:

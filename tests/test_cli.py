@@ -423,6 +423,19 @@ class TestP2:
         ]
         assert all(0.0 < report.estimate < 1.0 for report in study.reports)
 
+    def test_heat_scheme_with_a_tail_under_the_tolerance_runs(self, tmp_path):
+        # at T = 0.3 the S^2 tail past degree 7 is 2.6e-9 of the heat trace,
+        # under the default 1e-8 tolerance, so the scheme must not be refused
+        ini, out = write_ini(
+            tmp_path,
+            "[common]\nout = {out}\nseed = 7\n[p2]\nscheme = heat\nheat_time = 0.3\n"
+            "truncation = 7\ngrid = fibonacci:64\namplitudes = 1.5\nn_samples = 512\n",
+        )
+        run_ok(["p2", "--config", ini])
+        (path,) = csvs(out)
+        (row,) = rows_by_header(path)
+        assert 0.0 <= float(row["estimate"]) <= 1.0
+
     def test_worker_count_leaves_payload_identical(self, tmp_path):
         ini, out = write_ini(tmp_path)
         run_ok(["p2", "--config", ini, "--workers", "1"])

@@ -652,10 +652,46 @@ class TestEstimateLinf:
         assert abs(r.refinement_delta) < 2.0 * r.standard_error
 
     def test_worker_count_does_not_change_counts(self):
+        # a draw under another seed leaves this thread's generator keyed by
+        # it; workers forked from here inherit it and must re-key it
         grid = torus_grid(16)
         r1 = ex.estimate_linf(TORUS_SPEC, 0.02, 0.05, grid, 3000, 5, workers=1)
+        gaussian_draw_block(99, range(5), 3)
         r2 = ex.estimate_linf(TORUS_SPEC, 0.02, 0.05, grid, 3000, 5, workers=2)
         assert r1 == r2
+
+    @pytest.mark.parametrize("refine", [False, True])
+    def test_counts_and_screen_survivors_are_pinned(self, caplog, refine):
+        # events and screen survivors per grid (torus:16, then its
+        # refinement) at seed 2026, stream 2: criterion 7's one-level spec
+        # and a two-level w spec with a negative reference
+        two = np.zeros(11)
+        two[[2, 10]] = 0.2, 0.4
+        cases = [
+            (TORUS_SPEC, 0.02, 0.05, [70, 77], [123, 123]),
+            (
+                RandomFieldSpec(
+                    torus2_spectrum(11), make_explicit(two), FieldKind.W, reference_curvature=-0.3
+                ),
+                0.05, 0.12, [975, 1326], [2568, 2568],
+            ),
+        ]
+        n = 8192
+        for spec, a, u, events, survivors in cases:
+            caplog.clear()
+            with caplog.at_level(logging.INFO, logger="randcurv.excursion"):
+                r = ex.estimate_linf(spec, a, u, torus_grid(16), n, 2026, refine=refine)
+            found = [
+                re.fullmatch(r"linf screen \((?:grid|refined grid)\): (\d+) of 8192 draws passed",
+                             rec.getMessage())
+                for rec in caplog.records
+            ]
+            counts = [round(r.estimate * n)]
+            if refine:
+                counts.append(round((r.estimate + r.refinement_delta) * n))
+            k = len(counts)
+            assert counts == events[:k]
+            assert [int(m.group(1)) for m in found if m] == survivors[:k]
 
     def test_needs_reference_and_positive_parameters(self):
         bare = RandomFieldSpec(torus2_spectrum(11), make_explicit(TORUS_VALUES), FieldKind.H)

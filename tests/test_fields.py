@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from helpers import oracle_harmonic_columns, slow_sphere_field
 
 from randcurv import fields as fl
+from randcurv import grids
 from randcurv import spectral as sp
 from randcurv.fields import FieldKind, RandomFieldSpec
 from randcurv.grids import fibonacci_sphere, sphere_distance, torus_grid
@@ -433,6 +435,42 @@ def test_degeneracy_antipodal_covariance(sphere12):
     np.testing.assert_allclose(s.values_h, flipped.values_h, atol=1e-12)
     mixed = RandomFieldSpec(sphere12, sp.make_explicit([0.1, 0.5, 0.0, 0.4]), FieldKind.H)
     assert fl.covariance_h_sphere(mixed, math.pi) < 1.0 - 0.19
+
+
+@pytest.mark.parametrize("n_per_axis", [8, 16, 64])
+@pytest.mark.parametrize("scheme", [
+    sp.make_explicit([0.0] * 10 + [0.5]),
+    sp.make_explicit([0.0, 0.0, 0.3] + [0.0] * 7 + [0.5]),
+    sp.make_power_law(3.0, sp.torus2_spectrum(11), 11, tail_tol=None),
+], ids=["one level", "two levels", "power"])
+def test_torus_design_builds_only_the_weighted_levels(scheme, n_per_axis):
+    # the weighted levels' columns are those of the design over every mode,
+    # bit for bit, and the other columns are 0
+    model = sp.torus2_spectrum(11)
+    grid = torus_grid(n_per_axis)
+    smp = fl.TorusSampler(RandomFieldSpec(model, scheme, FieldKind.H), grid)
+    weighted = np.repeat(scheme.values != 0.0, model.multiplicities[:11])
+    assert np.array_equal(np.flatnonzero(weighted), smp.active)
+    full = grids._torus_design(grid.points, model.torus_modes)
+    assert smp.design.shape == full.shape
+    assert np.array_equal(smp.design[:, weighted], full[:, weighted])
+    assert not smp.design[:, ~weighted].any()
+
+
+def test_threads_drawing_at_once_get_the_serial_draws():
+    # each thread keeps its own generator: four threads drawing interleaved
+    # blocks (other seeds, ranges across block edges, other columns) get
+    # the serial draws bit for bit
+    jobs = [
+        (seed, range(start, start + length), cols)
+        for seed in (0, 12345, 2**64 - 1)
+        for start, length in ((0, 3000), (2040, 20), (2**64 * 2048 - 9, 4200))
+        for cols in (4, np.array([59, 3, 3, 17]))
+    ] * 3
+    serial = [fl.gaussian_draw_block(*job) for job in jobs]
+    with ThreadPoolExecutor(max_workers=4) as pool:
+        threaded = list(pool.map(lambda job: fl.gaussian_draw_block(*job), jobs))
+    assert all(np.array_equal(a, b) for a, b in zip(serial, threaded))
 
 
 def test_gaussian_draw_block_bit_identical_to_single_draws():

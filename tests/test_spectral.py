@@ -116,6 +116,31 @@ def test_s4_heat_tail_is_a_bound_within_twice_the_exact_tail():
     assert all(1 - 1e-9 <= r <= 2.0 for r in ratios.values()), ratios
 
 
+def _exact_s2_heat_tail(T, M):
+    terms, m = [], M + 1
+    while True:
+        lam, n = sp.sphere_level(m)
+        terms.append(n * math.exp(-lam * T))
+        if lam * T > 50 and terms[-1] < 1e-18 * math.fsum(terms):
+            return math.fsum(terms)
+        m += 1
+
+
+def test_s2_heat_tail_is_a_bound_within_twice_the_exact_tail():
+    ratios = {}
+    for M in (1, 2, 5, 7, 13, 40):
+        model = sp.sphere2_spectrum(M)
+        for T in (1e-5, 1e-3, 0.05, 0.1, 0.3, 2.0):
+            if sp.sphere_level(M + 1)[0] * T > 600:
+                continue  # the tail underflows double precision
+            scheme = sp.make_heat_kernel(T, model, M, tail_tol=None)
+            ratios[M, T] = _recorded_tail(scheme, model, T) / _exact_s2_heat_tail(T, M)
+    assert len(ratios) >= 30
+    assert all(1 - 1e-9 <= r <= 2.0 for r in ratios.values()), ratios
+    # an exact tail fraction of 2.6e-9 passes the default 1e-8 tolerance
+    assert sp.make_heat_kernel(0.3, sp.sphere2_spectrum(7), 7).tail_fraction < 1e-8
+
+
 @pytest.mark.parametrize("M", [3, 10])
 @pytest.mark.parametrize("T", [0.05, 0.3, 1.0, 3.0])
 def test_torus_heat_tail_is_the_lattice_sum(M, T):
