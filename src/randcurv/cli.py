@@ -45,6 +45,7 @@ from .fields import (
     _check_design_size,
     _isotropic_variances,
     heat_variance,
+    level_weights,
     make_sampler,
     variance_summary,
 )
@@ -95,7 +96,7 @@ def _build_field(cfg: ExperimentConfig, which: FieldKind):
     )
     kind, size = parse_grid(cfg.grid)
     n_points = _N_POINTS[kind](size)
-    _check_design_size(spec, n_points)
+    _check_design_size(level_weights(spec), n_points)
     build_bytes = n_points * _BUILD_BYTES[kind]
     if build_bytes > _MAX_DESIGN_BYTES:
         raise ValueError(

@@ -239,6 +239,13 @@ def p2_curve(
 # relative margin of the screen bound over the computed fields; it covers
 # the rounding of the GEMMs and of exp/expm1 (a few ulp)
 _SCREEN_MARGIN = 1e-12
+# relative slack of the prefilter radius below its root; it covers the
+# rounding of the row norms and of the per-level bound (a few ulp)
+_RADIUS_SLACK = 1e-9
+# the most values (rows x active columns) of one linf chunk's draws, 512 KiB:
+# several draw blocks per chunk for few active columns, so the fixed work
+# per chunk is shared by more draws, and one block for a wide spec
+_LINF_CHUNK_VALUES = 2**16
 
 
 def _linf_screen(sampler):
@@ -261,6 +268,44 @@ def _linf_screen(sampler):
     return groups, weights * c[:, None] * (1.0 + _SCREEN_MARGIN)
 
 
+def _linf_chunk_rows(n_active: int) -> int:
+    """Rows of one linf chunk: the most whole draw blocks whose draws of the
+    n_active columns hold at most _LINF_CHUNK_VALUES values, and at least
+    one block.  It reads only the spec, so a command's chunks are fixed."""
+    blocks = _LINF_CHUNK_VALUES // (fields.DRAW_BLOCK * max(n_active, 1))
+    return fields.DRAW_BLOCK * max(blocks, 1)
+
+
+def _linf_radius(ctx, screen) -> float:
+    """A row norm r_lo such that every draw row A with ||A||_2 <= r_lo has a
+    per-level bound (_linf_count) <= u.
+
+    By Cauchy-Schwarz over the groups, Mf <= sf ||A||_2 and
+    Mh <= sh ||A||_2 (sf, sh = the 2-norms of the screen's columns), and
+    the bound increases in both, so r_lo is the root in t of
+    g(t) = rho expm1(rate sf t) + a sh t e^{rate sf t} = u, found by
+    bisection and lowered by _RADIUS_SLACK.  As g(t) / t does not
+    decrease, g(r_lo) <= (1 - slack) u, which covers the rounding of the
+    row norms and of the bound."""
+    sf, sh = np.linalg.norm(screen, axis=0).tolist()
+
+    def g(t):
+        growth = ctx.rate * sf * t
+        try:
+            return ctx.rho * math.expm1(growth) + ctx.a * sh * t * math.exp(growth)
+        except OverflowError:
+            return math.inf
+
+    # g(lo) <= u and not g(hi) <= u: hi = inf ends the doubling, as g(inf)
+    # is inf or nan; then halve until lo and hi are adjacent floats
+    lo, hi = 0.0, 1.0
+    while g(hi) <= ctx.u:
+        lo, hi = hi, 2.0 * hi
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        lo, hi = (mid, hi) if g(mid) <= ctx.u else (lo, mid)
+    return lo * (1.0 - _RADIUS_SLACK)
+
+
 def _linf_count(ctx, sampler, groups, screen, A) -> tuple[int, int]:
     """(events, screen survivors) among the draws with rows A, for the
     sampler's groups and screen from _linf_screen.
@@ -269,9 +314,11 @@ def _linf_count(ctx, sampler, groups, screen, A) -> tuple[int, int]:
     (Mf, Mh = sqrt((A * A) @ groups) @ screen),
     |R0 expm1(-r f) - a h e^{-r f}| <= rho expm1(r Mf) + a Mh e^{r Mf}
     (rho = max |R0|); a draw whose bound is <= u cannot be an event.  The
-    survivors' fields are evaluated from their own rows of A, bit-identical to
-    sample_block on their draw indices, and decided on the exact deviation
-    field, so the count does not change.
+    survivors' fields are evaluated from their own rows of A through the
+    GEMM of sample_block and decided on the exact deviation field.  A GEMM's
+    row count can move a field's last bits, so the count is a full
+    evaluation's except for a draw whose max |deviation| lies within
+    rounding of u; the fixed chunks keep it reproducible.
     """
     M = np.sqrt((A * A) @ groups) @ screen
     growth = ctx.rate * M[:, 0]
@@ -285,9 +332,12 @@ def _linf_count(ctx, sampler, groups, screen, A) -> tuple[int, int]:
 def _linf_chunk(ctx, j0: int, j1: int):
     """Per sampler (coarse, then refined if asked) the chunk's (events,
     screen survivors); both share the chunk's draws of the active columns,
-    which are the same on both grids."""
+    which are the same on both grids.  Rows of squared norm <= radius2
+    cannot pass the per-level screen on either grid (_linf_radius) and are
+    dropped first."""
     # looked up through the module, where profilers wrap the draw layer
     A = fields.gaussian_draw_block(ctx.seed, range(j0, j1), ctx.screened[0][0].active)
+    A = A[np.einsum("ij,ij->i", A, A) > ctx.radius2]
     return [_linf_count(ctx, smp, groups, screen, A) for smp, groups, screen in ctx.screened]
 
 
@@ -319,7 +369,9 @@ def estimate_linf(
         rho=float(np.abs(np.asarray(spec.reference_curvature, dtype=float)).max()),
         rate=rate, dim=spec.spectrum.dimension, a=float(a), u=float(u), seed=int(seed),
     )
-    results = map_chunks(_linf_chunk, ctx, n, P2_CHUNK, workers)
+    ctx.radius2 = min(_linf_radius(ctx, screen) for _, _, screen in ctx.screened) ** 2
+    chunk = _linf_chunk_rows(ctx.screened[0][0].active.size)
+    results = map_chunks(_linf_chunk, ctx, n, chunk, workers)
     counts, passed = np.array(results, dtype=np.int64).sum(axis=0).T
     for label, k in zip(("grid", "refined grid"), passed):
         logger.info("linf screen (%s): %d of %d draws passed", label, k, n)

@@ -305,10 +305,11 @@ def gaussian_draw_block(seed: int, draw_indices, columns) -> np.ndarray:
 _MAX_DESIGN_BYTES = 2**30
 
 
-def _check_design_size(spec: RandomFieldSpec, n_points: int) -> None:
+def _check_design_size(weights, n_points: int) -> None:
     """Refuse a design above _MAX_DESIGN_BYTES before it is allocated: the
-    sphere and torus samplers build one column per truncated eigenfunction."""
-    columns = int(level_weights(spec)[2].sum())
+    sphere and torus samplers build one column per truncated eigenfunction,
+    as counted by the spec's level_weights table."""
+    columns = int(weights[2].sum())
     nbytes = n_points * columns * 8
     if nbytes > _MAX_DESIGN_BYTES:
         raise ValueError(
@@ -322,10 +323,11 @@ class LinearSampler:
     """The column model field = design @ (w * a) on a point set: one design
     column per eigenfunction, with the stds wf (of f) and wh (of h) of
     level_weights repeated by multiplicity, positive levels then negative
-    ones.  The geometry subclasses only build the design."""
+    ones.  The geometry subclasses only build the design, and hand over the
+    spec's level_weights table with it."""
 
-    def __init__(self, spec: RandomFieldSpec, design: np.ndarray, grid):
-        alpha, beta, counts = level_weights(spec)
+    def __init__(self, weights, design: np.ndarray, grid):
+        alpha, beta, counts = weights
         self.wf = np.repeat(alpha, counts)
         self.wh = np.repeat(beta, counts)
         if design.shape[1] != self.wf.size:
@@ -393,12 +395,13 @@ class SphereSampler(LinearSampler):
         M = spec.coefficients.truncation
         if M < 1:
             raise ValueError("empty coefficient scheme")
-        _check_design_size(spec, len(theta))
+        weights = level_weights(spec)
+        _check_design_size(weights, len(theta))
         if isinstance(grid, SphereGrid):
             design = _harmonic_design(grid, M)
         else:
             design = SphereHarmonicBasis(M, theta, phi).Y
-        super().__init__(spec, design, grid)
+        super().__init__(weights, design, grid)
 
 
 class TorusSampler(LinearSampler):
@@ -421,9 +424,10 @@ class TorusSampler(LinearSampler):
         M = spec.coefficients.truncation
         if M < 1:
             raise ValueError("empty coefficient scheme")
-        _check_design_size(spec, len(pts))
+        weights = level_weights(spec)
+        _check_design_size(weights, len(pts))
         modes = spec.spectrum.torus_modes[:M]
-        alpha, beta, counts = level_weights(spec)
+        alpha, beta, counts = weights
         weighted = (alpha != 0.0) | (beta != 0.0)
         if weighted.all():
             design = _torus_design(pts, modes)
@@ -432,7 +436,7 @@ class TorusSampler(LinearSampler):
             if weighted.any():
                 built = [reps for reps, w in zip(modes, weighted) if w]
                 design[:, np.repeat(weighted, counts)] = _torus_design(pts, built)
-        super().__init__(spec, design, grid)
+        super().__init__(weights, design, grid)
 
 
 class UserSampler(LinearSampler):
@@ -450,7 +454,7 @@ class UserSampler(LinearSampler):
         design = [model.eigenfunctions[:n_pos].T]
         if model.negative_levels:
             design.append(model.neg_eigenfunctions.T)
-        super().__init__(spec, np.concatenate(design, axis=1), model.points)
+        super().__init__(level_weights(spec), np.concatenate(design, axis=1), model.points)
 
 
 def make_sampler(spec: RandomFieldSpec, grid=None):

@@ -12,7 +12,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from scipy.stats import chi2
 
@@ -653,11 +653,13 @@ class TestEstimateLinf:
 
     def test_worker_count_does_not_change_counts(self):
         # a draw under another seed leaves this thread's generator keyed by
-        # it; workers forked from here inherit it and must re-key it
+        # it; workers forked from here inherit it and must re-key it.  The
+        # draws span two linf chunks, so workers 2 does fork
         grid = torus_grid(16)
-        r1 = ex.estimate_linf(TORUS_SPEC, 0.02, 0.05, grid, 3000, 5, workers=1)
+        n = ex._linf_chunk_rows(make_sampler(TORUS_SPEC, grid).active.size) + 1000
+        r1 = ex.estimate_linf(TORUS_SPEC, 0.02, 0.05, grid, n, 5, workers=1)
         gaussian_draw_block(99, range(5), 3)
-        r2 = ex.estimate_linf(TORUS_SPEC, 0.02, 0.05, grid, 3000, 5, workers=2)
+        r2 = ex.estimate_linf(TORUS_SPEC, 0.02, 0.05, grid, n, 5, workers=2)
         assert r1 == r2
 
     @pytest.mark.parametrize("refine", [False, True])
@@ -721,10 +723,19 @@ class TestEstimateLinf:
             return draw(seed, draw_indices, n)
 
         monkeypatch.setattr(fields, "gaussian_draw_block", counting)
-        n = 2 * ex.P2_CHUNK + 100
-        r = ex.estimate_linf(TORUS_SPEC, 0.05, 0.1, torus_grid(8), n, 2026, refine=refine)
+        grid = torus_grid(8)
+        chunk = ex._linf_chunk_rows(make_sampler(TORUS_SPEC, grid).active.size)
+        n = 2 * chunk + 100
+        r = ex.estimate_linf(TORUS_SPEC, 0.05, 0.1, grid, n, 2026, refine=refine)
         assert r.estimate > 0.0
-        assert blocks == [ex.P2_CHUNK, ex.P2_CHUNK, 100]
+        assert blocks == [chunk, chunk, 100]
+
+    def test_chunk_spans_the_whole_draw_blocks_that_fit_its_budget(self):
+        # 2^16 values: 8 blocks of 4 columns (criterion 7), 1 of 168 (the
+        # sphere spec) and at least one block however wide the spec
+        assert ex._linf_chunk_rows(4) == 8 * fields.DRAW_BLOCK
+        assert ex._linf_chunk_rows(168) == fields.DRAW_BLOCK
+        assert ex._linf_chunk_rows(10**6) == fields.DRAW_BLOCK
 
     @pytest.mark.parametrize("shape", [(10,), (8, 8), (1,)])
     def test_gridded_reference_of_the_wrong_shape_rejected_before_any_draw(self, monkeypatch, shape):
@@ -861,6 +872,53 @@ class TestEstimateLinf:
         if refine:
             assert r.refinement_delta == brute(grid.refine()) / n - count / n
 
+    @settings(
+        max_examples=30, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    @given(
+        case=st.sampled_from(["torus, one level", "torus, two levels", "sphere, 12 levels"]),
+        r0=st.sampled_from([0.0, 0.4, -0.3]),
+        a=st.floats(0.01, 0.5),
+        u_over_a=st.floats(1.0, 5.0),
+        refine=st.booleans(),
+        seed=st.integers(0, 2**64 - 1),
+        n=st.integers(1, 20000),
+    )
+    def test_prefilter_keeps_the_per_level_survivors_and_counts(
+        self, caplog, case, r0, a, u_over_a, refine, seed, n
+    ):
+        # oracle: the per-level bound of _linf_count on every draw row, and
+        # the exact deviation of every draw
+        two = np.zeros(11)
+        two[[2, 10]] = 0.2, 0.4
+        spectrum, scheme, grid = {
+            "torus, one level": (TORUS_SPEC.spectrum, TORUS_SPEC.coefficients, torus_grid(8)),
+            "torus, two levels": (TORUS_SPEC.spectrum, make_explicit(two), torus_grid(8)),
+            "sphere, 12 levels": (SPHERE, SCHEME, fibonacci_sphere(64)),
+        }[case]
+        spec = RandomFieldSpec(spectrum, scheme, FieldKind.H, reference_curvature=r0)
+        u = a * u_over_a
+        survivors, events = [], []
+        for g in [grid, grid.refine()][: 1 + refine]:
+            smp = make_sampler(spec, g)
+            A = gaussian_draw_block(seed, range(n), smp.active)
+            groups, screen = ex._linf_screen(smp)
+            M = np.sqrt((A * A) @ groups) @ screen
+            bound = abs(r0) * np.expm1(a * M[:, 0]) + a * M[:, 1] * np.exp(a * M[:, 0])
+            survivors.append(int((bound > u).sum()))
+            F, H = smp.sample_block(seed, range(n))
+            dev = curvature.deviation_field(F, H, r0, a, 2)
+            events.append(int((np.abs(dev).max(axis=1) > u).sum()))
+        caplog.clear()
+        with caplog.at_level(logging.INFO, logger="randcurv.excursion"):
+            r = ex.estimate_linf(spec, a, u, grid, n, seed, refine=refine)
+        found = [re.fullmatch(r"linf screen \(.*\): (\d+) of \d+ draws passed", rec.getMessage())
+                 for rec in caplog.records]
+        assert [int(m.group(1)) for m in found if m] == survivors
+        assert r.estimate == events[0] / n
+        if refine:
+            assert r.refinement_delta == events[1] / n - events[0] / n
+
     @pytest.mark.parametrize("scale, counts", [(1.0, (214, 275)), (2.0, (245, 310))])
     def test_pinned_counts(self, scale, counts):
         # seed 2026, 4096 draws on torus:8 and its refinement, (a, u, R0) =
@@ -992,6 +1050,7 @@ def test_estimates_do_not_depend_on_the_chunk_size(chunk, n):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(ex, "P2_CHUNK", chunk)
         mp.setattr(ex, "EULER_CHUNK", chunk)
+        mp.setattr(ex, "_linf_chunk_rows", lambda n_active: chunk)
         p2_c, e_sup_c, linf_c, chi_c = run()
     assert p2_c == p2 and e_sup_c == pytest.approx(e_sup, rel=1e-12)
     assert (linf_c.estimate, linf_c.refinement_delta) == (linf.estimate, linf.refinement_delta)

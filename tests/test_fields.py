@@ -135,7 +135,7 @@ def test_sampler_matches_slow_reference(h_spec):
 def test_linear_sampler_rejects_a_design_of_the_wrong_width(h_spec):
     smp = fl.SphereSampler(h_spec, fibonacci_sphere(8))
     with pytest.raises(ValueError, match="columns"):
-        fl.LinearSampler(h_spec, smp.design[:, 1:], smp.grid)
+        fl.LinearSampler(fl.level_weights(h_spec), smp.design[:, 1:], smp.grid)
 
 
 @pytest.mark.parametrize("sampler, spectrum, grid", [
@@ -455,6 +455,22 @@ def test_torus_design_builds_only_the_weighted_levels(scheme, n_per_axis):
     assert smp.design.shape == full.shape
     assert np.array_equal(smp.design[:, weighted], full[:, weighted])
     assert not smp.design[:, ~weighted].any()
+
+
+def test_a_sampler_build_reads_the_level_table_once(monkeypatch):
+    # the design size check, the torus weighted-level mask and the column
+    # weights all read one level_weights table per build
+    calls = []
+    table = fl.level_weights
+    monkeypatch.setattr(fl, "level_weights", lambda spec: calls.append(spec) or table(spec))
+    torus = RandomFieldSpec(
+        sp.torus2_spectrum(11), sp.make_explicit([0.0] * 10 + [0.5]), FieldKind.H
+    )
+    sphere = RandomFieldSpec(sp.sphere2_spectrum(3), sp.make_explicit([0.2, 0.3, 0.1]), FieldKind.H)
+    for spec, grid in ((torus, torus_grid(8)), (sphere, fibonacci_sphere(16))):
+        calls.clear()
+        fl.make_sampler(spec, grid)
+        assert calls == [spec]
 
 
 def test_threads_drawing_at_once_get_the_serial_draws():
