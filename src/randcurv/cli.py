@@ -42,10 +42,9 @@ from .fields import (
     _MAX_DESIGN_BYTES,
     FieldKind,
     RandomFieldSpec,
-    _check_design_size,
     _isotropic_variances,
+    _level_table,
     heat_variance,
-    level_weights,
     make_sampler,
     variance_summary,
 )
@@ -96,7 +95,7 @@ def _build_field(cfg: ExperimentConfig, which: FieldKind):
     )
     kind, size = parse_grid(cfg.grid)
     n_points = _N_POINTS[kind](size)
-    _check_design_size(level_weights(spec), n_points)
+    _level_table(spec, n_points)
     build_bytes = n_points * _BUILD_BYTES[kind]
     if build_bytes > _MAX_DESIGN_BYTES:
         raise ValueError(
@@ -300,7 +299,7 @@ def cmd_linf(cfg: ExperimentConfig) -> RunRecord:
             spec, a, u, grid, cfg.n_samples, cfg.seed,
             workers=cfg.workers, refine=cfg.refine,
         )
-        asymptote = bounds.linf_log_asymptote(u, a, sigma_w)
+        asymptote = bounds.linf_log_asymptote(u, a, sigma_w) if sigma_w > 0 else None
         log_estimate = math.log(report.estimate) if report.estimate > 0 else None
         ratio = None if log_estimate is None else log_estimate / asymptote
         table.append(

@@ -257,13 +257,12 @@ def _linf_screen(sampler):
     row A of the active columns.  The screen is raised by the margin; as
     expm1 is convex through 0, that raises the deviation bound by at least
     the same ratio, and the exponent by enough where e^{r max|f|} is large."""
-    k = sampler.active
     # np.unique orders complex values by real, then imaginary part, so one
     # 1-D unique of wf + i wh groups equal (wf, wh) as a row unique would,
     # at a quarter of its cost
-    pairs, group = np.unique(sampler.wf[k] + 1j * sampler.wh[k], return_inverse=True)
+    pairs, group = np.unique(sampler.wf + 1j * sampler.wh, return_inverse=True)
     groups = (group.reshape(-1, 1) == np.arange(len(pairs))).astype(float)
-    c = np.sqrt((sampler.design[:, k] ** 2 @ groups).max(axis=0))
+    c = np.sqrt((sampler.design**2 @ groups).max(axis=0))
     weights = np.abs(np.stack([pairs.real, pairs.imag], axis=1))
     return groups, weights * c[:, None] * (1.0 + _SCREEN_MARGIN)
 
@@ -369,7 +368,9 @@ def estimate_linf(
         rho=float(np.abs(np.asarray(spec.reference_curvature, dtype=float)).max()),
         rate=rate, dim=spec.spectrum.dimension, a=float(a), u=float(u), seed=int(seed),
     )
-    ctx.radius2 = min(_linf_radius(ctx, screen) for _, _, screen in ctx.screened) ** 2
+    # a product, not **: past ~1.3e154 it rounds to inf, and every draw drops
+    radius = min(_linf_radius(ctx, screen) for _, _, screen in ctx.screened)
+    ctx.radius2 = radius * radius
     chunk = _linf_chunk_rows(ctx.screened[0][0].active.size)
     results = map_chunks(_linf_chunk, ctx, n, chunk, workers)
     counts, passed = np.array(results, dtype=np.int64).sum(axis=0).T

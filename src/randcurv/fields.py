@@ -25,10 +25,10 @@ key and counter alone, so each thread keeps one Philox generator and
 re-keys it on every call.
 
 Every sampler is a LinearSampler, the column model field = design @ (w * A)
-for the draws A, with one design column per eigenfunction at the points and
-per-column stds wf, wh; the geometry subclasses only build the design.  Only
-its active columns (nonzero wf or wh) are drawn and evaluated, and the torus
-sampler builds only those columns (the others are 0).
+for the draws A, with one design column at the points and per-column stds
+wf, wh for each eigenfunction with weight (nonzero wf or wh), its active
+columns; the others are never built, drawn or evaluated.  The geometry
+subclasses only build the design.
 Every second moment follows from it, so covariance_matrix is (D w^2) D^T
 over the sampler's design D; covariance_h_sphere and covariance_f_sphere
 are the closed Legendre forms on the sphere, an independent route to the
@@ -183,8 +183,9 @@ def _selected(spec: RandomFieldSpec, f, h):
 class FieldSample:
     """One realization: the Gaussian draws plus evaluated fields on a grid.
 
-    gaussians holds one coefficient per sampler column, 0 in the columns
-    without weight (never drawn); values_f and values_h are the fields.
+    gaussians holds one coefficient per column of the spec (n_gaussians),
+    0 in the columns without weight (never drawn); values_f and values_h
+    are the fields.
     """
 
     seed: int
@@ -305,10 +306,12 @@ def gaussian_draw_block(seed: int, draw_indices, columns) -> np.ndarray:
 _MAX_DESIGN_BYTES = 2**30
 
 
-def _check_design_size(weights, n_points: int) -> None:
-    """Refuse a design above _MAX_DESIGN_BYTES before it is allocated: the
-    sphere and torus samplers build one column per truncated eigenfunction,
-    as counted by the spec's level_weights table."""
+def _level_table(spec: RandomFieldSpec, n_points: int):
+    """The spec's level_weights table, once the scheme is known nonempty and
+    a design of n_points x every truncated column to fit _MAX_DESIGN_BYTES."""
+    if spec.coefficients.truncation < 1:
+        raise ValueError("empty coefficient scheme")
+    weights = level_weights(spec)
     columns = int(weights[2].sum())
     nbytes = n_points * columns * 8
     if nbytes > _MAX_DESIGN_BYTES:
@@ -317,36 +320,40 @@ def _check_design_size(weights, n_points: int) -> None:
             f"{nbytes / 2**30:.2f} GiB, over the {_MAX_DESIGN_BYTES / 2**30:g} GiB limit; "
             "lower the truncation or the grid size"
         )
+    return weights
+
+
+def _weighted_columns(weights, design: np.ndarray) -> np.ndarray:
+    """The columns of the levels with weight of a design over every column:
+    the design itself when every level has weight."""
+    alpha, beta, counts = weights
+    keep = np.repeat((alpha != 0.0) | (beta != 0.0), counts)
+    return design if keep.all() else design[:, keep]
 
 
 class LinearSampler:
-    """The column model field = design @ (w * a) on a point set: one design
-    column per eigenfunction, with the stds wf (of f) and wh (of h) of
-    level_weights repeated by multiplicity, positive levels then negative
-    ones.  The geometry subclasses only build the design, and hand over the
-    spec's level_weights table with it."""
+    """The column model field = design @ (w * a) on a point set over its
+    active columns: of the n_gaussians columns of level_weights (positive
+    levels, then negative ones), those whose std wf (of f) or wh (of h) is
+    nonzero.  design, wf and wh hold the active columns alone.  The geometry
+    subclasses only build the design, and hand over the table with it."""
 
     def __init__(self, weights, design: np.ndarray, grid):
         alpha, beta, counts = weights
-        self.wf = np.repeat(alpha, counts)
-        self.wh = np.repeat(beta, counts)
-        if design.shape[1] != self.wf.size:
-            raise ValueError(f"design has {design.shape[1]} columns for {self.wf.size} weights")
+        wf, wh = np.repeat(alpha, counts), np.repeat(beta, counts)
+        self.n_gaussians = wf.size
+        self.active = np.flatnonzero((wf != 0.0) | (wh != 0.0))
+        if design.shape[1] != self.active.size:
+            raise ValueError(
+                f"design has {design.shape[1]} columns for {self.active.size} weighted columns"
+            )
+        self.wf, self.wh = wf[self.active], wh[self.active]
         self.design = design
         self.grid = grid
-        # the columns with weight, the only ones drawn and evaluated; their
-        # design is a view of the design when every column has weight
-        self.active = np.flatnonzero((self.wf != 0.0) | (self.wh != 0.0))
-        cols = slice(None) if self.active.size == self.wf.size else self.active
-        self._columns = design[:, cols], self.wf[cols], self.wh[cols]
 
     @property
     def n_points(self) -> int:
         return self.design.shape[0]
-
-    @property
-    def n_gaussians(self) -> int:
-        return self.wf.size
 
     def sample(self, seed: int, draw_index: int) -> FieldSample:
         """Row 0 of sample_block(seed, range(draw_index, draw_index + 1)),
@@ -362,14 +369,13 @@ class LinearSampler:
 
     def evaluate(self, A, fields=("f", "h")):
         """(F, H) = ((A wf) design^T, (A wh) design^T) of shape (B, n_points)
-        over the active columns, for their draw rows A (B, active.size); a
-        field not named in `fields` ("f", "h") is None and costs no GEMM."""
+        for the active columns' draw rows A (B, active.size); a field not
+        named in `fields` ("f", "h") is None and costs no GEMM."""
         unknown = set(fields) - {"f", "h"}
         if unknown:
             raise ValueError(f"unknown fields {sorted(unknown)}; choose from 'f', 'h'")
-        design, wf, wh = self._columns
-        F = (A * wf) @ design.T if "f" in fields else None
-        H = (A * wh) @ design.T if "h" in fields else None
+        F = (A * self.wf) @ self.design.T if "f" in fields else None
+        H = (A * self.wh) @ self.design.T if "h" in fields else None
         return F, H
 
     def sample_block(self, seed: int, draw_indices, fields=("f", "h")):
@@ -392,16 +398,13 @@ class SphereSampler(LinearSampler):
         if spec.spectrum.geometry is not Geometry.SPHERE2:
             raise ValueError("sphere sampler needs the Sphere2 geometry")
         theta, phi, grid = _sphere_angles_of(grid)
+        weights = _level_table(spec, len(theta))
         M = spec.coefficients.truncation
-        if M < 1:
-            raise ValueError("empty coefficient scheme")
-        weights = level_weights(spec)
-        _check_design_size(weights, len(theta))
         if isinstance(grid, SphereGrid):
             design = _harmonic_design(grid, M)
         else:
             design = SphereHarmonicBasis(M, theta, phi).Y
-        super().__init__(weights, design, grid)
+        super().__init__(weights, _weighted_columns(weights, design), grid)
 
 
 class TorusSampler(LinearSampler):
@@ -410,8 +413,7 @@ class TorusSampler(LinearSampler):
     Mode columns are ordered level-major, within a level by the sorted
     half-lattice representatives, cosine before sine; all modes are the
     orthonormal cos(k.x)/(pi sqrt 2), sin(k.x)/(pi sqrt 2).  Only the levels
-    with weight are built; the columns of the others are 0, which nothing
-    reads (they are never drawn or evaluated, and their weights are 0).
+    with weight are built.
     """
 
     # perfbench's tracer wraps these per class, read from the class namespace
@@ -421,22 +423,14 @@ class TorusSampler(LinearSampler):
         if spec.spectrum.geometry is not Geometry.FLAT_TORUS2:
             raise ValueError("torus sampler needs the FlatTorus2 geometry")
         pts, grid = _torus_points_of(grid)
-        M = spec.coefficients.truncation
-        if M < 1:
-            raise ValueError("empty coefficient scheme")
-        weights = level_weights(spec)
-        _check_design_size(weights, len(pts))
-        modes = spec.spectrum.torus_modes[:M]
-        alpha, beta, counts = weights
-        weighted = (alpha != 0.0) | (beta != 0.0)
-        if weighted.all():
-            design = _torus_design(pts, modes)
-        else:
-            design = np.zeros((len(pts), counts.sum()))
-            if weighted.any():
-                built = [reps for reps, w in zip(modes, weighted) if w]
-                design[:, np.repeat(weighted, counts)] = _torus_design(pts, built)
-        super().__init__(weights, design, grid)
+        weights = _level_table(spec, len(pts))
+        alpha, beta, _ = weights
+        modes = spec.spectrum.torus_modes[: spec.coefficients.truncation]
+        built = [reps for reps, a, b in zip(modes, alpha, beta) if a or b]
+        # a GEMM's last bits follow the design's layout: column-major when a
+        # level is left out, as the column selections of _weighted_columns are
+        order = "C" if len(built) == len(modes) else "F"
+        super().__init__(weights, _torus_design(pts, built, order), grid)
 
 
 class UserSampler(LinearSampler):
@@ -454,7 +448,9 @@ class UserSampler(LinearSampler):
         design = [model.eigenfunctions[:n_pos].T]
         if model.negative_levels:
             design.append(model.neg_eigenfunctions.T)
-        super().__init__(level_weights(spec), np.concatenate(design, axis=1), model.points)
+        weights = level_weights(spec)
+        design = _weighted_columns(weights, np.concatenate(design, axis=1))
+        super().__init__(weights, design, model.points)
 
 
 def make_sampler(spec: RandomFieldSpec, grid=None):

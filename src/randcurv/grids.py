@@ -85,15 +85,17 @@ def _frozen(*arrays: np.ndarray) -> bool:
     return not any(a.flags.writeable for a in arrays)
 
 
-def _torus_design(points: np.ndarray, modes) -> np.ndarray:
+def _torus_design(points: np.ndarray, modes, order: str = "C") -> np.ndarray:
     """The orthonormal torus modes cos(k.x)/(pi sqrt 2), sin(k.x)/(pi sqrt 2)
     at the points, one pair per half-lattice representative k, level-major
-    over the levels' (n_reps, 2) representatives `modes`, cosine before
-    sine.  All levels share one phase product and one cos and sin call,
-    written into the interleaved columns of the design, so the build holds
-    the design and the phases (half its size) and nothing more."""
-    phase = points @ np.concatenate(modes).T          # (npts, total reps)
-    design = np.empty((len(points), 2 * phase.shape[1]))
+    over the levels' (n_reps, 2) representatives `modes` (maybe none),
+    cosine before sine, in memory order `order`.  All levels share one phase
+    product and one cos and sin call, written into the interleaved columns
+    of the design, so the build holds the design and the phases (half its
+    size) and nothing more."""
+    reps = np.concatenate([np.empty((0, 2), dtype=np.int64), *modes])
+    phase = points @ reps.T                           # (npts, total reps)
+    design = np.empty((len(points), 2 * phase.shape[1]), order=order)
     np.cos(phase, out=design[:, 0::2])
     np.sin(phase, out=design[:, 1::2])
     design *= 1.0 / (math.pi * math.sqrt(2.0))

@@ -511,6 +511,21 @@ class TestLinf:
         assert expect == [False, False, False, True]
         assert [r["regime_ok"] for r in rows] == [format_cell(ok) for ok in expect]
 
+    def test_spec_without_weight_estimates_zero(self, tmp_path):
+        # every level's value is 0: no column is drawn or evaluated, no draw
+        # can be an event, and sigma_w = 0 has no log-asymptote
+        ini, out = write_ini(
+            tmp_path,
+            "[common]\nout = {out}\n[linf]\ngeometry = torus\nscheme = explicit\n"
+            "truncation = 3\nvalues = 0,0,0\nreference = 0.0\ngrid = torus:8\n"
+            "amplitudes = 0.05\nthresholds = 0.1\nn_samples = 256\n",
+        )
+        run_ok(["linf", "--config", ini])
+        (path,) = csvs(out)
+        (row,) = rows_by_header(path)
+        assert float(row["estimate"]) == 0.0
+        assert row["log_estimate"] == row["log_asymptote"] == row["ratio"] == ""
+
     def test_nan_threshold_is_a_config_error(self, tmp_path, capsys):
         ini, out = write_ini(
             tmp_path,

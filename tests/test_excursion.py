@@ -712,6 +712,21 @@ class TestEstimateLinf:
                 ex.estimate_linf(TORUS_SPEC, a, u, g, 16, 0)
 
     @pytest.mark.parametrize("refine", [False, True])
+    @pytest.mark.parametrize(
+        "values, a", [(np.zeros(11), 0.05), (TORUS_VALUES, 1e-160)], ids=["no weight", "tiny a"]
+    )
+    def test_unbounded_prefilter_radius_drops_every_draw(self, values, a, refine):
+        # without weight every draw's per-level bound is 0 and g never
+        # exceeds u; at a = 1e-160 the radius is ~1e159 and its square passes
+        # the largest float.  Either way every draw is dropped: no events
+        spec = RandomFieldSpec(
+            torus2_spectrum(11), make_explicit(values), FieldKind.H, reference_curvature=-0.3
+        )
+        r = ex.estimate_linf(spec, a, 0.1, torus_grid(8), 5000, 1, refine=refine)
+        assert r.estimate == 0.0 and r.standard_error == 0.0
+        assert r.refinement_delta == (0.0 if refine else None)
+
+    @pytest.mark.parametrize("refine", [False, True])
     def test_draws_each_chunk_once(self, monkeypatch, refine):
         # screen survivors are evaluated from the chunk's own draws, on the
         # grid and on its refinement alike, never drawn again
@@ -815,14 +830,17 @@ class TestEstimateLinf:
             groups, screen = ex._linf_screen(smp)
             M = np.sqrt((A * A) @ groups) @ screen
             # independent route: per level, (|wf|, |wh|) ||A_level||
-            # max_x ||design[x, level]||, summed over the levels
+            # max_x ||design[x, level]||, summed over the levels; the design,
+            # wf and wh hold the active columns only, in stream order
+            assert smp.design.shape[1] == smp.wf.size == smp.wh.size == smp.active.size
             per_level = np.zeros((256, 2))
             mult = spec0.spectrum.multiplicities[: spec0.coefficients.truncation]
             for lo, hi in zip(np.cumsum(mult) - mult, np.cumsum(mult)):
                 on = (smp.active >= lo) & (smp.active < hi)
                 if on.any():
-                    c = np.linalg.norm(smp.design[:, lo:hi], axis=1).max()
-                    w = np.abs([smp.wf[lo], smp.wh[lo]]) * c
+                    assert on.sum() == hi - lo
+                    c = np.linalg.norm(smp.design[:, on], axis=1).max()
+                    w = np.abs([smp.wf[on][0], smp.wh[on][0]]) * c
                     per_level += np.outer(np.linalg.norm(A[:, on], axis=1), w)
             assert np.all(per_level <= M) and np.all(M <= per_level * (1.0 + 2e-12))
             F, H = smp.sample_block(11, range(256))

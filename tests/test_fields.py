@@ -136,6 +136,12 @@ def test_linear_sampler_rejects_a_design_of_the_wrong_width(h_spec):
     smp = fl.SphereSampler(h_spec, fibonacci_sphere(8))
     with pytest.raises(ValueError, match="columns"):
         fl.LinearSampler(fl.level_weights(h_spec), smp.design[:, 1:], smp.grid)
+    # a design over every column is refused when a level has no weight
+    spec = RandomFieldSpec(sp.torus2_spectrum(3), sp.make_explicit([0.0, 0.7, 0.0]), FieldKind.H)
+    grid = torus_grid(4)
+    full = grids._torus_design(grid.points, spec.spectrum.torus_modes)
+    with pytest.raises(ValueError, match="design has 12 columns for 4 weighted columns"):
+        fl.LinearSampler(fl.level_weights(spec), full, grid)
 
 
 @pytest.mark.parametrize("sampler, spectrum, grid", [
@@ -443,18 +449,89 @@ def test_degeneracy_antipodal_covariance(sphere12):
     sp.make_explicit([0.0, 0.0, 0.3] + [0.0] * 7 + [0.5]),
     sp.make_power_law(3.0, sp.torus2_spectrum(11), 11, tail_tol=None),
 ], ids=["one level", "two levels", "power"])
-def test_torus_design_builds_only_the_weighted_levels(scheme, n_per_axis):
-    # the weighted levels' columns are those of the design over every mode,
-    # bit for bit, and the other columns are 0
+def test_torus_design_builds_only_the_weighted_levels(scheme, n_per_axis, monkeypatch):
+    # the design is the one build over the weighted levels' modes, and it
+    # equals those columns of the design over every mode, bit for bit: no
+    # column of an unweighted level is built, zero or not
     model = sp.torus2_spectrum(11)
     grid = torus_grid(n_per_axis)
+    full = grids._torus_design(grid.points, model.torus_modes)
+    built = []
+
+    def build(*args):
+        built.append(grids._torus_design(*args))
+        return built[-1]
+
+    monkeypatch.setattr(fl, "_torus_design", build)
     smp = fl.TorusSampler(RandomFieldSpec(model, scheme, FieldKind.H), grid)
     weighted = np.repeat(scheme.values != 0.0, model.multiplicities[:11])
     assert np.array_equal(np.flatnonzero(weighted), smp.active)
-    full = grids._torus_design(grid.points, model.torus_modes)
-    assert smp.design.shape == full.shape
-    assert np.array_equal(smp.design[:, weighted], full[:, weighted])
-    assert not smp.design[:, ~weighted].any()
+    assert len(built) == 1 and smp.design is built[0]
+    assert smp.design.shape == (grid.n_points, weighted.sum())
+    assert np.array_equal(smp.design, full[:, weighted])
+
+
+def _sparse_user_spec():
+    # three positive levels, the middle one (two columns) without weight,
+    # then one negative level
+    model = sp.SpectrumModel(
+        geometry=Geometry.USER_SUPPLIED,
+        dimension=2,
+        volume=1.0,
+        eigenvalues=np.array([1.0, 3.0, 5.0]),
+        multiplicities=np.array([1, 2, 1]),
+        negative_levels=((2.0, 1),),
+        points=np.arange(6.0)[:, None],
+        eigenfunctions=np.random.default_rng(3).normal(size=(4, 6)),
+        neg_eigenfunctions=np.random.default_rng(4).normal(size=(1, 6)),
+    )
+    sch = sp.make_explicit([0.7, 0.0, 0.4], indexing=Indexing.PER_EIGENFUNCTION, neg_values=[0.5])
+    return RandomFieldSpec(model, sch, FieldKind.H)
+
+
+@pytest.mark.parametrize("spec, grid", [
+    (RandomFieldSpec(sp.sphere2_spectrum(4), sp.make_explicit([0.3, 0.0, 0.5, 0.2]), FieldKind.H),
+     fibonacci_sphere(32)),
+    (RandomFieldSpec(sp.torus2_spectrum(4), sp.make_explicit([0.0, 0.0, 0.6, 0.0]), FieldKind.H),
+     torus_grid(6)),
+    (RandomFieldSpec(sp.torus2_spectrum(4), sp.make_explicit([0.4, 0.0, 0.6, 0.0]), FieldKind.H),
+     torus_grid(6)),
+    (RandomFieldSpec(sp.torus2_spectrum(4), sp.make_explicit([0.4, 0.3, 0.6, 0.2]), FieldKind.H),
+     torus_grid(6)),
+    (_sparse_user_spec(), None),
+], ids=["sphere", "torus one level", "torus two levels", "torus all levels", "user"])
+def test_a_sampler_holds_only_the_columns_it_draws(spec, grid):
+    smp = fl.make_sampler(spec, grid)
+    model = spec.spectrum
+    alpha, beta, counts = fl.level_weights(spec)
+    wf, wh = np.repeat(alpha, counts), np.repeat(beta, counts)
+    # the design over every eigenfunction, built independently
+    if model.geometry is Geometry.SPHERE2:
+        full = SphereHarmonicBasis(counts.size, grid.theta, grid.phi).Y
+    elif model.geometry is Geometry.FLAT_TORUS2:
+        full = grids._torus_design(grid.points, model.torus_modes[: counts.size])
+    else:
+        full = np.concatenate([model.eigenfunctions, model.neg_eigenfunctions]).T
+    assert smp.n_gaussians == counts.sum() == full.shape[1]
+    assert np.array_equal(smp.active, np.flatnonzero((wf != 0.0) | (wh != 0.0)))
+    assert 0 < smp.active.size
+    assert smp.design.shape == (full.shape[0], smp.active.size)
+    assert smp.wf.shape == smp.wh.shape == (smp.active.size,)
+    assert np.array_equal(smp.design, full[:, smp.active])
+    # column-major when a level is left out, as numpy's column selection is
+    sparse = smp.active.size < smp.n_gaussians
+    assert smp.design.flags.f_contiguous == sparse != smp.design.flags.c_contiguous
+    assert np.array_equal(smp.wf, wf[smp.active]) and np.array_equal(smp.wh, wh[smp.active])
+    # the fields are those of every column, the unweighted ones with draw 0
+    F, H = smp.sample_block(8, range(5))
+    A = np.zeros((5, smp.n_gaussians))
+    A[:, smp.active] = fl.gaussian_draw_block(8, range(5), smp.active)
+    for field, w, level_w in ((F, wf, alpha), (H, wh, beta)):
+        if model.geometry is Geometry.SPHERE2:
+            ref = [slow_sphere_field(level_w, a, grid.theta, grid.phi) for a in A]
+        else:
+            ref = (A * w) @ full.T
+        np.testing.assert_allclose(field, ref, rtol=0, atol=1e-12)
 
 
 def test_a_sampler_build_reads_the_level_table_once(monkeypatch):
