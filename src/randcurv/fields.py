@@ -307,12 +307,16 @@ _MAX_DESIGN_BYTES = 2**30
 
 
 def _level_table(spec: RandomFieldSpec, n_points: int):
-    """The spec's level_weights table, once the scheme is known nonempty and
-    a design of n_points x every truncated column to fit _MAX_DESIGN_BYTES."""
+    """The spec's level_weights table and its kept levels, the bool mask of
+    the levels with weight (a nonzero f or h std), once the scheme is known
+    nonempty and a design of n_points x the kept levels' columns, the only
+    ones a sampler builds, to fit _MAX_DESIGN_BYTES."""
     if spec.coefficients.truncation < 1:
         raise ValueError("empty coefficient scheme")
     weights = level_weights(spec)
-    columns = int(weights[2].sum())
+    alpha, beta, counts = weights
+    kept = (alpha != 0.0) | (beta != 0.0)
+    columns = int(counts[kept].sum())
     nbytes = n_points * columns * 8
     if nbytes > _MAX_DESIGN_BYTES:
         raise ValueError(
@@ -320,15 +324,7 @@ def _level_table(spec: RandomFieldSpec, n_points: int):
             f"{nbytes / 2**30:.2f} GiB, over the {_MAX_DESIGN_BYTES / 2**30:g} GiB limit; "
             "lower the truncation or the grid size"
         )
-    return weights
-
-
-def _weighted_columns(weights, design: np.ndarray) -> np.ndarray:
-    """The columns of the levels with weight of a design over every column:
-    the design itself when every level has weight."""
-    alpha, beta, counts = weights
-    keep = np.repeat((alpha != 0.0) | (beta != 0.0), counts)
-    return design if keep.all() else design[:, keep]
+    return weights, kept
 
 
 class LinearSampler:
@@ -385,10 +381,11 @@ class LinearSampler:
 
 
 class SphereSampler(LinearSampler):
-    """f and h on a sphere point set: the real spherical harmonics of degrees
-    1..M at the points.  A SphereGrid from the builders keeps the
-    (read-only) design of the last M asked for, so repeated samplers of one
-    truncation on that grid object share one design; other point sets build
+    """f and h on a sphere point set: the real spherical harmonics of the
+    degrees of 1..M with weight at the points, built alone.  A SphereGrid
+    from the builders keeps the (read-only) design of the last truncation
+    and weighted degrees asked for, so repeated samplers of one scheme's
+    levels on that grid object share one design; other point sets build
     theirs on every call."""
 
     # perfbench's tracer wraps these per class, read from the class namespace
@@ -398,13 +395,13 @@ class SphereSampler(LinearSampler):
         if spec.spectrum.geometry is not Geometry.SPHERE2:
             raise ValueError("sphere sampler needs the Sphere2 geometry")
         theta, phi, grid = _sphere_angles_of(grid)
-        weights = _level_table(spec, len(theta))
+        weights, kept = _level_table(spec, len(theta))
         M = spec.coefficients.truncation
         if isinstance(grid, SphereGrid):
-            design = _harmonic_design(grid, M)
+            design = _harmonic_design(grid, M, kept)
         else:
-            design = SphereHarmonicBasis(M, theta, phi).Y
-        super().__init__(weights, _weighted_columns(weights, design), grid)
+            design = SphereHarmonicBasis(M, theta, phi, kept).Y
+        super().__init__(weights, design, grid)
 
 
 class TorusSampler(LinearSampler):
@@ -423,19 +420,16 @@ class TorusSampler(LinearSampler):
         if spec.spectrum.geometry is not Geometry.FLAT_TORUS2:
             raise ValueError("torus sampler needs the FlatTorus2 geometry")
         pts, grid = _torus_points_of(grid)
-        weights = _level_table(spec, len(pts))
-        alpha, beta, _ = weights
+        weights, kept = _level_table(spec, len(pts))
         modes = spec.spectrum.torus_modes[: spec.coefficients.truncation]
-        built = [reps for reps, a, b in zip(modes, alpha, beta) if a or b]
-        # a GEMM's last bits follow the design's layout: column-major when a
-        # level is left out, as the column selections of _weighted_columns are
-        order = "C" if len(built) == len(modes) else "F"
-        super().__init__(weights, _torus_design(pts, built, order), grid)
+        super().__init__(weights, _torus_design(pts, modes, kept), grid)
 
 
 class UserSampler(LinearSampler):
     """f and h on the stored point set of a user-supplied model: its stored
-    eigenfunctions, then its negative-level ones."""
+    eigenfunctions of the levels with weight, then its negative-level ones
+    with weight, taken alone.  The design is the transpose of those rows, so
+    it is column-major whichever levels have weight."""
 
     # perfbench's tracer wraps these per class, read from the class namespace
     sample, sample_block = LinearSampler.sample, LinearSampler.sample_block
@@ -444,13 +438,13 @@ class UserSampler(LinearSampler):
         model = spec.spectrum
         if model.geometry is not Geometry.USER_SUPPLIED:
             raise ValueError("user sampler needs a user-supplied spectrum")
+        weights, kept = _level_table(spec, model.eigenfunctions.shape[1])
+        keep = np.repeat(kept, weights[2])
         n_pos = int(model.multiplicities[: spec.coefficients.truncation].sum())
-        design = [model.eigenfunctions[:n_pos].T]
+        rows = [model.eigenfunctions[:n_pos][keep[:n_pos]]]
         if model.negative_levels:
-            design.append(model.neg_eigenfunctions.T)
-        weights = level_weights(spec)
-        design = _weighted_columns(weights, np.concatenate(design, axis=1))
-        super().__init__(weights, design, model.points)
+            rows.append(model.neg_eigenfunctions[keep[n_pos:]])
+        super().__init__(weights, np.concatenate(rows).T, model.points)
 
 
 def make_sampler(spec: RandomFieldSpec, grid=None):

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .harmonics import SphereHarmonicBasis
+from .harmonics import SphereHarmonicBasis, _design_order
 
 __all__ = ["SphereGrid", "TorusGrid", "fibonacci_sphere", "icosphere", "torus_grid", "sphere_distance"]
 
@@ -31,7 +31,8 @@ class SphereGrid:
     Its arrays must not be changed after construction: the private memo
     holds data derived from them, which lives as long as the grid and is
     neither compared nor shown.  It keeps the harmonic design of the last
-    truncation asked for (_harmonic_design) and, for an icosphere, the
+    truncation and kept degrees asked for (_harmonic_design), which holds
+    those degrees' columns alone, and, for an icosphere, the
     row-sorted faces checked to be a closed triangulation when the mesh was
     built, with the table of the faces around each vertex once Euler
     counting first asks for them (_closed_triangulation).  The memo is
@@ -85,34 +86,40 @@ def _frozen(*arrays: np.ndarray) -> bool:
     return not any(a.flags.writeable for a in arrays)
 
 
-def _torus_design(points: np.ndarray, modes, order: str = "C") -> np.ndarray:
+def _torus_design(points: np.ndarray, modes, kept=None) -> np.ndarray:
     """The orthonormal torus modes cos(k.x)/(pi sqrt 2), sin(k.x)/(pi sqrt 2)
     at the points, one pair per half-lattice representative k, level-major
-    over the levels' (n_reps, 2) representatives `modes` (maybe none),
-    cosine before sine, in memory order `order`.  All levels share one phase
-    product and one cos and sin call, written into the interleaved columns
-    of the design, so the build holds the design and the phases (half its
-    size) and nothing more."""
-    reps = np.concatenate([np.empty((0, 2), dtype=np.int64), *modes])
+    over the levels' (n_reps, 2) representatives `modes` whose flag in kept
+    (default all) is set, cosine before sine, in the layout of
+    _design_order(kept).  All levels built share one phase product and one
+    cos and sin call, written into the interleaved columns of the design, so
+    the build holds the design and the phases (half its size) and nothing
+    more."""
+    kept = np.ones(len(modes), dtype=bool) if kept is None else kept
+    built = [reps for reps, keep in zip(modes, kept) if keep]
+    reps = np.concatenate([np.empty((0, 2), dtype=np.int64), *built])
     phase = points @ reps.T                           # (npts, total reps)
-    design = np.empty((len(points), 2 * phase.shape[1]), order=order)
+    design = np.empty((len(points), 2 * phase.shape[1]), order=_design_order(kept))
     np.cos(phase, out=design[:, 0::2])
     np.sin(phase, out=design[:, 1::2])
     design *= 1.0 / (math.pi * math.sqrt(2.0))
     return design
 
 
-def _harmonic_design(grid: SphereGrid, M: int) -> np.ndarray:
-    """The real spherical harmonics of degrees 1..M at the grid's points,
-    SphereHarmonicBasis(M, theta, phi).Y; the last M built stays in the memo
-    (read-only) while theta and phi are read-only."""
+def _harmonic_design(grid: SphereGrid, M: int, kept=None) -> np.ndarray:
+    """The real spherical harmonics of the kept degrees of 1..M (default
+    all) at the grid's points, SphereHarmonicBasis(M, theta, phi, kept).Y;
+    the last (M, kept) built stays in the memo (read-only) while theta and
+    phi are read-only."""
+    kept = np.ones(M, dtype=bool) if kept is None else np.asarray(kept, dtype=bool)
     if not _frozen(grid.theta, grid.phi):
-        return SphereHarmonicBasis(M, grid.theta, grid.phi).Y
-    level, Y = grid._memo.get("design", (None, None))
-    if level != M:
-        Y = SphereHarmonicBasis(M, grid.theta, grid.phi).Y
+        return SphereHarmonicBasis(M, grid.theta, grid.phi, kept).Y
+    key = M, kept.tobytes()
+    memo_key, Y = grid._memo.get("design", (None, None))
+    if memo_key != key:
+        Y = SphereHarmonicBasis(M, grid.theta, grid.phi, kept).Y
         Y.flags.writeable = False
-        grid._memo["design"] = (M, Y)
+        grid._memo["design"] = (key, Y)
     return Y
 
 

@@ -6,7 +6,8 @@ degrees in the thousands).
 
 Column convention of the design matrix: levels m = 1..max_level in order;
 within a level the k = 0 harmonic first, then (cos, sin) pairs for
-k = 1..m.  Level m occupies columns [m^2 - 1, (m+1)^2 - 1).
+k = 1..m.  Level m occupies columns [m^2 - 1, (m+1)^2 - 1).  A basis over
+some of the degrees holds only theirs, in the same order.
 """
 
 from __future__ import annotations
@@ -47,37 +48,59 @@ def n_columns(max_level: int) -> int:
     return (max_level + 1) ** 2 - 1
 
 
+def _design_order(kept) -> str:
+    """The memory order of every sphere and torus design over the kept
+    levels (a bool per level): row-major when all are kept, else
+    column-major, the layout numpy's column selection of a full row-major
+    design gives.  A GEMM's last bits follow the layout, so the fields are
+    those of that selection, bit for bit."""
+    return "C" if np.all(kept) else "F"
+
+
 class SphereHarmonicBasis:
     """Design matrix of the real orthonormal harmonics at given points.
 
-    Y[i, j] is the j-th harmonic at point i.
+    Y[i, j] is the j-th harmonic at point i, over the degrees 1..max_level
+    whose flag in kept (one per degree, default all) is set: only their
+    columns are written, in the layout of _design_order(kept), and the
+    Legendre recurrence runs up to the highest of them.  Each element is
+    computed as in the basis over every degree, bit for bit.
     """
 
-    def __init__(self, max_level: int, theta, phi):
+    def __init__(self, max_level: int, theta, phi, kept=None):
         if max_level < 1:
             raise ValueError("need max_level >= 1")
         theta = np.atleast_1d(np.asarray(theta, dtype=float))
         phi = np.atleast_1d(np.asarray(phi, dtype=float))
         if theta.shape != phi.shape or theta.ndim != 1:
             raise ValueError("theta and phi must be 1-d arrays of equal length")
+        kept = np.ones(max_level, dtype=bool) if kept is None else np.asarray(kept, dtype=bool)
+        if kept.shape != (max_level,):
+            raise ValueError("kept needs one flag per degree 1..max_level")
         self.max_level = int(max_level)
         self.theta = theta
         self.phi = phi
-        self.Y = np.empty((theta.size, n_columns(max_level)))
+        # each kept degree m and its first column; its 2m + 1 columns follow
+        self._first, n_cols = [], 0
+        for m in (np.flatnonzero(kept) + 1).tolist():
+            self._first.append((m, n_cols))
+            n_cols += 2 * m + 1
+        self.Y = np.empty((theta.size, n_cols), order=_design_order(kept))
         for i in range(0, theta.size, _POINT_BLOCK):
             block = slice(i, i + _POINT_BLOCK)
             self.Y[block] = self._rows(theta[block], phi[block]).T
 
     def _rows(self, theta, phi) -> np.ndarray:
         """Y^T at a block of points, filled one harmonic (row) at a time."""
-        M = self.max_level
+        M = self._first[-1][0] if self._first else 0
         x = np.cos(theta)
         sx = np.sin(theta)
         sqrt2 = math.sqrt(2.0)
         diag = np.full(x.size, 1.0 / math.sqrt(4.0 * math.pi))   # P~_0^0
-        Yt = np.empty((n_columns(M), x.size))
+        Yt = np.empty((self.Y.shape[1], x.size))
 
-        # one order k at a time: P~_m^k for degrees m = k..M, rows below k unused
+        # one order k at a time: P~_m^k for degrees m = k..M, the highest
+        # kept degree; rows below k unused
         for k in range(M + 1):
             if k > 0:
                 diag = -math.sqrt((2.0 * k + 1.0) / (2.0 * k)) * sx * diag
@@ -96,13 +119,15 @@ class SphereHarmonicBasis:
                 Pk[m] = a * x * Pk[m - 1] + b * Pk[m - 2]
 
             if k == 0:
-                for m in range(1, M + 1):
-                    Yt[m * m - 1] = Pk[m]
+                for m, first in self._first:
+                    Yt[first] = Pk[m]
                 continue
             cos_k = np.cos(k * phi)
             sin_k = np.sin(k * phi)
-            for m in range(k, M + 1):
-                c = m * m - 1 + 2 * k - 1
+            for m, first in self._first:
+                if m < k:
+                    continue
+                c = first + 2 * k - 1
                 Yt[c] = sqrt2 * Pk[m] * cos_k
                 Yt[c + 1] = sqrt2 * Pk[m] * sin_k
         return Yt

@@ -526,6 +526,26 @@ class TestLinf:
         assert float(row["estimate"]) == 0.0
         assert row["log_estimate"] == row["log_asymptote"] == row["ratio"] == ""
 
+    def test_one_weighted_level_of_many_fits_the_design_limit(self, tmp_path):
+        # level 10 alone of 100 torus levels on 512^2 points: the sampler
+        # builds its 8 columns (16 MiB); all 828 would pass the 1 GiB limit
+        values = ",".join(["0"] * 9 + ["0.5"] + ["0"] * 90)
+        ini, out = write_ini(
+            tmp_path,
+            "[common]\nout = {out}\nseed = 7\n[linf]\ngeometry = torus\nscheme = explicit\n"
+            f"truncation = 100\nvalues = {values}\nreference = 0.0\ngrid = torus:512\n"
+            "amplitudes = 0.05\nthresholds = 0.25\nn_samples = 4096\n",
+        )
+        run_ok(["linf", "--config", ini])
+        (path,) = csvs(out)
+        (row,) = rows_by_header(path)
+        spec = RandomFieldSpec(
+            torus2_spectrum(100), make_explicit([0.0] * 9 + [0.5] + [0.0] * 90), FieldKind.H,
+            reference_curvature=0.0,
+        )
+        report = estimate_linf(spec, 0.05, 0.25, torus_grid(512), 4096, 7)
+        assert float(row["estimate"]) == report.estimate
+
     def test_nan_threshold_is_a_config_error(self, tmp_path, capsys):
         ini, out = write_ini(
             tmp_path,

@@ -172,6 +172,29 @@ def test_oversize_design_rejected_before_it_is_built(monkeypatch, sampler, spect
         sampler(spec, grid)
 
 
+def _one_level(spectrum, level):
+    values = np.zeros(spectrum.n_levels)
+    values[level - 1] = 0.5
+    return RandomFieldSpec(spectrum, sp.make_explicit(values), FieldKind.H)
+
+
+@pytest.mark.parametrize("spectrum, level, columns, fits, passes", [
+    # level 10 alone of 100 torus levels: 8 columns, 16 MiB on 512^2 points,
+    # though all 828 columns would take 1.62 GiB there
+    (sp.torus2_spectrum(100), 10, 8, 512**2, 4100**2),
+    # degree 400 alone of 400: 801 columns, 0.60 GiB on 10^5 points, though
+    # all 160800 would take 120 GiB there
+    (sp.sphere2_spectrum(400), 400, 801, 10**5, 2 * 10**5),
+])
+def test_design_limit_counts_only_the_weighted_columns(spectrum, level, columns, fits, passes):
+    spec = _one_level(spectrum, level)
+    weights, kept = fl._level_table(spec, fits)
+    assert np.flatnonzero(kept).tolist() == [level - 1]
+    assert weights[2][kept].sum() == columns
+    with pytest.raises(ValueError, match=f"{passes} points x {columns} columns .* over the 1 GiB limit"):
+        fl._level_table(spec, passes)
+
+
 def test_evaluate_on_block_draws_is_sample_block(h_spec):
     smp = fl.SphereSampler(h_spec, fibonacci_sphere(16))
     A = fl.gaussian_draw_block(5, range(7), smp.n_gaussians)
@@ -489,9 +512,36 @@ def _sparse_user_spec():
     return RandomFieldSpec(model, sch, FieldKind.H)
 
 
+def _sphere_spec(values):
+    return RandomFieldSpec(sp.sphere2_spectrum(4), sp.make_explicit(values), FieldKind.H)
+
+
+def _user_spec_without_negative_levels():
+    # the first of three positive levels without weight, no negative level
+    model = sp.SpectrumModel(
+        geometry=Geometry.USER_SUPPLIED,
+        dimension=2,
+        volume=1.0,
+        eigenvalues=np.array([1.0, 3.0, 5.0]),
+        multiplicities=np.array([1, 2, 1]),
+        points=np.arange(5.0)[:, None],
+        eigenfunctions=np.random.default_rng(5).normal(size=(4, 5)),
+    )
+    sch = sp.make_explicit([0.0, 0.3, 0.4], indexing=Indexing.PER_EIGENFUNCTION)
+    return RandomFieldSpec(model, sch, FieldKind.H)
+
+
+_FIB32 = fibonacci_sphere(32)
+_ANGLES32 = (np.array(_FIB32.theta), np.array(_FIB32.phi))
+
+
 @pytest.mark.parametrize("spec, grid", [
-    (RandomFieldSpec(sp.sphere2_spectrum(4), sp.make_explicit([0.3, 0.0, 0.5, 0.2]), FieldKind.H),
-     fibonacci_sphere(32)),
+    (_sphere_spec([0.3, 0.0, 0.5, 0.2]), _FIB32),
+    (_sphere_spec([0.0, 0.0, 0.5, 0.0]), _FIB32),
+    (_sphere_spec([0.0, 0.0, 0.5, 0.0]), _ANGLES32),
+    (_sphere_spec([0.0, 0.3, 0.5, 0.2]), _FIB32),
+    (_sphere_spec([0.0, 0.3, 0.5, 0.2]), _ANGLES32),
+    (_sphere_spec([0.1, 0.3, 0.5, 0.2]), _FIB32),
     (RandomFieldSpec(sp.torus2_spectrum(4), sp.make_explicit([0.0, 0.0, 0.6, 0.0]), FieldKind.H),
      torus_grid(6)),
     (RandomFieldSpec(sp.torus2_spectrum(4), sp.make_explicit([0.4, 0.0, 0.6, 0.0]), FieldKind.H),
@@ -499,7 +549,12 @@ def _sparse_user_spec():
     (RandomFieldSpec(sp.torus2_spectrum(4), sp.make_explicit([0.4, 0.3, 0.6, 0.2]), FieldKind.H),
      torus_grid(6)),
     (_sparse_user_spec(), None),
-], ids=["sphere", "torus one level", "torus two levels", "torus all levels", "user"])
+    (_user_spec_without_negative_levels(), None),
+], ids=[
+    "sphere", "sphere one level", "sphere one level angles", "sphere level 1 at 0",
+    "sphere level 1 at 0 angles", "sphere all levels", "torus one level", "torus two levels",
+    "torus all levels", "user", "user zero level",
+])
 def test_a_sampler_holds_only_the_columns_it_draws(spec, grid):
     smp = fl.make_sampler(spec, grid)
     model = spec.spectrum
@@ -507,28 +562,35 @@ def test_a_sampler_holds_only_the_columns_it_draws(spec, grid):
     wf, wh = np.repeat(alpha, counts), np.repeat(beta, counts)
     # the design over every eigenfunction, built independently
     if model.geometry is Geometry.SPHERE2:
-        full = SphereHarmonicBasis(counts.size, grid.theta, grid.phi).Y
+        theta, phi = (grid.theta, grid.phi) if isinstance(grid, grids.SphereGrid) else grid
+        full = SphereHarmonicBasis(counts.size, theta, phi).Y
     elif model.geometry is Geometry.FLAT_TORUS2:
         full = grids._torus_design(grid.points, model.torus_modes[: counts.size])
     else:
-        full = np.concatenate([model.eigenfunctions, model.neg_eigenfunctions]).T
+        rows = [model.eigenfunctions] + ([model.neg_eigenfunctions] if model.negative_levels else [])
+        full = np.concatenate(rows).T
     assert smp.n_gaussians == counts.sum() == full.shape[1]
     assert np.array_equal(smp.active, np.flatnonzero((wf != 0.0) | (wh != 0.0)))
     assert 0 < smp.active.size
     assert smp.design.shape == (full.shape[0], smp.active.size)
     assert smp.wf.shape == smp.wh.shape == (smp.active.size,)
     assert np.array_equal(smp.design, full[:, smp.active])
-    # column-major when a level is left out, as numpy's column selection is
+    # column-major when a level is left out, as numpy's column selection is,
+    # and row-major otherwise; a user design is its stored rows transposed
     sparse = smp.active.size < smp.n_gaussians
-    assert smp.design.flags.f_contiguous == sparse != smp.design.flags.c_contiguous
+    column_major = sparse or model.geometry is Geometry.USER_SUPPLIED
+    assert smp.design.flags.f_contiguous == column_major != smp.design.flags.c_contiguous
     assert np.array_equal(smp.wf, wf[smp.active]) and np.array_equal(smp.wh, wh[smp.active])
+    # a builder's sphere grid keeps the design of its last scheme's levels
+    if isinstance(grid, grids.SphereGrid):
+        assert fl.make_sampler(spec, grid).design is smp.design
     # the fields are those of every column, the unweighted ones with draw 0
     F, H = smp.sample_block(8, range(5))
     A = np.zeros((5, smp.n_gaussians))
     A[:, smp.active] = fl.gaussian_draw_block(8, range(5), smp.active)
     for field, w, level_w in ((F, wf, alpha), (H, wh, beta)):
         if model.geometry is Geometry.SPHERE2:
-            ref = [slow_sphere_field(level_w, a, grid.theta, grid.phi) for a in A]
+            ref = [slow_sphere_field(level_w, a, theta, phi) for a in A]
         else:
             ref = (A * w) @ full.T
         np.testing.assert_allclose(field, ref, rtol=0, atol=1e-12)
@@ -904,9 +966,9 @@ class TestSphereDesignReuse:
         calls = []
         init = SphereHarmonicBasis.__init__
 
-        def counting(self, max_level, theta, phi):
+        def counting(self, max_level, theta, phi, kept=None):
             calls.append(max_level)
-            init(self, max_level, theta, phi)
+            init(self, max_level, theta, phi, kept)
 
         monkeypatch.setattr(SphereHarmonicBasis, "__init__", counting)
         return calls
