@@ -193,9 +193,13 @@ def _sup_v(H, r0):
 
 def _p2_chunk(ctx, j0: int, j1: int):
     """Exceedance counts per sampler and amplitude and the sum of the
-    per-draw suprema of v on the coarse grid."""
+    per-draw suprema of v on the coarse grid.  The chunk's draws of the
+    active columns, the same on both grids, are drawn once; each sampler
+    takes the row sups of h one slice of its field pass at a time."""
+    # looked up through the module, where profilers wrap the draw layer
+    A = fields.gaussian_draw_block(ctx.seed, range(j0, j1), ctx.samplers[0].active)
     sups = [
-        _sup_v(smp.sample_block(ctx.seed, range(j0, j1), fields=("h",))[1], ctx.r0)
+        np.concatenate([_sup_v(H, ctx.r0) for _, H in smp._slices(A, ("h",))])
         for smp in ctx.samplers
     ]
     counts = np.array([(sup[None, :] > (1.0 / ctx.a)[:, None]).sum(axis=1) for sup in sups])
@@ -313,19 +317,23 @@ def _linf_count(ctx, sampler, groups, screen, A) -> tuple[int, int]:
     (Mf, Mh = sqrt((A * A) @ groups) @ screen),
     |R0 expm1(-r f) - a h e^{-r f}| <= rho expm1(r Mf) + a Mh e^{r Mf}
     (rho = max |R0|); a draw whose bound is <= u cannot be an event.  The
-    survivors' fields are evaluated from their own rows of A through the
-    GEMM of sample_block and decided on the exact deviation field.  A GEMM's
-    row count can move a field's last bits, so the count is a full
-    evaluation's except for a draw whose max |deviation| lies within
-    rounding of u; the fixed chunks keep it reproducible.
+    survivors' fields are evaluated from their own rows of A, one slice of
+    the sampler's field pass at a time, and decided on the max |deviation|
+    of each slice's exact deviation field, so however many draws survive,
+    the pass holds one slice of F, H and the deviation.  A GEMM's row count
+    can move a field's last bits, so the count is a full evaluation's
+    except for a draw whose max |deviation| lies within rounding of u; the
+    fixed chunks keep it reproducible.
     """
     M = np.sqrt((A * A) @ groups) @ screen
     growth = ctx.rate * M[:, 0]
     bound = ctx.rho * np.expm1(growth) + ctx.a * M[:, 1] * np.exp(growth)
     hit = np.flatnonzero(bound > ctx.u)
-    F, H = sampler.evaluate(A[hit])
-    dev = deviation_field(F, H, ctx.reference, ctx.a, ctx.dim)
-    return int((np.abs(dev).max(axis=1) > ctx.u).sum()), int(hit.size)
+    events = 0
+    for F, H in sampler._slices(A[hit]):
+        dev = deviation_field(F, H, ctx.reference, ctx.a, ctx.dim)
+        events += int((np.abs(dev).max(axis=1) > ctx.u).sum())
+    return events, int(hit.size)
 
 
 def _linf_chunk(ctx, j0: int, j1: int):
@@ -468,9 +476,15 @@ def empirical_euler(grid, values, u: float) -> int:
 
 
 def _euler_chunk(ctx, j0: int, j1: int):
-    """Per threshold, the chunk's sums of chi and chi^2."""
-    _, H = ctx.sampler.sample_block(ctx.seed, range(j0, j1), fields=("h",))
-    chi = _euler_counts(H, ctx.thresholds, ctx.faces, ctx.vertex_faces)
+    """Per threshold, the chunk's sums of chi and chi^2, counted one slice
+    of the sampler's field pass over the chunk's draws at a time (one slice
+    for EULER_CHUNK draws on icosphere:5)."""
+    # looked up through the module, where profilers wrap the draw layer
+    A = fields.gaussian_draw_block(ctx.seed, range(j0, j1), ctx.sampler.active)
+    chi = np.concatenate([
+        _euler_counts(H, ctx.thresholds, ctx.faces, ctx.vertex_faces)
+        for _, H in ctx.sampler._slices(A, ("h",))
+    ])
     return chi.sum(axis=0), (chi * chi).sum(axis=0)
 
 

@@ -28,7 +28,10 @@ Every sampler is a LinearSampler, the column model field = design @ (w * A)
 for the draws A, with one design column at the points and per-column stds
 wf, wh for each eigenfunction with weight (nonzero wf or wh), its active
 columns; the others are never built, drawn or evaluated.  The geometry
-subclasses only build the design.
+subclasses only build the design.  The estimators evaluate a chunk's draws
+in the sampler's field pass (_slices), row slices of at most _FIELD_ROWS
+draws and _FIELD_VALUES values per field, so they hold one slice of each
+field at a time.
 Every second moment follows from it, so covariance_matrix is (D w^2) D^T
 over the sampler's design D; covariance_h_sphere and covariance_f_sphere
 are the closed Legendre forms on the sphere, an independent route to the
@@ -304,6 +307,10 @@ def gaussian_draw_block(seed: int, draw_indices, columns) -> np.ndarray:
 # the largest design a sampler builds, in bytes (points x columns float64s),
 # and the largest grid build the CLI starts
 _MAX_DESIGN_BYTES = 2**30
+# the most draw rows, and the most values per field (32 MiB of float64s), of
+# one slice of a sampler's field pass (LinearSampler._slices)
+_FIELD_ROWS = 256
+_FIELD_VALUES = 2**22
 
 
 def _level_table(spec: RandomFieldSpec, n_points: int):
@@ -363,16 +370,48 @@ class LinearSampler:
             values_f=F[0], values_h=H[0],
         )
 
-    def evaluate(self, A, fields=("f", "h")):
-        """(F, H) = ((A wf) design^T, (A wh) design^T) of shape (B, n_points)
-        for the active columns' draw rows A (B, active.size); a field not
+    def _fields(self, A, fields, out=(None, None)):
+        """(F, H) = ((A wf) design^T, (A wh) design^T), the one field GEMM,
+        each written into its array of out when that is given; a field not
         named in `fields` ("f", "h") is None and costs no GEMM."""
         unknown = set(fields) - {"f", "h"}
         if unknown:
             raise ValueError(f"unknown fields {sorted(unknown)}; choose from 'f', 'h'")
-        F = (A * self.wf) @ self.design.T if "f" in fields else None
-        H = (A * self.wh) @ self.design.T if "h" in fields else None
-        return F, H
+        return tuple(
+            np.matmul(A * w, self.design.T, out=buf) if name in fields else None
+            for name, w, buf in zip("fh", (self.wf, self.wh), out)
+        )
+
+    def evaluate(self, A, fields=("f", "h")):
+        """(F, H) = ((A wf) design^T, (A wh) design^T) of shape (B, n_points)
+        for the active columns' draw rows A (B, active.size); a field not
+        named in `fields` ("f", "h") is None and costs no GEMM."""
+        return self._fields(A, fields)
+
+    def _slices(self, A, fields=("f", "h")):
+        """The field pass over the draw rows A: (F, H) = evaluate(A[i0:i1],
+        fields) for consecutive row slices [i0, i1) that tile A in order,
+        one slice at a time.  A slice holds at most _FIELD_ROWS rows and
+        _FIELD_VALUES values per field, but at least one row, and the fewest
+        slices that fit are made of near-equal sizes.  A slice's fields are
+        views of buffers allocated once per pass and overwritten by the next
+        slice, so a pass holds one slice of each field.
+
+        numpy runs a one-row product as a matrix-vector product, whose bits
+        differ from a GEMM's; near-equal slices hold two rows or more, like
+        A, unless the value cap allows fewer than three rows (grids of over
+        2^22 / 3 points).  On a grid of n_points % 8 != 0 a slice's last
+        rows can still differ from one GEMM over A in the last bits (see the
+        README)."""
+        step = max(1, min(_FIELD_ROWS, _FIELD_VALUES // max(self.n_points, 1)))
+        n = len(A)
+        k = -(-n // step)  # the fewest slices of at most step rows
+        rows = -(-n // k) if n else 0  # the largest of k near-equal slices
+        bufs = [np.empty((rows, self.n_points)) if f in fields else None for f in "fh"]
+        for i in range(k):
+            i0, i1 = n * i // k, n * (i + 1) // k
+            out = [None if buf is None else buf[: i1 - i0] for buf in bufs]
+            yield self._fields(A[i0:i1], fields, out)
 
     def sample_block(self, seed: int, draw_indices, fields=("f", "h")):
         """evaluate() on the active columns' draws of draw_indices, a range

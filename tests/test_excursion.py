@@ -529,6 +529,22 @@ class TestEstimateP2:
             ex.p2_curve(spec, [0.3], fibonacci_sphere(64), 16, 0, refine=True)
         assert ex.p2_curve(spec, [0.3], fibonacci_sphere(64), 16, 0).reports[0].n_samples == 16
 
+    def test_refined_chunk_draws_once(self, monkeypatch):
+        # the grid and its refinement reduce the same draws of each chunk,
+        # drawn once for both
+        blocks = []
+        draw = fields.gaussian_draw_block
+
+        def counting(seed, draw_indices, n):
+            blocks.append(len(draw_indices))
+            return draw(seed, draw_indices, n)
+
+        monkeypatch.setattr(fields, "gaussian_draw_block", counting)
+        n = 2 * ex.P2_CHUNK + 100
+        study = ex.p2_curve(V_SPEC, [0.3], fibonacci_sphere(64), n, 2026, refine=True)
+        assert study.reports[0].refinement_delta is not None
+        assert blocks == [ex.P2_CHUNK, ex.P2_CHUNK, 100]
+
     def test_rejects_bad_amplitudes_and_counts(self):
         g = fibonacci_sphere(8)
         with pytest.raises(ValueError):
@@ -1073,3 +1089,28 @@ def test_estimates_do_not_depend_on_the_chunk_size(chunk, n):
     assert p2_c == p2 and e_sup_c == pytest.approx(e_sup, rel=1e-12)
     assert (linf_c.estimate, linf_c.refinement_delta) == (linf.estimate, linf.refinement_delta)
     assert np.array_equal(chi_c, chi)
+
+
+def test_estimates_do_not_depend_on_the_field_slices():
+    # slices of at most 7 rows, or 6 under the 4096-value cap on
+    # icosphere:3's 642 points, cut each chunk (and the 41 linf screen
+    # survivors of its two chunks) unevenly; every report equals its report
+    # under the default caps exactly
+    h_spec = RandomFieldSpec(SPHERE, SCHEME, FieldKind.H)
+
+    def run():
+        return (
+            [ex.p2_curve(V_SPEC, [0.3, 0.5], fibonacci_sphere(64), 2500, 5, refine=r) for r in (False, True)],
+            ex.estimate_linf(TORUS_SPEC, 1.0 / 60.0, 0.05, torus_grid(16), 20000, 2026),
+            ex.euler_curve(h_spec, [0.5, 1.5, 2.5], 600, 5, grid=icosphere(3)),
+        )
+
+    p2, linf, euler = run()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fields, "_FIELD_ROWS", 7)
+        mp.setattr(fields, "_FIELD_VALUES", 2**12)
+        p2_s, linf_s, euler_s = run()
+    assert p2_s == p2
+    assert linf.estimate > 0.0 and linf_s == linf
+    for name, value in vars(euler).items():
+        assert np.array_equal(getattr(euler_s, name), value)

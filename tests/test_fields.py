@@ -206,6 +206,42 @@ def test_evaluate_on_block_draws_is_sample_block(h_spec):
         smp.evaluate(A, fields=("g",))
 
 
+@pytest.mark.parametrize("grid", [fibonacci_sphere(1024), torus_grid(16)], ids=["fib1024", "torus16"])
+@pytest.mark.parametrize(
+    "rows, value_rows", [(7, 10**4), (64, 5), (3, 10**4)], ids=["row-cap", "value-cap", "three-rows"]
+)
+def test_slice_pass_tiles_the_rows_and_equals_evaluate(monkeypatch, h_spec, grid, rows, value_rows):
+    # both grids have n_points % 8 == 0, where a GEMM over a row slice is
+    # the whole block's bit for bit; 50 draws make uneven slices, none of
+    # one row (numpy's matrix-vector product would move bits)
+    if isinstance(grid, grids.TorusGrid):
+        spec = RandomFieldSpec(
+            sp.torus2_spectrum(5), sp.make_explicit([0.9, 0.4, 0.25, 0.1, 0.05]), FieldKind.H
+        )
+    else:
+        spec = h_spec
+    smp = fl.make_sampler(spec, grid)
+    values = value_rows * smp.n_points + 3
+    monkeypatch.setattr(fl, "_FIELD_ROWS", rows)
+    monkeypatch.setattr(fl, "_FIELD_VALUES", values)
+    A = fl.gaussian_draw_block(5, range(50), smp.active)
+    for wanted in [("f",), ("h",), ("f", "h")]:
+        sizes, parts = [], {"f": [], "h": []}
+        for F, H in smp._slices(A, wanted):
+            for name, field in zip("fh", (F, H)):
+                assert (field is None) == (name not in wanted)
+                if field is not None:
+                    assert field.shape[1] == smp.n_points
+                    parts[name].append(field.copy())  # the next slice overwrites it
+            sizes.append(len(F if H is None else H))
+            assert 2 <= sizes[-1] <= rows and sizes[-1] * smp.n_points <= values
+        assert len(sizes) == math.ceil(len(A) / min(rows, values // smp.n_points))
+        # the slices, concatenated, are the rows of A in order, bit for bit
+        for name, full in zip("fh", smp.evaluate(A, wanted)):
+            if full is not None:
+                assert np.array_equal(np.concatenate(parts[name]), full)
+
+
 def test_zero_draws_give_zero_fields(h_spec):
     smp = fl.SphereSampler(h_spec, (np.array([0.7]), np.array([0.1])))
     z = np.zeros(smp.n_gaussians)
