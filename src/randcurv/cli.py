@@ -301,7 +301,7 @@ def cmd_linf(cfg: ExperimentConfig) -> RunRecord:
         )
         asymptote = bounds.linf_log_asymptote(u, a, sigma_w) if sigma_w > 0 else None
         log_estimate = math.log(report.estimate) if report.estimate > 0 else None
-        ratio = None if log_estimate is None else log_estimate / asymptote
+        ratio = None if log_estimate is None or asymptote is None else log_estimate / asymptote
         table.append(
             [u, a, u / a, report.estimate, report.standard_error,
              log_estimate, asymptote, ratio, report.regime_warning is None,

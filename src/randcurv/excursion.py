@@ -11,13 +11,16 @@ All three estimators and `randcurv sample` run on one driver, map_chunks:
 each builds its context once and maps a kernel (ctx, j0, j1) over the fixed
 chunks [j0, j1) of range(n).  Draw j of seed s is fixed, the chunks do not
 depend on the worker count, and chunk results reduce by integer (or fsum)
-addition, so estimates are byte-identical for any parallelism.
+addition, so estimates are byte-identical for any parallelism.  The sample
+count and the seed must be integers (Python or numpy): a fractional one
+raises TypeError before any work instead of aliasing another run.
 """
 
 from __future__ import annotations
 
 import logging
 import math
+import operator
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import repeat
@@ -217,6 +220,7 @@ def p2_curve(
 ) -> P2Study:
     """Sign-change probability estimates at several amplitudes from one shared
     set of samples (the per-sample supremum of v does not depend on a)."""
+    n, seed = operator.index(n_samples), operator.index(seed)
     if spec.which is not FieldKind.V:
         raise ValueError("sign-change estimation needs a spec for the v = h / R0 field")
     r = np.asarray(spec.reference_curvature, dtype=float)
@@ -225,10 +229,9 @@ def p2_curve(
     a_arr = np.asarray(a_values, dtype=float)
     if a_arr.size == 0 or not np.all(a_arr > 0.0):
         raise ValueError("amplitudes must be positive and nonempty")
-    n = int(n_samples)
     if n < 1:
         raise ValueError("need at least one sample")
-    ctx = SimpleNamespace(samplers=_samplers(spec, grid, refine), r0=r, a=a_arr, seed=int(seed))
+    ctx = SimpleNamespace(samplers=_samplers(spec, grid, refine), r0=r, a=a_arr, seed=seed)
     results = map_chunks(_p2_chunk, ctx, n, P2_CHUNK, workers)
     counts = sum(c for c, _ in results)
     return P2Study(
@@ -360,13 +363,13 @@ def estimate_linf(
 ) -> ExcursionReport:
     """Fraction of samples whose max |curvature deviation| over the grid
     exceeds u, using the exact deviation field of the spectrum's dimension."""
+    n, seed = operator.index(n_samples), operator.index(seed)
     if not (a > 0 and u > 0):
         raise ValueError("a and u must be positive")
     if spec.reference_curvature is None:
         raise ValueError("deviation estimation needs the spec's reference curvature")
     # checked here: a draw the screen drops never reaches deviation_field
     rate = exponent_factor(spec.spectrum.dimension) * float(a)
-    n = int(n_samples)
     if n < 1:
         raise ValueError("need at least one sample")
     warning = None if linf_regime_ok(u, a) else "the log-asymptote needs u < 0.5 and u/a > 3"
@@ -374,7 +377,7 @@ def estimate_linf(
         screened=[(smp, *_linf_screen(smp)) for smp in _samplers(spec, grid, refine)],
         reference=spec.reference_curvature,
         rho=float(np.abs(np.asarray(spec.reference_curvature, dtype=float)).max()),
-        rate=rate, dim=spec.spectrum.dimension, a=float(a), u=float(u), seed=int(seed),
+        rate=rate, dim=spec.spectrum.dimension, a=float(a), u=float(u), seed=seed,
     )
     # a product, not **: past ~1.3e154 it rounds to inf, and every draw drops
     radius = min(_linf_radius(ctx, screen) for _, _, screen in ctx.screened)
@@ -500,10 +503,10 @@ def euler_curve(
     exactly at u is included), with the closed-form prediction
     2 Psi(u) + L2 rho2(u) alongside.  Thresholds must be finite; their order
     and repeats are kept."""
+    n, seed = operator.index(n_samples), operator.index(seed)
     if grid is None:
         grid = icosphere(5)
     ts = np.asarray(thresholds, dtype=float)
-    n = int(n_samples)
     if ts.size == 0 or n < 1:
         raise ValueError("need thresholds and at least one sample")
     if not np.all(np.isfinite(ts)):
@@ -514,7 +517,7 @@ def euler_curve(
     faces, vertex_faces = _closed_triangulation(grid)
     ctx = SimpleNamespace(
         sampler=make_sampler(spec, grid), faces=faces, vertex_faces=vertex_faces,
-        thresholds=ts, seed=int(seed),
+        thresholds=ts, seed=seed,
     )
     results = map_chunks(_euler_chunk, ctx, n, EULER_CHUNK, workers)
     chi_sum = sum(c for c, _ in results)
@@ -529,7 +532,7 @@ def euler_curve(
         predicted=predicted,
         lipschitz_killing=(2.0, 0.0, L2),
         n_samples=n,
-        seed=int(seed),
+        seed=seed,
     )
 
 

@@ -28,10 +28,11 @@ Every sampler is a LinearSampler, the column model field = design @ (w * A)
 for the draws A, with one design column at the points and per-column stds
 wf, wh for each eigenfunction with weight (nonzero wf or wh), its active
 columns; the others are never built, drawn or evaluated.  The geometry
-subclasses only build the design.  The estimators evaluate a chunk's draws
-in the sampler's field pass (_slices), row slices of at most _FIELD_ROWS
-draws and _FIELD_VALUES values per field, so they hold one slice of each
-field at a time.
+subclasses only build the design.  One expression (LinearSampler._fields)
+evaluates the fields of draw rows: sample and sample_block on their draws,
+and the estimators' field pass (_slices) on a chunk's draws in row slices
+of at most _FIELD_ROWS draws and _FIELD_VALUES values per field, so they
+hold one slice of each field at a time.
 Every second moment follows from it, so covariance_matrix is (D w^2) D^T
 over the sampler's design D; covariance_h_sphere and covariance_f_sphere
 are the closed Legendre forms on the sphere, an independent route to the
@@ -339,7 +340,9 @@ class LinearSampler:
     active columns: of the n_gaussians columns of level_weights (positive
     levels, then negative ones), those whose std wf (of f) or wh (of h) is
     nonzero.  design, wf and wh hold the active columns alone.  The geometry
-    subclasses only build the design, and hand over the table with it."""
+    subclasses only build the design, in any memory layout, and hand over
+    the table with it.  sample, sample_block and the field pass (_slices)
+    all evaluate through _fields, the one field expression."""
 
     def __init__(self, weights, design: np.ndarray, grid):
         alpha, beta, counts = weights
@@ -362,7 +365,7 @@ class LinearSampler:
         """Row 0 of sample_block(seed, range(draw_index, draw_index + 1)),
         with its draws."""
         A = gaussian_draw_block(seed, range(draw_index, draw_index + 1), self.active)
-        F, H = self.evaluate(A)
+        F, H = self._fields(A)
         a = np.zeros(self.n_gaussians)
         a[self.active] = A[0]
         return FieldSample(
@@ -370,26 +373,18 @@ class LinearSampler:
             values_f=F[0], values_h=H[0],
         )
 
-    def _fields(self, A, fields, out=(None, None)):
-        """(F, H) = ((A wf) design^T, (A wh) design^T), the one field GEMM,
-        each written into its array of out when that is given; a field not
-        named in `fields` ("f", "h") is None and costs no GEMM."""
-        unknown = set(fields) - {"f", "h"}
-        if unknown:
-            raise ValueError(f"unknown fields {sorted(unknown)}; choose from 'f', 'h'")
+    def _fields(self, A, fields=("f", "h"), out=(None, None)):
+        """(F, H) = ((A wf) design^T, (A wh) design^T) of shape (B, n_points)
+        for the active columns' draw rows A (B, active.size), the one field
+        GEMM, each written into its array of out when that is given; a field
+        not named in `fields` is None and costs no GEMM."""
         return tuple(
             np.matmul(A * w, self.design.T, out=buf) if name in fields else None
             for name, w, buf in zip("fh", (self.wf, self.wh), out)
         )
 
-    def evaluate(self, A, fields=("f", "h")):
-        """(F, H) = ((A wf) design^T, (A wh) design^T) of shape (B, n_points)
-        for the active columns' draw rows A (B, active.size); a field not
-        named in `fields` ("f", "h") is None and costs no GEMM."""
-        return self._fields(A, fields)
-
     def _slices(self, A, fields=("f", "h")):
-        """The field pass over the draw rows A: (F, H) = evaluate(A[i0:i1],
+        """The field pass over the draw rows A: (F, H) = _fields(A[i0:i1],
         fields) for consecutive row slices [i0, i1) that tile A in order,
         one slice at a time.  A slice holds at most _FIELD_ROWS rows and
         _FIELD_VALUES values per field, but at least one row, and the fewest
@@ -413,10 +408,10 @@ class LinearSampler:
             out = [None if buf is None else buf[: i1 - i0] for buf in bufs]
             yield self._fields(A[i0:i1], fields, out)
 
-    def sample_block(self, seed: int, draw_indices, fields=("f", "h")):
-        """evaluate() on the active columns' draws of draw_indices, a range
-        of step 1 as gaussian_draw_block takes it."""
-        return self.evaluate(gaussian_draw_block(seed, draw_indices, self.active), fields)
+    def sample_block(self, seed: int, draw_indices):
+        """(F, H) of shape (B, n_points): the f and h fields of the B draws
+        of draw_indices, a range of step 1 as gaussian_draw_block takes it."""
+        return self._fields(gaussian_draw_block(seed, draw_indices, self.active))
 
 
 class SphereSampler(LinearSampler):
@@ -467,8 +462,8 @@ class TorusSampler(LinearSampler):
 class UserSampler(LinearSampler):
     """f and h on the stored point set of a user-supplied model: its stored
     eigenfunctions of the levels with weight, then its negative-level ones
-    with weight, taken alone.  The design is the transpose of those rows, so
-    it is column-major whichever levels have weight."""
+    with weight, taken alone.  The design is the transpose of those rows,
+    not a copy."""
 
     # perfbench's tracer wraps these per class, read from the class namespace
     sample, sample_block = LinearSampler.sample, LinearSampler.sample_block

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .harmonics import SphereHarmonicBasis, _design_order
+from .harmonics import SphereHarmonicBasis
 
 __all__ = ["SphereGrid", "TorusGrid", "fibonacci_sphere", "icosphere", "torus_grid", "sphere_distance"]
 
@@ -90,16 +90,15 @@ def _torus_design(points: np.ndarray, modes, kept=None) -> np.ndarray:
     """The orthonormal torus modes cos(k.x)/(pi sqrt 2), sin(k.x)/(pi sqrt 2)
     at the points, one pair per half-lattice representative k, level-major
     over the levels' (n_reps, 2) representatives `modes` whose flag in kept
-    (default all) is set, cosine before sine, in the layout of
-    _design_order(kept).  All levels built share one phase product and one
-    cos and sin call, written into the interleaved columns of the design, so
-    the build holds the design and the phases (half its size) and nothing
-    more."""
+    (default all) is set, cosine before sine.  All levels built share one
+    phase product and one cos and sin call, written into the interleaved
+    columns of the design, so the build holds the design and the phases
+    (half its size) and nothing more."""
     kept = np.ones(len(modes), dtype=bool) if kept is None else kept
     built = [reps for reps, keep in zip(modes, kept) if keep]
     reps = np.concatenate([np.empty((0, 2), dtype=np.int64), *built])
     phase = points @ reps.T                           # (npts, total reps)
-    design = np.empty((len(points), 2 * phase.shape[1]), order=_design_order(kept))
+    design = np.empty((len(points), 2 * phase.shape[1]))
     np.cos(phase, out=design[:, 0::2])
     np.sin(phase, out=design[:, 1::2])
     design *= 1.0 / (math.pi * math.sqrt(2.0))

@@ -48,23 +48,14 @@ def n_columns(max_level: int) -> int:
     return (max_level + 1) ** 2 - 1
 
 
-def _design_order(kept) -> str:
-    """The memory order of every sphere and torus design over the kept
-    levels (a bool per level): row-major when all are kept, else
-    column-major, the layout numpy's column selection of a full row-major
-    design gives.  A GEMM's last bits follow the layout, so the fields are
-    those of that selection, bit for bit."""
-    return "C" if np.all(kept) else "F"
-
-
 class SphereHarmonicBasis:
     """Design matrix of the real orthonormal harmonics at given points.
 
     Y[i, j] is the j-th harmonic at point i, over the degrees 1..max_level
     whose flag in kept (one per degree, default all) is set: only their
-    columns are written, in the layout of _design_order(kept), and the
-    Legendre recurrence runs up to the highest of them.  Each element is
-    computed as in the basis over every degree, bit for bit.
+    columns are written, and the Legendre recurrence runs up to the highest
+    of them.  Each element is computed as in the basis over every degree,
+    bit for bit.
     """
 
     def __init__(self, max_level: int, theta, phi, kept=None):
@@ -85,7 +76,7 @@ class SphereHarmonicBasis:
         for m in (np.flatnonzero(kept) + 1).tolist():
             self._first.append((m, n_cols))
             n_cols += 2 * m + 1
-        self.Y = np.empty((theta.size, n_cols), order=_design_order(kept))
+        self.Y = np.empty((theta.size, n_cols))
         for i in range(0, theta.size, _POINT_BLOCK):
             block = slice(i, i + _POINT_BLOCK)
             self.Y[block] = self._rows(theta[block], phi[block]).T

@@ -253,6 +253,8 @@ class CoefficientScheme:
     weight of the level in the Laplacian image field (the weights of a
     normalized scheme sum to 1).  neg_values are the per-eigenfunction scales
     t_i of negative-spectrum levels (explicit only; no generating rule).
+    Every scale must be finite and nonnegative: a NaN or inf scale would
+    turn every estimate it reaches into 0 without an error.
     """
 
     rule: str               # power_law | heat_kernel | sphere_normalized_power_law | explicit
@@ -268,6 +270,8 @@ class CoefficientScheme:
     def __post_init__(self):
         object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
         object.__setattr__(self, "neg_values", np.asarray(self.neg_values, dtype=float))
+        if not (np.all(np.isfinite(self.values)) and np.all(np.isfinite(self.neg_values))):
+            raise ValueError("coefficient scales must be finite")
         if np.any(self.values < 0.0) or np.any(self.neg_values < 0.0):
             raise ValueError("coefficient scales must be nonnegative")
 

@@ -526,6 +526,21 @@ class TestLinf:
         assert float(row["estimate"]) == 0.0
         assert row["log_estimate"] == row["log_asymptote"] == row["ratio"] == ""
 
+    def test_w_without_variance_leaves_the_ratio_empty(self, tmp_path):
+        # torus level 1 at R0 = 1: w = h + R0 f = 0, so sigma_w = 0 and there
+        # is no log-asymptote, yet the second-order terms make events
+        ini, out = write_ini(
+            tmp_path,
+            "[common]\nout = {out}\n[linf]\ngeometry = torus\nscheme = explicit\n"
+            "truncation = 1\nvalues = 0.5\nreference = 1.0\ngrid = torus:8\n"
+            "amplitudes = 0.5\nthresholds = 0.01\nn_samples = 256\n",
+        )
+        run_ok(["linf", "--config", ini])
+        (path,) = csvs(out)
+        (row,) = rows_by_header(path)
+        assert float(row["estimate"]) > 0.0 and row["log_estimate"] != ""
+        assert row["log_asymptote"] == row["ratio"] == ""
+
     def test_one_weighted_level_of_many_fits_the_design_limit(self, tmp_path):
         # level 10 alone of 100 torus levels on 512^2 points: the sampler
         # builds its 8 columns (16 MiB); all 828 would pass the 1 GiB limit

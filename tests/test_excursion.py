@@ -584,7 +584,7 @@ class TestEstimateP2:
     def test_constant_reference_divides_the_extreme_to_the_same_sups(self, r0):
         # the constant route divides each row's max (or min) once, the
         # gridded route every value; both give the same sups bit for bit
-        _, H = make_sampler(V_SPEC, fibonacci_sphere(256)).sample_block(7, range(512), ("h",))
+        _, H = make_sampler(V_SPEC, fibonacci_sphere(256)).sample_block(7, range(512))
         wide = H * np.logspace(-3, 3, H.shape[1])
         for h in (H, wide):
             sup = ex._sup_v(h, r0)
@@ -1114,3 +1114,23 @@ def test_estimates_do_not_depend_on_the_field_slices():
     assert linf.estimate > 0.0 and linf_s == linf
     for name, value in vars(euler).items():
         assert np.array_equal(getattr(euler_s, name), value)
+
+
+@pytest.mark.parametrize("estimator", ["p2", "linf", "euler"])
+def test_fractional_seed_or_sample_count_is_refused(monkeypatch, estimator):
+    # int() would run seed 2.9 as seed 2 and 300.7 samples as 300, aliasing
+    # those runs; the check comes before any sampler is built
+    h_spec = RandomFieldSpec(SPHERE, SCHEME, FieldKind.H)
+    run = {
+        "p2": lambda n, seed: ex.p2_curve(V_SPEC, [0.5], fibonacci_sphere(16), n, seed).reports[0],
+        "linf": lambda n, seed: ex.estimate_linf(TORUS_SPEC, 0.05, 0.05, torus_grid(4), n, seed),
+        "euler": lambda n, seed: ex.euler_curve(h_spec, [0.5], n, seed, grid=icosphere(1)),
+    }[estimator]
+    # Python and numpy integers are counts and seeds
+    assert run(np.int32(3), np.uint64(2)).seed == 2
+    built = []
+    monkeypatch.setattr(ex, "make_sampler", lambda *args: built.append(args))
+    for n, seed in [(3, 2.9), (3, 2.0), (3.7, 2), (np.float64(3.0), 2)]:
+        with pytest.raises(TypeError):
+            run(n, seed)
+    assert built == []

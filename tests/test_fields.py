@@ -198,12 +198,15 @@ def test_design_limit_counts_only_the_weighted_columns(spectrum, level, columns,
 def test_evaluate_on_block_draws_is_sample_block(h_spec):
     smp = fl.SphereSampler(h_spec, fibonacci_sphere(16))
     A = fl.gaussian_draw_block(5, range(7), smp.n_gaussians)
-    F, H = smp.evaluate(A)
+    F, H = smp._fields(A)
     F2, H2 = smp.sample_block(5, range(7))
     assert np.array_equal(F, F2) and np.array_equal(H, H2)
-    assert smp.evaluate(A, fields=("h",))[0] is None
-    with pytest.raises(ValueError, match="unknown fields"):
-        smp.evaluate(A, fields=("g",))
+    F1, H1 = smp._fields(A, ("h",))
+    assert F1 is None and np.array_equal(H1, H)
+    # written into the given arrays, bit for bit
+    out = np.empty_like(F), np.empty_like(H)
+    assert all(x is y for x, y in zip(smp._fields(A, out=out), out))
+    assert np.array_equal(out[0], F) and np.array_equal(out[1], H)
 
 
 @pytest.mark.parametrize("grid", [fibonacci_sphere(1024), torus_grid(16)], ids=["fib1024", "torus16"])
@@ -237,7 +240,7 @@ def test_slice_pass_tiles_the_rows_and_equals_evaluate(monkeypatch, h_spec, grid
             assert 2 <= sizes[-1] <= rows and sizes[-1] * smp.n_points <= values
         assert len(sizes) == math.ceil(len(A) / min(rows, values // smp.n_points))
         # the slices, concatenated, are the rows of A in order, bit for bit
-        for name, full in zip("fh", smp.evaluate(A, wanted)):
+        for name, full in zip("fh", smp._fields(A, wanted)):
             if full is not None:
                 assert np.array_equal(np.concatenate(parts[name]), full)
 
@@ -611,11 +614,6 @@ def test_a_sampler_holds_only_the_columns_it_draws(spec, grid):
     assert smp.design.shape == (full.shape[0], smp.active.size)
     assert smp.wf.shape == smp.wh.shape == (smp.active.size,)
     assert np.array_equal(smp.design, full[:, smp.active])
-    # column-major when a level is left out, as numpy's column selection is,
-    # and row-major otherwise; a user design is its stored rows transposed
-    sparse = smp.active.size < smp.n_gaussians
-    column_major = sparse or model.geometry is Geometry.USER_SUPPLIED
-    assert smp.design.flags.f_contiguous == column_major != smp.design.flags.c_contiguous
     assert np.array_equal(smp.wf, wf[smp.active]) and np.array_equal(smp.wh, wh[smp.active])
     # a builder's sphere grid keeps the design of its last scheme's levels
     if isinstance(grid, grids.SphereGrid):
@@ -806,36 +804,6 @@ def test_out_of_range_seed_or_index_rejected_alike(seed, index, message):
         fl.gaussian_draws(seed, index, 4)
     with pytest.raises(ValueError, match=message):
         fl.gaussian_draw_block(seed, range(index, index + 1), 4)
-
-
-def test_sample_block_evaluates_only_requested_fields(h_spec):
-    user = sp.SpectrumModel(
-        geometry=Geometry.USER_SUPPLIED,
-        dimension=2,
-        volume=1.0,
-        eigenvalues=np.array([1.0, 3.0]),
-        multiplicities=np.array([1, 1]),
-        points=np.array([[0.0], [1.0]]),
-        eigenfunctions=np.array([[1.0, 0.5], [0.2, 1.5]]),
-    )
-    torus = sp.torus2_spectrum(3)
-    samplers = [
-        fl.SphereSampler(h_spec, fibonacci_sphere(32)),
-        fl.TorusSampler(
-            RandomFieldSpec(torus, sp.make_explicit([0.5, 0.3, 0.2]), FieldKind.H), torus_grid(6)
-        ),
-        fl.UserSampler(
-            RandomFieldSpec(user, sp.make_explicit([1.0, 0.5], indexing=Indexing.PER_EIGENFUNCTION), FieldKind.H)
-        ),
-    ]
-    for smp in samplers:
-        F, H = smp.sample_block(8, range(5))
-        F1, H1 = smp.sample_block(8, range(5), fields=("h",))
-        assert F1 is None and np.array_equal(H1, H)
-        F2, H2 = smp.sample_block(8, range(5), fields=("f",))
-        assert H2 is None and np.array_equal(F2, F)
-        with pytest.raises(ValueError, match="unknown fields"):
-            smp.sample_block(8, range(1), fields=("H",))
 
 
 def test_fractional_seed_or_index_rejected_alike(h_spec):

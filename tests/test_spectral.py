@@ -311,6 +311,15 @@ def test_explicit_scheme_shape():
         sp.make_explicit([-0.1, 1.0])
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_coefficient_scales_are_refused(bad):
+    # a NaN or inf scale made every p2 and linf estimate 0 without an error
+    with pytest.raises(ValueError, match="finite"):
+        sp.make_explicit([0.5, bad, 0.2])
+    with pytest.raises(ValueError, match="finite"):
+        sp.make_explicit([0.5], neg_values=[bad])
+
+
 def test_spectrum_file_roundtrip(tmp_path):
     rng = np.random.default_rng(7)
     pts = rng.normal(size=(6, 3))
