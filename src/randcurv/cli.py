@@ -39,7 +39,6 @@ from .excursion import (
     sphere_p2_prediction,
 )
 from .fields import (
-    _MAX_DESIGN_BYTES,
     FieldKind,
     RandomFieldSpec,
     _isotropic_variances,
@@ -48,7 +47,7 @@ from .fields import (
     make_sampler,
     variance_summary,
 )
-from .grids import _BUILD_BYTES, _N_POINTS, fibonacci_sphere, icosphere, torus_grid
+from .grids import _N_POINTS, _check_build, _refined_size, fibonacci_sphere, icosphere, torus_grid
 from .reports import RunRecord, format_column, write_csv, write_run_json
 from .spectral import (
     SPHERE2_VOLUME,
@@ -85,24 +84,19 @@ def _build_scheme(cfg: ExperimentConfig, model):
     return make_explicit(cfg.values, indexing=Indexing(cfg.indexing))
 
 
-def _build_field(cfg: ExperimentConfig, which: FieldKind):
+def _build_field(cfg: ExperimentConfig, which: FieldKind, refine: bool = False):
     """(spec, grid) of a command that samples: the configured spectrum and
     scheme with the reference curvature, and the configured grid, built
-    only once its design and its own build are known to fit."""
+    only once its design and its own build are known to fit, and, with
+    refine, those of the refined grid the estimator builds from it."""
     model = _build_spectrum(cfg)
     spec = RandomFieldSpec(
         model, _build_scheme(cfg, model), which, reference_curvature=cfg.reference
     )
     kind, size = parse_grid(cfg.grid)
-    n_points = _N_POINTS[kind](size)
-    _level_table(spec, n_points)
-    build_bytes = n_points * _BUILD_BYTES[kind]
-    if build_bytes > _MAX_DESIGN_BYTES:
-        raise ValueError(
-            f"building the grid {cfg.grid} ({n_points} points) would take about "
-            f"{build_bytes / 2**30:.2f} GiB, over the {_MAX_DESIGN_BYTES / 2**30:g} GiB limit; "
-            "lower the grid size"
-        )
+    for s in [size, _refined_size(kind, size)] if refine else [size]:
+        _level_table(spec, _N_POINTS[kind](s))
+        _check_build(kind, s)
     build = {"fibonacci": fibonacci_sphere, "icosphere": icosphere, "torus": torus_grid}[kind]
     return spec, build(size)
 
@@ -220,7 +214,7 @@ def cmd_sample(cfg: ExperimentConfig) -> RunRecord:
 
 
 def cmd_p2(cfg: ExperimentConfig) -> RunRecord:
-    spec, grid = _build_field(cfg, FieldKind.V)
+    spec, grid = _build_field(cfg, FieldKind.V, cfg.refine)
     scheme = spec.coefficients
     study = p2_curve(
         spec,
@@ -283,7 +277,7 @@ def cmd_euler(cfg: ExperimentConfig) -> RunRecord:
 
 
 def cmd_linf(cfg: ExperimentConfig) -> RunRecord:
-    spec, grid = _build_field(cfg, FieldKind.H)
+    spec, grid = _build_field(cfg, FieldKind.H, cfg.refine)
     sigma_w = math.sqrt(variance_summary(replace(spec, which=FieldKind.W), grid).sigma2_sup)
     meta = _base_metadata(cfg)
     meta["n_samples"] = cfg.n_samples

@@ -185,7 +185,7 @@ def _selected(spec: RandomFieldSpec, f, h):
 
 @dataclass
 class FieldSample:
-    """One realization: the Gaussian draws plus evaluated fields on a grid.
+    """One realization: the Gaussian draws plus the evaluated fields.
 
     gaussians holds one coefficient per column of the spec (n_gaussians),
     0 in the columns without weight (never drawn); values_f and values_h
@@ -195,7 +195,6 @@ class FieldSample:
     seed: int
     draw_index: int
     gaussians: np.ndarray
-    grid: object
     values_f: np.ndarray
     values_h: np.ndarray
 
@@ -305,8 +304,7 @@ def gaussian_draw_block(seed: int, draw_indices, columns) -> np.ndarray:
 # samplers
 
 
-# the largest design a sampler builds, in bytes (points x columns float64s),
-# and the largest grid build the CLI starts
+# the largest design a sampler builds, in bytes (points x columns float64s)
 _MAX_DESIGN_BYTES = 2**30
 # the most draw rows, and the most values per field (32 MiB of float64s), of
 # one slice of a sampler's field pass (LinearSampler._slices)
@@ -344,7 +342,7 @@ class LinearSampler:
     the table with it.  sample, sample_block and the field pass (_slices)
     all evaluate through _fields, the one field expression."""
 
-    def __init__(self, weights, design: np.ndarray, grid):
+    def __init__(self, weights, design: np.ndarray):
         alpha, beta, counts = weights
         wf, wh = np.repeat(alpha, counts), np.repeat(beta, counts)
         self.n_gaussians = wf.size
@@ -355,7 +353,6 @@ class LinearSampler:
             )
         self.wf, self.wh = wf[self.active], wh[self.active]
         self.design = design
-        self.grid = grid
 
     @property
     def n_points(self) -> int:
@@ -369,8 +366,7 @@ class LinearSampler:
         a = np.zeros(self.n_gaussians)
         a[self.active] = A[0]
         return FieldSample(
-            seed=seed, draw_index=draw_index, gaussians=a, grid=self.grid,
-            values_f=F[0], values_h=H[0],
+            seed=seed, draw_index=draw_index, gaussians=a, values_f=F[0], values_h=H[0],
         )
 
     def _fields(self, A, fields=("f", "h"), out=(None, None)):
@@ -428,14 +424,14 @@ class SphereSampler(LinearSampler):
     def __init__(self, spec: RandomFieldSpec, grid):
         if spec.spectrum.geometry is not Geometry.SPHERE2:
             raise ValueError("sphere sampler needs the Sphere2 geometry")
-        theta, phi, grid = _sphere_angles_of(grid)
+        theta, phi = _sphere_angles_of(grid)
         weights, kept = _level_table(spec, len(theta))
         M = spec.coefficients.truncation
         if isinstance(grid, SphereGrid):
             design = _harmonic_design(grid, M, kept)
         else:
             design = SphereHarmonicBasis(M, theta, phi, kept).Y
-        super().__init__(weights, design, grid)
+        super().__init__(weights, design)
 
 
 class TorusSampler(LinearSampler):
@@ -453,10 +449,10 @@ class TorusSampler(LinearSampler):
     def __init__(self, spec: RandomFieldSpec, grid):
         if spec.spectrum.geometry is not Geometry.FLAT_TORUS2:
             raise ValueError("torus sampler needs the FlatTorus2 geometry")
-        pts, grid = _torus_points_of(grid)
+        pts = _torus_points_of(grid)
         weights, kept = _level_table(spec, len(pts))
         modes = spec.spectrum.torus_modes[: spec.coefficients.truncation]
-        super().__init__(weights, _torus_design(pts, modes, kept), grid)
+        super().__init__(weights, _torus_design(pts, modes, kept))
 
 
 class UserSampler(LinearSampler):
@@ -478,7 +474,7 @@ class UserSampler(LinearSampler):
         rows = [model.eigenfunctions[:n_pos][keep[:n_pos]]]
         if model.negative_levels:
             rows.append(model.neg_eigenfunctions[keep[n_pos:]])
-        super().__init__(weights, np.concatenate(rows).T, model.points)
+        super().__init__(weights, np.concatenate(rows).T)
 
 
 def make_sampler(spec: RandomFieldSpec, grid=None):
@@ -495,32 +491,36 @@ def make_sampler(spec: RandomFieldSpec, grid=None):
 
 
 def _sphere_angles_of(grid):
+    """(theta, phi) of a SphereGrid, a (theta, phi) pair or (n, 3) unit
+    vectors; the checks fail on NaN, which passes every negated comparison."""
     if isinstance(grid, SphereGrid):
-        return grid.theta, grid.phi, grid
+        return grid.theta, grid.phi
     if isinstance(grid, tuple) and len(grid) == 2:
         th = np.atleast_1d(np.asarray(grid[0], dtype=float))
         ph = np.atleast_1d(np.asarray(grid[1], dtype=float))
-        if th.shape != ph.shape or th.ndim != 1:
-            raise ValueError("theta and phi must be 1-d arrays of equal length")
-        return th, ph, grid
+        if th.shape != ph.shape or th.ndim != 1 or not np.all(np.isfinite(th + ph)):
+            raise ValueError("theta and phi must be finite 1-d arrays of equal length")
+        return th, ph
     xyz = np.atleast_2d(np.asarray(grid, dtype=float))
     if xyz.ndim != 2 or xyz.shape[1] != 3:
         raise ValueError("sphere grid must be a SphereGrid, (theta, phi), or (n, 3) points")
     norms = np.linalg.norm(xyz, axis=1)
-    if np.any(np.abs(norms - 1.0) > 1e-9):
-        raise ValueError("sphere grid points must have unit norm")
-    return *_angles(xyz), grid
+    if not np.all(np.abs(norms - 1.0) <= 1e-9):
+        raise ValueError("sphere grid points must be finite with unit norm")
+    return _angles(xyz)
 
 
 def _torus_points_of(grid):
+    """The (n, 2) points of a TorusGrid or of points in [0, 2 pi)^2, whose
+    range check fails on NaN."""
     if isinstance(grid, TorusGrid):
-        return grid.points, grid
+        return grid.points
     pts = np.atleast_2d(np.asarray(grid, dtype=float))
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise ValueError("torus grid must be a TorusGrid or (n, 2) points")
-    if np.any(pts < -1e-9) or np.any(pts >= 2.0 * math.pi + 1e-9):
-        raise ValueError("torus points must lie in [0, 2 pi)^2")
-    return pts, grid
+    if not np.all((pts >= -1e-9) & (pts < 2.0 * math.pi + 1e-9)):
+        raise ValueError("torus points must be finite and lie in [0, 2 pi)^2")
+    return pts
 
 
 # ---------------------------------------------------------------------------
@@ -591,7 +591,7 @@ def _n_points(geometry: Geometry, grid) -> int:
     if grid is None:
         raise ValueError("variance_summary needs a grid")
     if geometry is Geometry.FLAT_TORUS2:
-        return len(_torus_points_of(grid)[0])
+        return len(_torus_points_of(grid))
     if geometry is Geometry.SPHERE2:
         return len(_sphere_angles_of(grid)[0])
     return len(np.asarray(grid))

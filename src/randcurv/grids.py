@@ -3,7 +3,9 @@ mesh for topological counts, and regular torus lattices.
 
 Each grid knows how to produce its canonical refinement (used for the
 grid-convergence diagnostics): the Fibonacci set doubles its point count, the
-mesh subdivides once more, the torus lattice doubles each axis.
+mesh subdivides once more, the torus lattice doubles each axis
+(_refined_size).  The CLI bounds each grid it builds, the refinement too,
+by _check_build before it builds any.
 
 The builders return read-only arrays.  A SphereGrid memoises what it
 derives from them (see SphereGrid), so repeated samplers and Euler counts on
@@ -58,8 +60,8 @@ class SphereGrid:
 
     def refine(self) -> "SphereGrid":
         if self.kind == "fibonacci":
-            return fibonacci_sphere(2 * self.n_points)
-        return icosphere(self.depth + 1)
+            return fibonacci_sphere(_refined_size(self.kind, self.n_points))
+        return icosphere(_refined_size(self.kind, self.depth))
 
 
 @dataclass(frozen=True)
@@ -73,7 +75,7 @@ class TorusGrid:
         return self.points.shape[0]
 
     def refine(self) -> "TorusGrid":
-        return torus_grid(2 * self.n_per_axis)
+        return torus_grid(_refined_size("torus", self.n_per_axis))
 
 
 def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -307,8 +309,29 @@ def torus_grid(n_per_axis: int) -> TorusGrid:
 # the n_points of each builder's grid at a size, known without building it
 _N_POINTS = dict(fibonacci=lambda n: n, icosphere=lambda d: 10 * 4**d + 2, torus=lambda n: n**2)
 # each builder's peak allocation per point while it builds, in bytes
-# (tracemalloc: flat from 10^4 points up)
+# (tracemalloc: flat from 10^4 points up), and the largest build checked
 _BUILD_BYTES = dict(fibonacci=88, icosphere=521, torus=40)
+_MAX_BUILD_BYTES = 2**30
+
+
+def _refined_size(kind: str, size: int) -> int:
+    """The size of the canonical refinement of the kind's grid at a size:
+    twice the Fibonacci points, one more mesh subdivision, twice the torus
+    points per axis."""
+    return size + 1 if kind == "icosphere" else 2 * size
+
+
+def _check_build(kind: str, size: int) -> None:
+    """Raise unless building the kind's grid at a size takes at most
+    _MAX_BUILD_BYTES, by _N_POINTS and _BUILD_BYTES, without building it."""
+    n_points = _N_POINTS[kind](size)
+    nbytes = n_points * _BUILD_BYTES[kind]
+    if nbytes > _MAX_BUILD_BYTES:
+        raise ValueError(
+            f"building the grid {kind}:{size} ({n_points} points) would take about "
+            f"{nbytes / 2**30:.2f} GiB, over the {_MAX_BUILD_BYTES / 2**30:g} GiB limit; "
+            "lower the grid size"
+        )
 
 
 def sphere_distance(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -9,14 +9,16 @@ one variance weight per eigenspace (the unit-variance sphere convention where
 the weights of the Laplacian image field sum to one).
 
 Truncation is explicit: every scheme records the estimated mass fraction of
-the dropped tail of the level-variance series, and constructors refuse
-configurations whose tail exceeds the tolerance instead of truncating
-silently.
+the dropped tail of the level-variance series (exact on a user-supplied
+model, which lists every level), and constructors refuse configurations
+whose tail exceeds the tolerance instead of truncating silently.  A
+truncation, like a spectrum's level count, must be an integer.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -164,44 +166,52 @@ class SpectrumModel:
         return float(self.multiplicities[i]) / self.volume
 
 
+def _truncation(truncation, n_levels: float = math.inf) -> int:
+    """The truncation (or level count) as an int in [1, n_levels]; a
+    fractional one raises TypeError instead of giving another truncation."""
+    M = operator.index(truncation)
+    if not 1 <= M <= n_levels:
+        raise ValueError(f"need 1 <= truncation <= {n_levels}, got {M}")
+    return M
+
+
+def _level_spectrum(geometry: Geometry, dimension: int, volume: float, law, max_level: int) -> SpectrumModel:
+    """The spectrum whose levels 1..max_level have the eigenvalues and
+    multiplicities law(m) of an integer array m."""
+    eig, mult = law(np.arange(1, _truncation(max_level) + 1))
+    return SpectrumModel(geometry, dimension, volume, eigenvalues=eig, multiplicities=mult)
+
+
 def sphere2_spectrum(max_level: int) -> SpectrumModel:
     """Laplacian spectrum of the unit round 2-sphere up to harmonic degree max_level."""
-    if max_level < 1:
-        raise ValueError("need at least one level")
-    eig, mult = sphere_level(np.arange(1, max_level + 1))
-    return SpectrumModel(
-        geometry=Geometry.SPHERE2,
-        dimension=2,
-        volume=SPHERE2_VOLUME,
-        eigenvalues=eig,
-        multiplicities=mult,
-    )
+    return _level_spectrum(Geometry.SPHERE2, 2, SPHERE2_VOLUME, sphere_level, max_level)
+
+
+def _lattice_shell(lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
+    """The integer vectors k of Z^2 with lo < |k|^2 <= hi, as an (n, 2) array
+    in row-major order (k1, then k2, increasing), and their |k|^2."""
+    r = math.isqrt(int(hi))
+    k1, k2 = np.meshgrid(np.arange(-r, r + 1), np.arange(-r, r + 1), indexing="ij")
+    norms = k1**2 + k2**2
+    sel = (norms > lo) & (norms <= hi)
+    return np.stack([k1[sel], k2[sel]], axis=1), norms[sel]
 
 
 def _torus_levels(max_level: int) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
     # enumerate nonzero lattice points until max_level distinct squared norms exist
     bound = max(4, 3 * max_level)
     while True:
-        r = int(math.isqrt(bound)) + 1
-        k1, k2 = np.meshgrid(np.arange(-r, r + 1), np.arange(-r, r + 1), indexing="ij")
-        norms = k1**2 + k2**2
-        keep = (norms > 0) & (norms <= bound)
-        distinct = np.unique(norms[keep])
+        k, norms = _lattice_shell(0, bound)
+        distinct = np.unique(norms)
         if distinct.size >= max_level:
             break
         bound *= 2
     distinct = distinct[:max_level]
-    eigs = distinct.astype(float)
-    mults = np.empty(max_level, dtype=int)
-    modes = []
-    half = (k1 > 0) | ((k1 == 0) & (k2 > 0))
-    for i, e in enumerate(distinct):
-        sel = keep & half & (norms == e)
-        reps = np.stack([k1[sel], k2[sel]], axis=1)
-        reps = reps[np.lexsort((reps[:, 1], reps[:, 0]))]
-        modes.append(reps)
-        mults[i] = 2 * reps.shape[0]
-    return eigs, mults, modes
+    # one representative per {k, -k}, each level's in row-major (sorted) order
+    half = (k[:, 0] > 0) | ((k[:, 0] == 0) & (k[:, 1] > 0))
+    modes = [k[half & (norms == e)] for e in distinct]
+    mults = np.array([2 * len(reps) for reps in modes])
+    return distinct.astype(float), mults, modes
 
 
 def torus2_spectrum(max_level: int) -> SpectrumModel:
@@ -211,9 +221,7 @@ def torus2_spectrum(max_level: int) -> SpectrumModel:
     vectors; each level stores one representative per {k, -k} pair (cos and
     sin modes), so the multiplicity is twice the representative count.
     """
-    if max_level < 1:
-        raise ValueError("need at least one level")
-    eigs, mults, modes = _torus_levels(max_level)
+    eigs, mults, modes = _torus_levels(_truncation(max_level))
     return SpectrumModel(
         geometry=Geometry.FLAT_TORUS2,
         dimension=2,
@@ -226,16 +234,7 @@ def torus2_spectrum(max_level: int) -> SpectrumModel:
 
 def s4_paneitz_spectrum(max_level: int) -> SpectrumModel:
     """Spectrum of the fourth-order conformally covariant operator on round S^4."""
-    if max_level < 1:
-        raise ValueError("need at least one level")
-    eig, mult = paneitz_level_s4(np.arange(1, max_level + 1))
-    return SpectrumModel(
-        geometry=Geometry.ROUND_SPHERE4_PANEITZ,
-        dimension=4,
-        volume=SPHERE4_VOLUME,
-        eigenvalues=eig,
-        multiplicities=mult,
-    )
+    return _level_spectrum(Geometry.ROUND_SPHERE4_PANEITZ, 4, SPHERE4_VOLUME, paneitz_level_s4, max_level)
 
 
 # ---------------------------------------------------------------------------
@@ -300,11 +299,6 @@ def _power_tail_sphere2(s: float, M: int) -> float:
     return head + rest
 
 
-def _zeta_tail(s: float, M: int) -> float:
-    """Tail of sum m^-s beyond M by integral comparison (upper estimate)."""
-    return M ** (1.0 - s) / (s - 1.0)
-
-
 # B_2, B_4, ..., B_16 over (2k)!: the Euler-Maclaurin corrections of _zeta
 _EM_COEFFICIENTS = tuple(
     b / math.factorial(2 * k)
@@ -341,22 +335,16 @@ def _power_tail_torus(s: float, e_max: float) -> float:
     if s <= 1.5:
         return math.inf
     r2max = 9.0 * e_max
-    r = int(math.sqrt(r2max)) + 1
-    k1, k2 = np.meshgrid(np.arange(-r, r + 1), np.arange(-r, r + 1), indexing="ij")
-    n2 = (k1**2 + k2**2).astype(float)
-    sel = (n2 > e_max) & (n2 <= r2max)
-    head = float(np.sum(n2[sel] ** (2.0 - 2.0 * s)))
+    n2 = _lattice_shell(e_max, r2max)[1].astype(float)
+    head = float(np.sum(n2 ** (2.0 - 2.0 * s)))
     rest = 2.0 * math.pi * r2max ** (3.0 - 2.0 * s) / (4.0 * s - 6.0)
     return head + rest
 
 
 def _heat_tail_torus(T: float, e_max: float) -> float:
     r2max = e_max + max(40.0 / T, 4.0 * e_max)
-    r = int(math.sqrt(r2max)) + 1
-    k1, k2 = np.meshgrid(np.arange(-r, r + 1), np.arange(-r, r + 1), indexing="ij")
-    n2 = (k1**2 + k2**2).astype(float)
-    sel = (n2 > e_max) & (n2 <= r2max)
-    head = float(np.sum(np.exp(-n2[sel] * T)))
+    n2 = _lattice_shell(e_max, r2max)[1].astype(float)
+    head = float(np.sum(np.exp(-n2 * T)))
     rest = math.pi * math.exp(-r2max * T) / T
     return head + rest
 
@@ -379,17 +367,17 @@ def _power_tail_s4(s: float, M: int) -> float:
 
 
 def _tail_fraction_power(s: float, spectrum: SpectrumModel, M: int) -> float:
-    eig = spectrum.eigenvalues[:M]
-    mult = spectrum.multiplicities[:M].astype(float)
-    head = float(np.sum(mult * eig ** (2.0 - 2.0 * s)))
+    terms = spectrum.multiplicities.astype(float) * spectrum.eigenvalues ** (2.0 - 2.0 * s)
+    head = float(np.sum(terms[:M]))
     if spectrum.geometry is Geometry.SPHERE2:
         tail = _power_tail_sphere2(s, M)
     elif spectrum.geometry is Geometry.FLAT_TORUS2:
-        tail = _power_tail_torus(s, float(eig[-1]))
+        tail = _power_tail_torus(s, float(spectrum.eigenvalues[M - 1]))
     elif spectrum.geometry is Geometry.ROUND_SPHERE4_PANEITZ:
         tail = _power_tail_s4(s, M)
     else:
-        tail = 0.0
+        # a user model lists every level: its tail is the listed levels past M
+        tail = float(np.sum(terms[M:]))
     if math.isinf(tail):
         return 1.0
     return tail / (head + tail)
@@ -404,9 +392,7 @@ def make_power_law(
     """Per-eigenfunction scales c_j = lambda_j^(-s), truncated at level M."""
     if s <= 0:
         raise ValueError("power-law exponent must be positive")
-    M = int(truncation)
-    if M < 1 or M > spectrum.n_levels:
-        raise ValueError("truncation must lie within the spectrum's level range")
+    M = _truncation(truncation, spectrum.n_levels)
     values = spectrum.eigenvalues[:M] ** (-s)
     tail = _tail_fraction_power(s, spectrum, M)
     _check_tail(tail, tail_tol, "power-law scheme")
@@ -429,13 +415,12 @@ def make_sphere_normalized(
     unit variance."""
     if s <= 1:
         raise ValueError("normalized scheme needs s > 1 for a convergent series")
-    M = int(truncation)
-    if M < 1:
-        raise ValueError("need at least one level")
+    M = _truncation(truncation)
     K = 1.0 / _zeta(s)
     m = np.arange(1, M + 1, dtype=float)
     values = K * m ** (-s)
-    tail = K * _zeta_tail(s, M)    # fraction of the unit total
+    # fraction of the unit total: sum_{m > M} m^-s is below the integral M^(1-s) / (s-1)
+    tail = K * (M ** (1.0 - s) / (s - 1.0))
     _check_tail(tail, tail_tol, "normalized sphere scheme")
     return CoefficientScheme(
         rule="sphere_normalized_power_law",
@@ -461,13 +446,11 @@ def make_heat_kernel(
     """
     if T <= 0:
         raise ValueError("diffusion time must be positive")
-    M = int(truncation)
-    if M < 1 or M > spectrum.n_levels:
-        raise ValueError("truncation must lie within the spectrum's level range")
+    M = _truncation(truncation, spectrum.n_levels)
     eig = spectrum.eigenvalues[:M]
     values = np.exp(-eig * (T / 2.0)) / eig
-    mult = spectrum.multiplicities[:M].astype(float)
-    head = float(np.sum(mult * np.exp(-eig * T)))
+    terms = spectrum.multiplicities.astype(float) * np.exp(-spectrum.eigenvalues * T)
+    head = float(np.sum(terms[:M]))
     if spectrum.geometry is Geometry.SPHERE2:
         tail = _heat_tail_sphere2(T, M)
     elif spectrum.geometry is Geometry.FLAT_TORUS2:
@@ -480,7 +463,8 @@ def make_heat_kernel(
         lam_next, n_next = paneitz_level_s4(M + 1)
         tail = math.exp(-lam_next * T) * (n_next + (2 * M + 7) / (24 * (M + 2) * T))
     else:
-        tail = 0.0
+        # a user model lists every level: its tail is the listed levels past M
+        tail = float(np.sum(terms[M:]))
     frac = tail / (head + tail)
     _check_tail(frac, tail_tol, "heat-kernel scheme")
     return CoefficientScheme(
@@ -674,16 +658,12 @@ def write_spectrum_file(path, model: SpectrumModel) -> None:
     if model.points is not None:
         for p in model.points:
             lines.append("point " + " ".join(repr(float(x)) for x in p))
-    row = 0
-    for lam, mult in zip(model.eigenvalues, model.multiplicities):
-        for _ in range(int(mult)):
-            vals = " ".join(repr(float(v)) for v in model.eigenfunctions[row])
-            lines.append(f"ef {float(lam)!r} {vals}")
-            row += 1
-    row = 0
-    for mu, mult in model.negative_levels:
-        for _ in range(int(mult)):
-            vals = " ".join(repr(float(v)) for v in model.neg_eigenfunctions[row])
-            lines.append(f"ef {-float(mu)!r} {vals}")
-            row += 1
+    # one record per eigenfunction row: the positive levels' rows, then the
+    # negative levels' at -mu
+    neg = model.negative_levels
+    lams = [*model.eigenvalues, *(-mu for mu, _ in neg)]
+    counts = [*model.multiplicities, *(n for _, n in neg)]
+    rows = [*model.eigenfunctions, *(model.neg_eigenfunctions if neg else ())]
+    for lam, row in zip(np.repeat(lams, counts), rows):
+        lines.append(f"ef {float(lam)!r} " + " ".join(repr(float(v)) for v in row))
     Path(path).write_text("\n".join(lines) + "\n")

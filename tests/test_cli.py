@@ -3,6 +3,7 @@ summaries validate against the schema, reruns are byte-identical, and the
 documented row-level checks (sandwich, asymptote ratios, endpoint exactness)
 hold."""
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -13,7 +14,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from randcurv import cli, excursion, fields
+from randcurv import cli, excursion, fields, grids
 from randcurv.cli import main
 from randcurv.excursion import estimate_linf, p2_curve
 from randcurv.fields import RNG_STREAM, FieldKind, RandomFieldSpec, make_sampler
@@ -435,6 +436,34 @@ class TestP2:
         (path,) = csvs(out)
         (row,) = rows_by_header(path)
         assert 0.0 <= float(row["estimate"]) <= 1.0
+
+    @pytest.mark.parametrize("grid, scheme, stand_in, builder, message", [
+        # icosphere:8 passes both bounds; its refinement icosphere:9 would
+        # take 2621442 x 521 bytes to build (its 3-column design, 60 MiB)
+        ("icosphere:8", "scheme = explicit\nvalues = 1.0\ntruncation = 1\n",
+         lambda: dataclasses.replace(grids.icosphere(2), depth=8), "icosphere",
+         "icosphere:9 (2621442 points) would take about 1.27 GiB"),
+        # fibonacci:500000's 168-column design takes 0.63 GiB, its refinement's 1.25 GiB
+        ("fibonacci:500000", "", lambda: grids.fibonacci_sphere(64), "fibonacci_sphere",
+         "1000000 points x 168 columns would take 1.25 GiB"),
+    ], ids=["build", "design"])
+    def test_oversize_refined_grid_exits_2_before_either_grid_is_built(
+        self, tmp_path, capsys, monkeypatch, grid, scheme, stand_in, builder, message
+    ):
+        # the configured grid's builder gives a small stand-in, so a run that
+        # built it would reach the refinement's builder in grids, which fails
+        small, built = stand_in(), []
+        monkeypatch.setattr(cli, builder, lambda size: built.append(size) or small)
+        monkeypatch.setattr(grids, builder, lambda size: pytest.fail(f"grids.{builder}({size}) was called"))
+        text = f"[common]\nout = {{out}}\n[p2]\n{scheme}grid = {grid}\namplitudes = 0.4\nn_samples = 16\n"
+        ini, out = write_ini(tmp_path, text + "refine = true\n")
+        assert main(["p2", "--config", ini]) == 2
+        assert message in capsys.readouterr().err
+        assert built == [] and not csvs(out)
+        # without refine the configured grid fits and is built
+        ini, out = write_ini(tmp_path, text)
+        run_ok(["p2", "--config", ini])
+        assert built == [int(grid.split(":")[1])]
 
     def test_worker_count_leaves_payload_identical(self, tmp_path):
         ini, out = write_ini(tmp_path)

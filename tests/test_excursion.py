@@ -529,6 +529,13 @@ class TestEstimateP2:
             ex.p2_curve(spec, [0.3], fibonacci_sphere(64), 16, 0, refine=True)
         assert ex.p2_curve(spec, [0.3], fibonacci_sphere(64), 16, 0).reports[0].n_samples == 16
 
+    def test_refine_on_a_bare_point_set_rejected(self):
+        # an (n, 3) array of points has no canonical refinement
+        points = np.asarray(fibonacci_sphere(64).xyz)
+        with pytest.raises(ValueError, match="needs a structured grid with a refine"):
+            ex.p2_curve(V_SPEC, [0.3], points, 16, 0, refine=True)
+        assert ex.p2_curve(V_SPEC, [0.3], points, 16, 0).reports[0].n_samples == 16
+
     def test_refined_chunk_draws_once(self, monkeypatch):
         # the grid and its refinement reduce the same draws of each chunk,
         # drawn once for both

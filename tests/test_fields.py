@@ -71,6 +71,39 @@ def test_spec_rejects_non_finite_reference_curvature(which):
     RandomFieldSpec(model, sch, which, reference_curvature=np.ones(64))
 
 
+def test_constant_reference_of_a_gridded_reference():
+    model, sch = sp.torus2_spectrum(3), sp.make_explicit([0.0, 0.0, 0.5])
+    flat = RandomFieldSpec(model, sch, FieldKind.V, reference_curvature=np.full(4, 2.5))
+    assert flat.constant_reference() == 2.5
+    varying = RandomFieldSpec(model, sch, FieldKind.V, reference_curvature=np.array([2.5, 2.5, 1.0, 2.5]))
+    with pytest.raises(ValueError, match="needs a constant reference curvature"):
+        varying.constant_reference()
+
+
+@pytest.mark.parametrize("geometry, points, message", [
+    # a NaN passes every comparison's negation, so each check is written to fail on it
+    ("sphere", [[0.0, 0.0, 1.0], [math.nan, 0.0, 0.0]], "finite with unit norm"),
+    ("sphere", [[0.0, 0.0, 1.0], [math.inf, 0.0, 0.0]], "finite with unit norm"),
+    ("sphere", [[0.0, 0.0, 1.0], [0.0, 0.0, 1.1]], "unit norm"),
+    ("sphere", (np.array([0.5, math.nan]), np.array([1.0, 2.0])), "theta and phi must be finite"),
+    ("sphere", (np.array([0.5, 1.0]), np.array([1.0, -math.inf])), "theta and phi must be finite"),
+    ("torus", [[1.0, 1.0], [math.nan, 1.0]], "finite and lie in"),
+    ("torus", [[1.0, math.inf]], "finite and lie in"),
+    ("torus", [[7.0, 1.0]], "finite and lie in"),
+    ("torus", [[1.0, -0.1]], "finite and lie in"),
+], ids=["xyz-nan", "xyz-inf", "xyz-norm", "theta-nan", "phi-inf", "torus-nan", "torus-inf",
+        "torus-high", "torus-low"])
+def test_samplers_refuse_non_finite_and_out_of_range_points(geometry, points, message):
+    if geometry == "sphere":
+        spec = RandomFieldSpec(sp.sphere2_spectrum(3), sp.make_sphere_normalized(8.0, 3, tail_tol=None))
+    else:
+        spec = RandomFieldSpec(sp.torus2_spectrum(3), sp.make_explicit([0.0, 0.7, 0.0]))
+    with pytest.raises(ValueError, match=message):
+        fl.make_sampler(spec, points)
+    with pytest.raises(ValueError, match=message):
+        fl.variance_summary(spec, points)
+
+
 def test_level_weights_sphere_conventions(sphere12, norm8):
     alpha, beta, counts = fl.level_weights(RandomFieldSpec(sphere12, norm8, FieldKind.H))
     lam = sphere12.eigenvalues
@@ -135,13 +168,13 @@ def test_sampler_matches_slow_reference(h_spec):
 def test_linear_sampler_rejects_a_design_of_the_wrong_width(h_spec):
     smp = fl.SphereSampler(h_spec, fibonacci_sphere(8))
     with pytest.raises(ValueError, match="columns"):
-        fl.LinearSampler(fl.level_weights(h_spec), smp.design[:, 1:], smp.grid)
+        fl.LinearSampler(fl.level_weights(h_spec), smp.design[:, 1:])
     # a design over every column is refused when a level has no weight
     spec = RandomFieldSpec(sp.torus2_spectrum(3), sp.make_explicit([0.0, 0.7, 0.0]), FieldKind.H)
     grid = torus_grid(4)
     full = grids._torus_design(grid.points, spec.spectrum.torus_modes)
     with pytest.raises(ValueError, match="design has 12 columns for 4 weighted columns"):
-        fl.LinearSampler(fl.level_weights(spec), full, grid)
+        fl.LinearSampler(fl.level_weights(spec), full)
 
 
 @pytest.mark.parametrize("sampler, spectrum, grid", [

@@ -242,6 +242,56 @@ def test_heat_kernel_values_and_tail():
     assert sch.tail_fraction < 1e-20
 
 
+def _four_level_user_model():
+    # levels 1, 2, 3, 4, one eigenfunction each, on two points
+    return sp.SpectrumModel(
+        geometry=Geometry.USER_SUPPLIED, dimension=2, volume=1.0,
+        eigenvalues=np.array([1.0, 2.0, 3.0, 4.0]), multiplicities=np.ones(4, dtype=int),
+        points=np.array([[0.0], [1.0]]), eigenfunctions=np.ones((4, 2)),
+    )
+
+
+@pytest.mark.parametrize("make, param, term, rounded", [
+    (sp.make_power_law, 0.5, lambda lam: lam ** (2.0 - 2.0 * 0.5), 0.9),
+    (sp.make_heat_kernel, 0.01, lambda lam: math.exp(-0.01 * lam), 0.746),
+], ids=["power", "heat"])
+def test_user_model_tail_is_its_listed_levels_past_the_truncation(make, param, term, rounded):
+    model = _four_level_user_model()
+    sch = make(param, model, 1, tail_tol=None)
+    terms = [term(lam) for lam in (1.0, 2.0, 3.0, 4.0)]
+    assert sch.tail_fraction == pytest.approx(sum(terms[1:]) / sum(terms), rel=1e-15)
+    assert round(sch.tail_fraction, 3) == rounded
+    with pytest.raises(ValueError, match="tail fraction"):
+        make(param, model, 1)
+    # truncated at its level count, nothing is dropped
+    assert make(param, model, 4).tail_fraction == 0.0
+
+
+@pytest.mark.parametrize("build", [
+    lambda M: sp.make_power_law(3.0, sp.sphere2_spectrum(12), M, tail_tol=None),
+    lambda M: sp.make_heat_kernel(0.5, sp.sphere2_spectrum(12), M, tail_tol=None),
+    lambda M: sp.make_sphere_normalized(8.0, M, tail_tol=None),
+    sp.sphere2_spectrum,
+    sp.torus2_spectrum,
+    sp.s4_paneitz_spectrum,
+], ids=["power", "heat", "normalized", "sphere2", "torus2", "s4"])
+def test_a_fractional_truncation_is_refused(build):
+    # int(12.7) would silently give the 12-level scheme, and 3.5 levels 4
+    for M in (12.7, 5.9, 3.5, 12.0, np.float64(4.0)):
+        with pytest.raises(TypeError):
+            build(M)
+    assert build(np.int64(12)) is not None
+    for M in (0, -3):
+        with pytest.raises(ValueError, match="need 1 <= truncation"):
+            build(M)
+
+
+def test_a_truncation_past_the_spectrum_is_refused():
+    for make, param in ((sp.make_power_law, 3.0), (sp.make_heat_kernel, 0.5)):
+        with pytest.raises(ValueError, match="need 1 <= truncation <= 12, got 13"):
+            make(param, sp.sphere2_spectrum(12), 13)
+
+
 def test_torus_power_tail_estimate():
     spec = sp.torus2_spectrum(20)
     sch = sp.make_power_law(2.5, spec, 20, tail_tol=None)
