@@ -9,7 +9,8 @@ by _check_build before it builds any.
 
 The builders return read-only arrays.  A SphereGrid memoises what it
 derives from them (see SphereGrid), so repeated samplers and Euler counts on
-one grid object share that work; only this module reads or writes the memo.
+one grid object share that work, and an icosphere derives its weights only
+when they are first read; only this module reads or writes the memo.
 """
 
 from __future__ import annotations
@@ -37,7 +38,8 @@ class SphereGrid:
     those degrees' columns alone, and, for an icosphere, the
     row-sorted faces checked to be a closed triangulation when the mesh was
     built, with the table of the faces around each vertex once Euler
-    counting first asks for them (_closed_triangulation).  The memo is
+    counting first asks for them (_closed_triangulation), and its weights
+    once they are first read (weights).  The memo is
     used only while the arrays it derives from are read-only, as the
     builders return them; a grid built by hand with writable arrays, or
     unpickled, derives them on every call.
@@ -48,7 +50,7 @@ class SphereGrid:
     xyz: np.ndarray                 # (n, 3) unit vectors
     theta: np.ndarray
     phi: np.ndarray
-    weights: np.ndarray             # quadrature weights, sum 4 pi
+    _weights: np.ndarray | None     # quadrature weights, or None: a mesh's own (weights)
     faces: np.ndarray | None = None     # (n_faces, 3), icosphere only
     edges: np.ndarray | None = None     # (n_edges, 2), icosphere only
     depth: int | None = None
@@ -57,6 +59,21 @@ class SphereGrid:
     @property
     def n_points(self) -> int:
         return self.xyz.shape[0]
+
+    @property
+    def weights(self) -> np.ndarray | None:
+        """Quadrature weights, sum 4 pi: those the grid was built with, or, for
+        a mesh built without them (as icosphere builds it), the spherical
+        areas of its dual cells (_dual_areas), derived on first read and kept
+        read-only in the memo while xyz and faces are read-only.  None for a
+        grid with neither weights nor faces."""
+        if self._weights is not None or self.faces is None:
+            return self._weights
+        if not _frozen(self.xyz, self.faces):
+            return _dual_areas(self.xyz, self.faces)
+        if "weights" not in self._memo:
+            (self._memo["weights"],) = _read_only(_dual_areas(self.xyz, self.faces))
+        return self._memo["weights"]
 
     def refine(self) -> "SphereGrid":
         if self.kind == "fibonacci":
@@ -222,11 +239,13 @@ def _subdivide(xyz: np.ndarray, faces: np.ndarray) -> tuple[np.ndarray, np.ndarr
     """Split each face (a, b, c) into (a, ab, ca), (b, bc, ab), (c, ca, bc),
     (ab, bc, ca), adding each edge's midpoint as a unit vector."""
     n = xyz.shape[0]
-    ends = np.stack([faces, np.roll(faces, -1, axis=1)], axis=2).reshape(-1, 2)
-    _, first, inverse = np.unique(ends.min(1) * n + ends.max(1), return_index=True, return_inverse=True)
+    nxt = np.roll(faces, -1, axis=1)                # face edges (a, b), (b, c), (c, a)
+    keys = (np.minimum(faces, nxt) * n + np.maximum(faces, nxt)).ravel()
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
     rank = np.argsort(np.argsort(first))            # each edge's place in visiting order
     ab, bc, ca = (n + rank[inverse.ravel()]).reshape(-1, 3).T
-    i, j = ends[np.sort(first)].T
+    visit = np.sort(first)
+    i, j = faces.ravel()[visit], nxt.ravel()[visit]
     a, b, c = faces.T
     new_faces = np.stack([a, ab, ca, b, bc, ab, c, ca, bc, ab, bc, ca], axis=1).reshape(-1, 3)
     return np.concatenate([xyz, _unit(xyz[i] + xyz[j])]), new_faces
@@ -245,10 +264,10 @@ def icosphere(depth: int) -> SphereGrid:
     not depend on the vectorisation; the row-wise forms (an axis=1 norm,
     einsum, a sum of squares) add in another order and differ in the last
     bit on 10-14% of random normal vectors.
-    Weights are the spherical areas of the dual regions, approximated by a
-    third of each incident triangle's spherical area.  Deriving the edges
-    checks the mesh is closed, so the grid's memo keeps the row-sorted faces
-    for Euler counting (_closed_triangulation).
+    The weights, the dual-cell areas (_dual_areas), are derived on first
+    read of grid.weights, not here: only the expected volume reads them.
+    Deriving the edges checks the mesh is closed, so the grid's memo keeps
+    the row-sorted faces for Euler counting (_closed_triangulation).
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
@@ -256,9 +275,17 @@ def icosphere(depth: int) -> SphereGrid:
     for _ in range(depth):
         xyz, farr = _subdivide(xyz, farr)
     sorted_faces, edges = _closed_faces(farr, xyz.shape[0])
+    theta, phi = _angles(xyz)
+    _read_only(xyz, theta, phi, farr, edges, sorted_faces)
+    grid = SphereGrid("icosphere", xyz, theta, phi, None, faces=farr, edges=edges, depth=depth)
+    grid._memo["closed_faces"] = sorted_faces
+    return grid
 
-    # spherical triangle areas by l'Huilier, shared to the three corners
-    A, B, C = xyz[farr[:, 0]], xyz[farr[:, 1]], xyz[farr[:, 2]]
+
+def _dual_areas(xyz: np.ndarray, faces: np.ndarray) -> np.ndarray:
+    """The spherical areas of a mesh's dual regions, approximated by a third
+    of each incident triangle's spherical area (l'Huilier's formula)."""
+    A, B, C = xyz[faces[:, 0]], xyz[faces[:, 1]], xyz[faces[:, 2]]
     a = sphere_distance(B, C)
     b = sphere_distance(C, A)
     c = sphere_distance(A, B)
@@ -271,25 +298,19 @@ def icosphere(depth: int) -> SphereGrid:
     )
     area = 4.0 * np.arctan(tanq)
     # the sum order (corner by corner, faces in order) fixes the last bit
-    weights = np.bincount(farr.T.ravel(), weights=np.tile(area / 3.0, 3), minlength=xyz.shape[0])
-
-    theta, phi = _angles(xyz)
-    _read_only(xyz, theta, phi, weights, farr, edges, sorted_faces)
-    grid = SphereGrid("icosphere", xyz, theta, phi, weights, faces=farr, edges=edges, depth=depth)
-    grid._memo["closed_faces"] = sorted_faces
-    return grid
+    return np.bincount(faces.T.ravel(), weights=np.tile(area / 3.0, 3), minlength=xyz.shape[0])
 
 
 def face_edges(faces: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The sorted unique (lo, hi) vertex pairs of the triangles' edges, and
     how many faces share each.  Pairs are found through the 1-D key
-    lo * n + hi, several times faster than a row-wise unique."""
-    fe = np.sort(
-        np.concatenate([faces[:, [0, 1]], faces[:, [1, 2]], faces[:, [2, 0]]], axis=0),
-        axis=1,
-    )
-    n = int(fe.max()) + 1
-    keys, counts = np.unique(fe[:, 0].astype(np.int64) * n + fe[:, 1], return_counts=True)
+    lo * n + hi, several times faster than a row-wise unique; each edge's
+    lo and hi are the elementwise minimum and maximum of its two ends."""
+    nxt = np.roll(faces, -1, axis=1)
+    n = int(faces.max()) + 1
+    keys = np.minimum(faces, nxt).astype(np.int64, copy=False) * n
+    keys += np.maximum(faces, nxt)
+    keys, counts = np.unique(keys, return_counts=True)
     return np.stack(np.divmod(keys, n), axis=1), counts
 
 

@@ -187,14 +187,29 @@ def sphere2_spectrum(max_level: int) -> SpectrumModel:
     return _level_spectrum(Geometry.SPHERE2, 2, SPHERE2_VOLUME, sphere_level, max_level)
 
 
-def _lattice_shell(lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
-    """The integer vectors k of Z^2 with lo < |k|^2 <= hi, as an (n, 2) array
-    in row-major order (k1, then k2, increasing), and their |k|^2."""
+# the most lattice points _lattice_blocks lays out at once (2 MiB per table)
+_LATTICE_BLOCK = 2**18
+
+
+def _lattice_blocks(lo: float, hi: float):
+    """The integer vectors k of Z^2 with lo < |k|^2 <= hi in row-major order
+    (k1, then k2, increasing), in blocks of whole rows k1 of at most
+    _LATTICE_BLOCK lattice points: yields each block's (n, 2) vectors and
+    their |k|^2."""
     r = math.isqrt(int(hi))
-    k1, k2 = np.meshgrid(np.arange(-r, r + 1), np.arange(-r, r + 1), indexing="ij")
-    norms = k1**2 + k2**2
-    sel = (norms > lo) & (norms <= hi)
-    return np.stack([k1[sel], k2[sel]], axis=1), norms[sel]
+    k = np.arange(-r, r + 1)
+    rows = max(1, _LATTICE_BLOCK // k.size)
+    for start in range(0, k.size, rows):
+        k1 = k[start:start + rows]
+        norms = k1[:, None] ** 2 + k**2
+        i, j = np.nonzero((norms > lo) & (norms <= hi))
+        yield np.stack([k1[i], k[j]], axis=1), norms[i, j]
+
+
+def _lattice_shell(lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
+    """All of _lattice_blocks(lo, hi) at once: the (n, 2) vectors and their |k|^2."""
+    k, norms = zip(*_lattice_blocks(lo, hi))
+    return np.concatenate(k), np.concatenate(norms)
 
 
 def _torus_levels(max_level: int) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
@@ -342,9 +357,11 @@ def _power_tail_torus(s: float, e_max: float) -> float:
 
 
 def _heat_tail_torus(T: float, e_max: float) -> float:
+    """Tail of sum over lattice k of e^{-|k|^2 T} for |k|^2 > e_max: the disc
+    |k|^2 <= e_max + max(40/T, 4 e_max) summed block by block (its size grows
+    as 1/T), then the integral beyond it."""
     r2max = e_max + max(40.0 / T, 4.0 * e_max)
-    n2 = _lattice_shell(e_max, r2max)[1].astype(float)
-    head = float(np.sum(np.exp(-n2 * T)))
+    head = sum(float(np.sum(np.exp(-n2.astype(float) * T))) for _, n2 in _lattice_blocks(e_max, r2max))
     rest = math.pi * math.exp(-r2max * T) / T
     return head + rest
 

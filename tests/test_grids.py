@@ -187,6 +187,29 @@ def test_icosphere_carries_its_checked_sorted_faces():
     assert g == dataclasses.replace(g)
 
 
+def test_icosphere_build_peaks_near_its_own_arrays():
+    # the build holds no dual-cell areas: weights are derived on first read
+    tracemalloc.start()
+    try:
+        g = icosphere(6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    held = (g.xyz, g.theta, g.phi, g.faces, g.edges, g._memo["closed_faces"])
+    assert "weights" not in g._memo
+    assert peak <= 2.4 * sum(a.nbytes for a in held)
+
+
+def test_icosphere_weights_are_derived_once_on_first_read():
+    g = icosphere(2)
+    w = g.weights
+    assert g.weights is w and g._memo["weights"] is w and not w.flags.writeable
+    # over writable arrays they are derived again on every read, and kept nowhere
+    h = dataclasses.replace(g, faces=np.array(g.faces))
+    a, b = h.weights, h.weights
+    assert a is not b and np.array_equal(a, w) and "weights" not in h._memo
+
+
 def test_replace_starts_an_empty_memo():
     g = icosphere(2)
     g2 = dataclasses.replace(g, theta=np.pi - g.theta)

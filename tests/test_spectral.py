@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -152,6 +153,20 @@ def test_torus_heat_tail_is_the_lattice_sum(M, T):
     exact = math.fsum(np.exp(-n2[n2 > e_max] * T).tolist())
     recorded = _recorded_tail(sp.make_heat_kernel(T, model, M, tail_tol=None), model, T)
     assert recorded == pytest.approx(exact, rel=1e-9)
+
+
+def test_torus_heat_tail_peaks_in_bounded_blocks():
+    # at T = 1e-5 the tail's lattice disc has radius 2000 (16 million
+    # points); laid out at once it took 765 MiB before the tail was refused
+    model = sp.torus2_spectrum(11)
+    tracemalloc.start()
+    try:
+        scheme = sp.make_heat_kernel(1e-5, model, 11, tail_tol=None)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert scheme.tail_fraction > 0.999
+    assert peak <= 32 * 2**20
 
 
 def test_torus_levels_match_lattice_count():
