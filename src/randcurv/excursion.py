@@ -480,8 +480,8 @@ def empirical_euler(grid, values, u: float) -> int:
 
 def _euler_chunk(ctx, j0: int, j1: int):
     """Per threshold, the chunk's sums of chi and chi^2, counted one slice
-    of the sampler's field pass over the chunk's draws at a time (one slice
-    for EULER_CHUNK draws on icosphere:5)."""
+    of the sampler's field pass over the chunk's draws at a time (two
+    slices of 128 rows for EULER_CHUNK draws on icosphere:5)."""
     # looked up through the module, where profilers wrap the draw layer
     A = fields.gaussian_draw_block(ctx.seed, range(j0, j1), ctx.sampler.active)
     chi = np.concatenate([

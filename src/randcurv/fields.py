@@ -31,8 +31,9 @@ columns; the others are never built, drawn or evaluated.  The geometry
 subclasses only build the design.  One expression (LinearSampler._fields)
 evaluates the fields of draw rows: sample and sample_block on their draws,
 and the estimators' field pass (_slices) on a chunk's draws in row slices
-of at most _FIELD_ROWS draws and _FIELD_VALUES values per field, so they
-hold one slice of each field at a time.
+of at most _FIELD_ROWS draws (128: the GEMM runs at its full rate there)
+and _FIELD_VALUES values per field, so they hold one slice of each field at
+a time.
 Every second moment follows from it, so covariance_matrix is (D w^2) D^T
 over the sampler's design D; covariance_h_sphere and covariance_f_sphere
 are the closed Legendre forms on the sphere, an independent route to the
@@ -307,8 +308,10 @@ def gaussian_draw_block(seed: int, draw_indices, columns) -> np.ndarray:
 # the largest design a sampler builds, in bytes (points x columns float64s)
 _MAX_DESIGN_BYTES = 2**30
 # the most draw rows, and the most values per field (32 MiB of float64s), of
-# one slice of a sampler's field pass (LinearSampler._slices)
-_FIELD_ROWS = 256
+# one slice of a sampler's field pass (LinearSampler._slices); the BLAS packs
+# the design once per GEMM, and past 128 rows that cost is paid for, so more
+# rows only hold more field
+_FIELD_ROWS = 128
 _FIELD_VALUES = 2**22
 
 
@@ -382,11 +385,14 @@ class LinearSampler:
     def _slices(self, A, fields=("f", "h")):
         """The field pass over the draw rows A: (F, H) = _fields(A[i0:i1],
         fields) for consecutive row slices [i0, i1) that tile A in order,
-        one slice at a time.  A slice holds at most _FIELD_ROWS rows and
-        _FIELD_VALUES values per field, but at least one row, and the fewest
-        slices that fit are made of near-equal sizes.  A slice's fields are
-        views of buffers allocated once per pass and overwritten by the next
-        slice, so a pass holds one slice of each field.
+        one slice at a time.  A slice holds at most _FIELD_ROWS rows, past
+        which the GEMM runs no faster, and _FIELD_VALUES values per field,
+        but at least one row, and the fewest slices that fit are made of
+        near-equal sizes: a 256-draw Euler chunk on icosphere:5 runs as two
+        slices of 128 rows, and grids of over 2^15 points are sliced by the
+        value cap.  A slice's fields are views of buffers allocated once per
+        pass and overwritten by the next slice, so a pass holds one slice of
+        each field.
 
         numpy runs a one-row product as a matrix-vector product, whose bits
         differ from a GEMM's; near-equal slices hold two rows or more, like

@@ -19,8 +19,8 @@ import numpy as np
 __all__ = ["legendre_all", "n_columns", "SphereHarmonicBasis"]
 
 _CLAMP = 1e-12
-# points per block of the basis build: one block's transposed rows are
-# written into Y, so Y is never held twice
+# points per block of the basis build: each block's harmonics are written
+# straight into its rows of Y, with working arrays of one block's size
 _POINT_BLOCK = 2048
 
 
@@ -55,7 +55,9 @@ class SphereHarmonicBasis:
     whose flag in kept (one per degree, default all) is set: only their
     columns are written, and the Legendre recurrence runs up to the highest
     of them.  Each element is computed as in the basis over every degree,
-    bit for bit.
+    bit for bit.  The build writes each block of _POINT_BLOCK points straight
+    into its rows of Y, so it holds Y and one block's Legendre table,
+    angle products and scratch row.
     """
 
     def __init__(self, max_level: int, theta, phi, kept=None):
@@ -79,26 +81,33 @@ class SphereHarmonicBasis:
         self.Y = np.empty((theta.size, n_cols))
         for i in range(0, theta.size, _POINT_BLOCK):
             block = slice(i, i + _POINT_BLOCK)
-            self.Y[block] = self._rows(theta[block], phi[block]).T
+            self._fill(self.Y[block], theta[block], phi[block])
 
-    def _rows(self, theta, phi) -> np.ndarray:
-        """Y^T at a block of points, filled one harmonic (row) at a time."""
+    def _fill(self, Y, theta, phi) -> None:
+        """Write the harmonics at a block of points into its rows Y, one
+        order k at a time; every product is written through out= buffers in
+        the order of the expressions in the comments."""
         M = self._first[-1][0] if self._first else 0
         x = np.cos(theta)
         sx = np.sin(theta)
         sqrt2 = math.sqrt(2.0)
-        diag = np.full(x.size, 1.0 / math.sqrt(4.0 * math.pi))   # P~_0^0
-        Yt = np.empty((self.Y.shape[1], x.size))
+        # row m: P~_m^k at the current order k, for m = k..M, the highest kept
+        # degree; row k is the diagonal P~_k^k, made from row k-1 of order k-1
+        P = np.empty((M + 1, x.size))
+        P[0] = 1.0 / math.sqrt(4.0 * math.pi)   # P~_0^0
+        tmp = np.empty(x.size)
+        kphi = np.arange(1, M + 1)[:, None] * phi   # row k-1: k * phi
+        cos_k, sin_k = np.cos(kphi), np.sin(kphi)
 
-        # one order k at a time: P~_m^k for degrees m = k..M, the highest
-        # kept degree; rows below k unused
         for k in range(M + 1):
             if k > 0:
-                diag = -math.sqrt((2.0 * k + 1.0) / (2.0 * k)) * sx * diag
-            Pk = np.empty((M + 1, x.size))
-            Pk[k] = diag
+                # P[k] = -sqrt((2k+1) / 2k) * sx * P[k-1]
+                np.multiply(sx, -math.sqrt((2.0 * k + 1.0) / (2.0 * k)), out=P[k])
+                np.multiply(P[k], P[k - 1], out=P[k])
             if k + 1 <= M:
-                Pk[k + 1] = math.sqrt(2.0 * k + 3.0) * x * diag
+                # P[k+1] = sqrt(2k+3) * x * P[k]
+                np.multiply(x, math.sqrt(2.0 * k + 3.0), out=P[k + 1])
+                np.multiply(P[k + 1], P[k], out=P[k + 1])
             for m in range(k + 2, M + 1):
                 a = math.sqrt((4.0 * m * m - 1.0) / (m * m - k * k))
                 b = -math.sqrt(
@@ -107,18 +116,21 @@ class SphereHarmonicBasis:
                     * ((m - 1.0) ** 2 - k * k)
                     / (m * m - k * k)
                 )
-                Pk[m] = a * x * Pk[m - 1] + b * Pk[m - 2]
+                # P[m] = a * x * P[m-1] + b * P[m-2]
+                np.multiply(x, a, out=P[m])
+                np.multiply(P[m], P[m - 1], out=P[m])
+                np.multiply(P[m - 2], b, out=tmp)
+                np.add(P[m], tmp, out=P[m])
 
             if k == 0:
                 for m, first in self._first:
-                    Yt[first] = Pk[m]
+                    Y[:, first] = P[m]
                 continue
-            cos_k = np.cos(k * phi)
-            sin_k = np.sin(k * phi)
             for m, first in self._first:
                 if m < k:
                     continue
                 c = first + 2 * k - 1
-                Yt[c] = sqrt2 * Pk[m] * cos_k
-                Yt[c + 1] = sqrt2 * Pk[m] * sin_k
-        return Yt
+                # (cos, sin) columns: sqrt2 * P[m] * (cos k phi, sin k phi)
+                np.multiply(P[m], sqrt2, out=tmp)
+                np.multiply(tmp, cos_k[k - 1], out=Y[:, c])
+                np.multiply(tmp, sin_k[k - 1], out=Y[:, c + 1])

@@ -189,6 +189,8 @@ def sphere2_spectrum(max_level: int) -> SpectrumModel:
 
 # the most lattice points _lattice_blocks lays out at once (2 MiB per table)
 _LATTICE_BLOCK = 2**18
+# the most lattice points, about pi r^2, of a disc the torus heat tail sums
+_HEAT_TAIL_POINTS = 2**24
 
 
 def _lattice_blocks(lo: float, hi: float):
@@ -359,8 +361,16 @@ def _power_tail_torus(s: float, e_max: float) -> float:
 def _heat_tail_torus(T: float, e_max: float) -> float:
     """Tail of sum over lattice k of e^{-|k|^2 T} for |k|^2 > e_max: the disc
     |k|^2 <= e_max + max(40/T, 4 e_max) summed block by block (its size grows
-    as 1/T), then the integral beyond it."""
+    as 1/T), then the integral beyond it.  A disc of over _HEAT_TAIL_POINTS
+    points (T below about 7.5e-6 at small e_max) is refused before any
+    block is laid out."""
     r2max = e_max + max(40.0 / T, 4.0 * e_max)
+    if math.pi * r2max > _HEAT_TAIL_POINTS:
+        raise ValueError(
+            f"the torus heat tail at heat time T = {T!r} sums a lattice disc of about "
+            f"{math.pi * r2max:.3g} points, over the bound of {_HEAT_TAIL_POINTS} "
+            "(2^24); raise the heat time"
+        )
     head = sum(float(np.sum(np.exp(-n2.astype(float) * T))) for _, n2 in _lattice_blocks(e_max, r2max))
     rest = math.pi * math.exp(-r2max * T) / T
     return head + rest

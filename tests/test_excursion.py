@@ -1073,6 +1073,14 @@ class TestEulerCurve:
         chi_sums = np.rint(ec.empirical_mean * ec.n_samples).astype(int).tolist()
         assert chi_sums == [53, 51, 46, 41, 32, 22, 17, 13, 10, 7, 4, 3, 2, 2, 2, 2, 0, 0, 0, 0]
 
+    def test_pinned_chi_sums_of_a_sliced_chunk(self):
+        # 256 draws, one chunk that the field pass cuts into two 128-row
+        # slices; the sums are those of the chunk evaluated as one slice
+        spec = RandomFieldSpec(SPHERE, SCHEME, FieldKind.H)
+        ec = ex.euler_curve(spec, np.linspace(1.0, 3.5, 20), 256, 12345, grid=icosphere(5))
+        chi_sums = np.rint(ec.empirical_mean * ec.n_samples).astype(int).tolist()
+        assert chi_sums == [196, 182, 165, 144, 122, 92, 77, 56, 40, 32, 23, 19, 12, 9, 5, 5, 3, 3, 2, 2]
+
 
 @settings(max_examples=8, deadline=None)
 @given(chunk=st.integers(100, 2500), n=st.integers(1, 2500))

@@ -278,6 +278,25 @@ def test_slice_pass_tiles_the_rows_and_equals_evaluate(monkeypatch, h_spec, grid
                 assert np.array_equal(np.concatenate(parts[name]), full)
 
 
+@pytest.mark.parametrize(
+    "grid, n_draws, n_slices",
+    [(grids.icosphere(5), 256, 2), (fibonacci_sphere(1024), 2048, 16)],
+    ids=["icosphere5-euler-chunk", "fib1024-p2-chunk"],
+)
+def test_slice_pass_plan_at_the_default_caps(h_spec, grid, n_draws, n_slices):
+    # 128-row slices: an Euler chunk on icosphere:5 runs as two, a p2 chunk
+    # on fib1024 as 16, each written into one (128, n_points) buffer per field
+    smp = fl.make_sampler(h_spec, grid)
+    A = fl.gaussian_draw_block(5, range(n_draws), smp.active)
+    bases = set()
+    for F, H in smp._slices(A):
+        assert F.shape == H.shape == (128, grid.n_points)
+        assert F.base.shape == H.base.shape == (128, grid.n_points)
+        bases.update((id(F.base), id(H.base)))
+        n_slices -= 1
+    assert n_slices == 0 and len(bases) == 2
+
+
 def test_zero_draws_give_zero_fields(h_spec):
     smp = fl.SphereSampler(h_spec, (np.array([0.7]), np.array([0.1])))
     z = np.zeros(smp.n_gaussians)

@@ -1,4 +1,5 @@
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -167,6 +168,16 @@ def test_torus_heat_tail_peaks_in_bounded_blocks():
         tracemalloc.stop()
     assert scheme.tail_fraction > 0.999
     assert peak <= 32 * 2**20
+
+
+def test_torus_heat_tail_refuses_a_disc_over_its_bound_at_once():
+    # at T = 1e-7 the disc would hold ~1.3e9 points, minutes of summing
+    model = sp.torus2_spectrum(11)
+    start = time.perf_counter()
+    for tail_tol in (None, sp.DEFAULT_TAIL_TOL):
+        with pytest.raises(ValueError, match=r"T = 1e-07.*over the bound of 16777216"):
+            sp.make_heat_kernel(1e-7, model, 11, tail_tol=tail_tol)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_torus_levels_match_lattice_count():
